@@ -10,7 +10,6 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -65,10 +64,8 @@ class LatencyReservoir:
         if capacity_entries < 1:
             raise ValueError("reservoir capacity must be >= 1")
         self.capacity_entries = capacity_entries
-        self._buf = np.empty(  # tmo-lint: transient -- via set_samples()
-            capacity_entries, dtype=np.float64
-        )
-        self._count = 0  # tmo-lint: transient -- restored by set_samples()
+        self._buf = np.empty(capacity_entries, dtype=np.float64)
+        self._count = 0
         self._next = 0
 
     def add(self, latency_s: float) -> None:
@@ -91,12 +88,13 @@ class LatencyReservoir:
         idx = min(n - 1, int(round(q / 100.0 * (n - 1))))
         return float(np.partition(self._buf[:n], idx)[idx])
 
-    def samples(self) -> list:
-        """The current window's samples as a list (insertion order)."""
-        return self._buf[: self._count].tolist()
+    def __snapshot__(self) -> list:
+        """Snapshot state: the filled part of the buffer, not all of it."""
+        return [self.capacity_entries, self._buf[: self._count].tolist(),
+                self._next]
 
-    def set_samples(self, samples: Sequence[float], next_slot: int) -> None:
-        """Restore the window contents (checkpoint codec seam)."""
+    def __restore__(self, state: list) -> None:
+        self.capacity_entries, samples, self._next = state
         n = len(samples)
         if n > self.capacity_entries:
             raise ValueError(
@@ -106,7 +104,6 @@ class LatencyReservoir:
         self._buf = np.empty(self.capacity_entries, dtype=np.float64)
         self._buf[:n] = samples
         self._count = n
-        self._next = int(next_slot)
 
     def __len__(self) -> int:
         return self._count
@@ -118,6 +115,9 @@ class OffloadBackend(abc.ABC):
     Latencies returned by :meth:`store` and :meth:`load` are what the
     faulting (or reclaiming) task stalls for; the host feeds them into PSI.
     """
+
+    __state__ = ("name", "stats")
+    stats: DeviceStats
 
     def __init__(self, name: str) -> None:
         self.name = name

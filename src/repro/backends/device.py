@@ -83,6 +83,15 @@ class QueuedDevice:
     tails the paper reports for the slower SSD generations.
     """
 
+    __state__ = (
+        "_rng", "_util_window", "_read_rate", "_write_rate",
+        "_pending_reads", "_pending_writes", "faults",
+    )
+    #: The catalog spec is fixed by the host config.
+    __transient__ = ("spec",)
+    _rng: np.random.Generator
+    faults: DeviceFaultState
+
     def __init__(
         self,
         spec: DeviceSpec,

@@ -20,6 +20,9 @@ from repro.backends.ssd import make_ssd_device
 class FilesystemBackend(OffloadBackend):
     """Backing store for file pages on an SSD filesystem."""
 
+    __state__ = ("device",)
+    device: QueuedDevice
+
     def __init__(
         self,
         model: str,

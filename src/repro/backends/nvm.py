@@ -52,6 +52,12 @@ CXL_SPEC = FarMemorySpec(
 class FarMemoryBackend(OffloadBackend):
     """A byte-addressable far-memory tier (NVM or CXL)."""
 
+    __state__ = ("_rng", "capacity_bytes", "_stored",
+                 "endurance_bytes_written")
+    #: The catalog spec is fixed by the host config.
+    __transient__ = ("spec",)
+    _rng: np.random.Generator
+
     def __init__(
         self,
         spec: FarMemorySpec,

@@ -95,6 +95,14 @@ class SsdSwapBackend(OffloadBackend):
     traces back to bytecode refaults.
     """
 
+    # The device is shared with the filesystem backend on a host, and
+    # snapshots write it once.
+    __state__ = ("device", "capacity_bytes", "_stored",
+                 "endurance_bytes_written")
+    #: The catalog spec is fixed by the host config.
+    __transient__ = ("spec",)
+    device: QueuedDevice
+
     def __init__(
         self,
         model: str,

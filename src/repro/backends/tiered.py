@@ -33,6 +33,12 @@ TIER_SSD = "ssd"
 class TieredBackend(OffloadBackend):
     """Two-level offload backend (zswap over SSD swap)."""
 
+    __state__ = ("zswap", "ssd", "compress_threshold", "cold_age_s",
+                 "_placement", "spilled_stores")
+    zswap: ZswapBackend
+    ssd: SsdSwapBackend
+    _placement: Dict[int, str]
+
     def __init__(
         self,
         zswap: ZswapBackend,
@@ -54,7 +60,7 @@ class TieredBackend(OffloadBackend):
         self.ssd = ssd
         self.compress_threshold = compress_threshold
         self.cold_age_s = cold_age_s
-        self._placement: Dict[int, str] = {}
+        self._placement = {}
         self.spilled_stores = 0
 
     # ------------------------------------------------------------------

@@ -83,6 +83,15 @@ class ZswapBackend(OffloadBackend):
     #: the ~40 us range the paper quotes for 4 KiB pages.
     _FAULT_PATH_US = 25.0
 
+    __state__ = (
+        "max_pool_bytes", "_rng", "_pool_bytes", "_logical_bytes",
+        "compress_cpu_seconds", "decompress_cpu_seconds", "faults",
+    )
+    #: Catalog entries fixed by the host config.
+    __transient__ = ("algorithm", "allocator")
+    _rng: np.random.Generator
+    faults: DeviceFaultState
+
     def __init__(
         self,
         rng: np.random.Generator,

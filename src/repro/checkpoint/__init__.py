@@ -12,6 +12,10 @@ metric-series digest as running straight to ``t2``. The chaos
 harness's crash-equivalence mode (``python -m repro crash-equivalence``)
 asserts exactly that.
 
+What is saved is what each class declares (:mod:`repro.checkpoint.
+state`); the payload is the host's config plus the walker's encoding
+of the host, restored in place on a host rebuilt from that config.
+
 Entry points: ``Host.snapshot()`` / ``Host.restore()`` wrap
 :func:`snapshot_host` / :func:`restore_host`; :func:`save_snapshot` /
 :func:`load_snapshot` add the file layer used by
@@ -22,8 +26,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.checkpoint.codec import build_host, encode_host_state
 from repro.checkpoint.snapshot import (
+    PAYLOAD_KIND,
     SCHEMA_VERSION,
     SnapshotError,
     dump_envelope,
@@ -32,6 +36,7 @@ from repro.checkpoint.snapshot import (
     validate_envelope,
     wrap_payload,
 )
+from repro.checkpoint.state import decode_state, encode_state
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -45,8 +50,17 @@ __all__ = [
 
 
 def snapshot_host(host) -> Dict[str, Any]:
-    """Snapshot a host into a versioned, digest-carrying envelope."""
-    return wrap_payload(encode_host_state(host))
+    """Snapshot a host into a versioned, digest-carrying envelope.
+
+    Raises :class:`SnapshotError` — before anything is written — when
+    any object on the host declares no state or carries an undeclared
+    attribute (a trace workload, an unknown controller type).
+    """
+    return wrap_payload({
+        "kind": PAYLOAD_KIND,
+        "config": encode_state(host.config, type(host.config)),
+        "host": encode_state(host, type(host)),
+    })
 
 
 def restore_host(envelope: Any):
@@ -56,7 +70,20 @@ def restore_host(envelope: Any):
     *before* any construction, so a bad snapshot raises
     :class:`SnapshotError` and never yields a half-restored host.
     """
-    return build_host(validate_envelope(envelope))
+    from repro.sim.host import Host, HostConfig
+
+    payload = validate_envelope(envelope)
+    try:
+        host = Host(decode_state(payload["config"], HostConfig))
+        decode_state(payload["host"], Host, into=host)
+    except SnapshotError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise SnapshotError(
+            f"snapshot payload does not fit this build: {exc!r}",
+            field="payload",
+        ) from exc
+    return host
 
 
 def save_snapshot(host, path: str) -> str:

@@ -2,7 +2,7 @@
 
 A snapshot is a canonical-JSON document in a three-field envelope::
 
-    {"schema_version": 1, "digest": "<sha256>", "payload": {...}}
+    {"schema_version": 3, "digest": "<sha256>", "payload": {...}}
 
 ``digest`` is the SHA-256 of the *canonical* payload encoding
 (``json.dumps(payload, sort_keys=True, separators=(",", ":"))``), so a
@@ -28,7 +28,11 @@ from typing import Any, Dict, Optional
 #: versioning policy is documented in docs/RESILIENCE.md).
 #: v2: Supervisor payloads carry ``quarantined``/``consecutive_deaths``
 #: and an Optional ``max_restarts`` in their config.
-SCHEMA_VERSION = 2
+#: v3: the payload is written by the declared-state walker
+#: (:mod:`repro.checkpoint.state`) in place of the hand-written codecs:
+#: objects are positional rows, every dict is ordered pairs (so dict
+#: order survives a restore), shared objects are written by key.
+SCHEMA_VERSION = 3
 
 #: Payload marker distinguishing host snapshots from other documents.
 PAYLOAD_KIND = "tmo-host-snapshot"

@@ -63,10 +63,14 @@ class _TuneState:
 class AutoTuneSenpai(Senpai):
     """Senpai with per-container online ratio adaptation."""
 
+    __state__ = ("tune", "_ratios")
+    tune: AutoTuneConfig
+    _ratios: Dict[str, _TuneState]
+
     def __init__(self, config: AutoTuneConfig = AutoTuneConfig()) -> None:
         super().__init__(config.base)
         self.tune = config
-        self._ratios: Dict[str, _TuneState] = {}
+        self._ratios = {}
 
     def ratio_for(self, cgroup: str) -> float:
         """The currently tuned reclaim ratio of one container."""

@@ -76,24 +76,34 @@ class SenpaiDaemon:
     backed off exponentially instead of being hammered every period.
     """
 
+    __state__ = (
+        "config", "_states", "_next_poll", "_pressure_path",
+        "_current_path", "_reclaim_path", "skipped_reads", "failed_writes",
+    )
+    config: SenpaiDaemonConfig
+    _states: Dict[str, _DaemonCgroupState]
+    _pressure_path: Dict[str, str]
+    _current_path: Dict[str, str]
+    _reclaim_path: Dict[str, str]
+
     def __init__(self, config: SenpaiDaemonConfig) -> None:
         if not config.cgroups:
             raise ValueError(
                 "SenpaiDaemon needs explicit cgroup paths to manage"
             )
         self.config = config
-        self._states: Dict[str, _DaemonCgroupState] = {}
+        self._states = {}
         self._next_poll: Optional[float] = None
         # The managed cgroup set is fixed at construction, so every
         # control-file path is formatted exactly once here instead of
         # on each poll of each cgroup (TMO018).
-        self._pressure_path = {  # tmo-lint: transient -- derived from config
+        self._pressure_path = {
             c: f"{c}/memory.pressure" for c in config.cgroups
         }
-        self._current_path = {  # tmo-lint: transient -- derived from config
+        self._current_path = {
             c: f"{c}/memory.current" for c in config.cgroups
         }
-        self._reclaim_path = {  # tmo-lint: transient -- derived from config
+        self._reclaim_path = {
             c: f"{c}/memory.reclaim" for c in config.cgroups
         }
         #: Pressure/current reads dropped as unreadable or malformed.

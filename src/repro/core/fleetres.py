@@ -416,11 +416,11 @@ class _UnitState:
     """Parallel-scheduler bookkeeping for one host unit."""
 
     unit: HostUnit
-    order: int  # tmo-lint: transient -- scheduler bookkeeping
-    attempt: int = 1  # tmo-lint: transient -- scheduler bookkeeping
-    ready_at: float = 0.0  # tmo-lint: transient -- scheduler bookkeeping
-    outcome: Any = None  # tmo-lint: transient -- scheduler bookkeeping
-    failures: Tuple[WorkerFailure, ...] = ()  # tmo-lint: transient -- log
+    order: int
+    attempt: int = 1
+    ready_at: float = 0.0
+    outcome: Any = None
+    failures: Tuple[WorkerFailure, ...] = ()
 
 
 def _mp_context():

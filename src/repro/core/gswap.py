@@ -85,14 +85,18 @@ def profile_target_rate(
 class GSwapController:
     """Static-promotion-rate-target controller (the paper's comparator)."""
 
+    __state__ = ("config", "_states", "_next_poll", "_metric_names")
+    config: GSwapConfig
+    _states: Dict[str, _GswapState]
+    _metric_names: Dict[str, str]
+
     def __init__(self, config: GSwapConfig = GSwapConfig()) -> None:
         self.config = config
-        self._states: Dict[str, _GswapState] = {}
+        self._states = {}
         self._next_poll: Optional[float] = None
         # cgroup -> memoized metric-series name; formatting stays out
-        # of the per-cgroup poll loop (TMO018). Rebuilt lazily, so a
-        # restored controller just re-memoizes.
-        self._metric_names: Dict[str, str] = {}  # tmo-lint: transient -- name memo
+        # of the per-cgroup poll loop (TMO018).
+        self._metric_names = {}
 
     def _targets(self, host):
         if self.config.cgroups is not None:

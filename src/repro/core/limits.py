@@ -56,9 +56,8 @@ class LimitSenpai:
         self._states: Dict[str, _LimitState] = {}
         self._next_poll: Optional[float] = None
         # cgroup -> memoized metric-series name; formatting stays out
-        # of the per-cgroup poll loop (TMO018). Rebuilt lazily, so a
-        # restored controller just re-memoizes.
-        self._metric_names: Dict[str, str] = {}  # tmo-lint: transient -- name memo
+        # of the per-cgroup poll loop (TMO018).
+        self._metric_names: Dict[str, str] = {}
 
     def _targets(self, host):
         if self.config.cgroups is not None:

@@ -49,12 +49,17 @@ class _WatchState:
 class Oomd:
     """PSI-driven userspace OOM killer."""
 
+    __state__ = ("config", "_states", "_next_poll", "kills", "lost_races")
+    config: OomdConfig
+    _states: Dict[str, _WatchState]
+    kills: List[Tuple[float, str]]
+
     def __init__(self, config: OomdConfig = OomdConfig()) -> None:
         self.config = config
-        self._states: Dict[str, _WatchState] = {}
+        self._states = {}
         self._next_poll: Optional[float] = None
         #: (time, cgroup) pairs for every kill performed.
-        self.kills: List[Tuple[float, str]] = []
+        self.kills = []
         #: Kills that raced with the container dying on its own.
         self.lost_races = 0
 

@@ -136,12 +136,24 @@ class _CgroupState:
 class Senpai:
     """The PSI-driven proactive reclaim controller."""
 
+    __state__ = (
+        "config", "_states", "_next_poll", "_last_tick", "regulator",
+        "total_requested", "total_reclaimed", "_last_period_at",
+        "breaker_state", "breaker_open_count", "breaker_reclose_count",
+        "_breaker_faulty_streak", "_breaker_opened_at_s",
+        "_last_swap_ops", "_last_swap_faults", "stale_skips",
+        "error_skips",
+    )
+    config: SenpaiConfig
+    _states: Dict[str, _CgroupState]
+    regulator: Optional[WriteRegulator]
+
     def __init__(self, config: SenpaiConfig = SenpaiConfig()) -> None:
         self.config = config
-        self._states: Dict[str, _CgroupState] = {}
+        self._states = {}
         self._next_poll: Optional[float] = None
         self._last_tick: Optional[float] = None
-        self.regulator: Optional[WriteRegulator] = (
+        self.regulator = (
             WriteRegulator(config.write_limit_mb_s)
             if config.write_limit_mb_s is not None
             else None

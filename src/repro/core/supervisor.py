@@ -18,7 +18,7 @@ production daemons run under:
   consecutive death up to ``restart_backoff_max_s``, and resets once a
   poll succeeds again.
 * **state persistence**: the inner controller's state is encoded
-  (via :mod:`repro.checkpoint.controllers`) every
+  (via :mod:`repro.checkpoint.state`) every
   ``persist_interval_s`` *before* polling, so a restart resumes from a
   consistent pre-crash state — the vcmmd-style persist-across-restart
   pattern.
@@ -38,7 +38,9 @@ abandonment edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional
+
+from repro.checkpoint.state import decode_state, encode_state
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,17 @@ class ControllerFaultState:
 class Supervisor:
     """Wraps a controller with crash/hang detection and restart."""
 
+    __state__ = (
+        "controller", "config", "faults", "alive", "quarantined",
+        "crash_count", "hang_kill_count", "restart_count",
+        "unquarantine_count", "_consecutive_deaths", "_last_heartbeat_s",
+        "_next_persist_s", "_restart_at_s", "_backoff_s", "_persisted",
+    )
+    controller: object
+    config: SupervisorConfig
+    faults: ControllerFaultState
+    _persisted: Any
+
     def __init__(
         self,
         controller: Any,
@@ -118,17 +131,16 @@ class Supervisor:
         self._next_persist_s: Optional[float] = None
         self._restart_at_s: Optional[float] = None
         self._backoff_s = config.restart_backoff_s
-        #: Last encoded state of the inner controller; None until the
-        #: first persist (which happens on the first poll, before the
-        #: controller can die with unsaved state).
-        self._persisted: Optional[Dict[str, Any]] = None
+        #: Last encoded state of the inner controller (a JSON document
+        #: from repro.checkpoint.state); None until the first persist
+        #: (which happens on the first poll, before the controller can
+        #: die with unsaved state).
+        self._persisted = None
 
     # ------------------------------------------------------------------
 
     def _persist(self, now: float) -> None:
-        from repro.checkpoint.controllers import encode_controller
-
-        self._persisted = encode_controller(self.controller)
+        self._persisted = encode_state(self.controller)
         self._next_persist_s = now + self.config.persist_interval_s
 
     def _die(self, host, now: float, metric: str, count: int) -> None:
@@ -150,12 +162,10 @@ class Supervisor:
         host.metrics.record(metric, now, float(count))
 
     def _restart(self, host, now: float) -> None:
-        from repro.checkpoint.controllers import decode_controller
-
         if self._persisted is not None:
             # The crashed instance's in-memory state is gone; the
             # replacement resumes from the last persisted snapshot.
-            self.controller = decode_controller(self._persisted)
+            self.controller = decode_state(self._persisted)
         self.alive = True
         self.restart_count += 1
         self._restart_at_s = None

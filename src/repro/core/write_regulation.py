@@ -16,6 +16,9 @@ _MB = 1 << 20
 class WriteRegulator:
     """Token-bucket style limiter on swap-out bandwidth."""
 
+    __state__ = ("limit_bytes_per_s", "window_s", "_rate",
+                 "_last_bytes_written", "_allowance")
+
     def __init__(
         self,
         limit_mb_s: float = 1.0,

@@ -75,12 +75,18 @@ def _controller_fault_states(host) -> List:
 class FaultInjector:
     """Applies a fault plan to a running host; a controller."""
 
+    __state__ = ("plan", "_active", "_fired", "injected", "skipped")
+    plan: FaultPlan
+    _active: Set[int]
+    _fired: Set[int]
+    injected: Dict[str, int]
+
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._active: Set[int] = set()
-        self._fired: Set[int] = set()
+        self._active = set()
+        self._fired = set()
         #: Injections per kind (activations and instant firings).
-        self.injected: Dict[str, int] = {}
+        self.injected = {}
         #: Instant events dropped because their target was gone.
         self.skipped = 0
 

@@ -6,9 +6,8 @@ it:
 1. **baseline** — at start, every target host's health is rolled up
    over the window *before* the rollout touched anything;
 2. **canary** — a configurable fraction of hosts gets the new
-   controller first; the prior controller's state is encoded (the
-   :mod:`repro.checkpoint.controllers` codec) before being replaced,
-   per host;
+   controller first; the prior controller's state is encoded (by
+   :mod:`repro.checkpoint.state`) before being replaced, per host;
 3. **soak + gate** — after ``soak_s`` of simulated time the wave's
    hosts are judged against their own pre-rollout baselines
    (:func:`repro.fleetd.health.evaluate_gate`); a host that crashed
@@ -30,10 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.checkpoint.controllers import (
-    decode_controller,
-    encode_controller,
-)
+from repro.checkpoint.state import decode_state, encode_state
 from repro.fleetd.health import (
     GateVerdict,
     HealthGateConfig,
@@ -224,7 +220,7 @@ class RolloutResult:
 class _SavedController:
     """Pre-apply state of one host, for rollback."""
 
-    doc: Dict[str, Any]
+    doc: Any
     generation: int
     spec: PolicySpec
 
@@ -299,7 +295,7 @@ class Rollout:
         for host_id in wave_hosts:
             entry = registry.get(host_id)
             self._saved[host_id] = _SavedController(
-                doc=encode_controller(entry.supervisor.controller),
+                doc=encode_state(entry.supervisor.controller),
                 generation=entry.generation,
                 spec=entry.spec,
             )
@@ -383,7 +379,7 @@ class Rollout:
                 continue
             entry = registry.get(host_id)
             entry.supervisor.replace_controller(
-                decode_controller(saved.doc)
+                decode_state(saved.doc)
             )
             entry.spec = saved.spec
             entry.generation = saved.generation

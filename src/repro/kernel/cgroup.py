@@ -24,6 +24,23 @@ class Cgroup:
     cgroup2's ``memory.current`` semantics.
     """
 
+    #: Cgroups are shared by name in snapshots (repro.checkpoint.state).
+    __key__ = "name"
+    __state__ = (
+        "name", "page_size_bytes", "parent", "children", "memory_max",
+        "memory_low", "swap_max", "compressibility", "anon_bytes",
+        "file_bytes", "swap_bytes", "zswap_bytes", "lru", "shadow",
+        "vmstat", "refault_rate", "swapin_rate", "reuse_distance_hist",
+    )
+    parent: Optional["Cgroup"]
+    children: Dict[str, "Cgroup"]
+    lru: Dict[PageKind, LruSet]
+    shadow: ShadowMap
+    vmstat: VmStat
+    refault_rate: RateEstimator
+    swapin_rate: RateEstimator
+    reuse_distance_hist: Dict[int, int]
+
     def __init__(
         self,
         name: str,
@@ -36,7 +53,7 @@ class Cgroup:
         self.name = name
         self.page_size_bytes = page_size_bytes
         self.parent = parent
-        self.children: Dict[str, Cgroup] = {}
+        self.children = {}
         if parent is not None:
             if name in parent.children:
                 raise ValueError(
@@ -65,7 +82,7 @@ class Cgroup:
         self.swap_bytes = 0
         self.zswap_bytes = 0
 
-        self.lru: Dict[PageKind, LruSet] = {
+        self.lru = {
             PageKind.ANON: LruSet(PageKind.ANON, name),
             PageKind.FILE: LruSet(PageKind.FILE, name),
         }
@@ -78,7 +95,7 @@ class Cgroup:
 
         #: Reuse-distance histogram (log2 buckets of pages), recorded
         #: for every fault against a page with a shadow entry.
-        self.reuse_distance_hist: Dict[int, int] = {}
+        self.reuse_distance_hist = {}
 
     # ------------------------------------------------------------------
     # accounting

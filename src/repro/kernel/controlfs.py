@@ -102,17 +102,25 @@ _MALFORMED_PRESSURE_TEXT = "some avg10=NaN avg60= avg300=0.00 total=garbage"
 class ControlFs:
     """String-level access to the cgroup control surface."""
 
+    __state__ = ("_triggers", "_trigger_paths", "faults", "_pressure_cache")
+    #: The host's memory manager and PSI system, fixed at construction.
+    __transient__ = ("mm", "psi")
+    _triggers: Dict[Tuple[str, str], PsiTrigger]
+    _trigger_paths: Dict[Tuple[str, str], str]
+    faults: ControlFsFaultState
+    _pressure_cache: Dict[Tuple[str, str], str]
+
     def __init__(self, mm: MemoryManager, psi: PsiSystem) -> None:
         self.mm = mm
         self.psi = psi
-        self._triggers: Dict[Tuple[str, str], PsiTrigger] = {}
+        self._triggers = {}
         # (cgroup, file) -> "<cgroup>/<file>", formatted at trigger
         # registration so poll() never builds strings per tick (TMO018).
-        self._trigger_paths: Dict[Tuple[str, str], str] = {}
+        self._trigger_paths = {}
         #: Telemetry-fault seam; healthy by default.
         self.faults = ControlFsFaultState()
         #: Last text served per pressure file, for the frozen mode.
-        self._pressure_cache: Dict[Tuple[str, str], str] = {}
+        self._pressure_cache = {}
 
     # ------------------------------------------------------------------
 

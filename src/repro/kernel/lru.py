@@ -24,9 +24,12 @@ class LruList:
     used); the *start* is the tail where reclaim harvests.
     """
 
+    __state__ = ("name", "_pages")
+    _pages: "OrderedDict[int, Page]"
+
     def __init__(self, name: str) -> None:
         self.name = name
-        self._pages: "OrderedDict[int, Page]" = OrderedDict()
+        self._pages = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -74,6 +77,11 @@ class LruSet:
     #: Target active:inactive size ratio; the kernel deactivates when the
     #: active list outgrows this multiple of the inactive list.
     ACTIVE_INACTIVE_RATIO = 2.0
+
+    __state__ = ("kind", "active", "inactive")
+    kind: PageKind
+    active: LruList
+    inactive: LruList
 
     def __init__(self, kind: PageKind, cgroup: str) -> None:
         self.kind = kind

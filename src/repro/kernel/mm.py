@@ -68,6 +68,21 @@ class FaultResult:
 class MemoryManager:
     """All memory-management state of one simulated host."""
 
+    # Pages first: cgroup LRU lists and workloads refer to them by id.
+    __state__ = (
+        "_pages", "root", "_cgroups", "_next_page_id",
+        "proactive_cpu_seconds", "retry_stall_s", "swap_op_count",
+        "swap_fault_count", "fs_op_count", "fs_fault_count",
+        "kswapd_low_frac", "kswapd_high_frac", "kswapd_reclaimed_bytes",
+    )
+    #: Sizes, backends and the reclaimer are fixed by the host config.
+    __transient__ = (
+        "ram_bytes", "page_size_bytes", "fs", "swap_backend", "reclaimer",
+    )
+    _pages: Dict[int, Page]
+    root: Cgroup
+    _cgroups: Dict[str, Cgroup]
+
     def __init__(
         self,
         ram_bytes: int,
@@ -98,8 +113,8 @@ class MemoryManager:
         self.fs = fs
         self.swap_backend = swap_backend
         self.root = Cgroup("root", page_size_bytes=page_size_bytes)
-        self._cgroups: Dict[str, Cgroup] = {"root": self.root}
-        self._pages: Dict[int, Page] = {}
+        self._cgroups = {"root": self.root}
+        self._pages = {}
         self._next_page_id = 0
         self.reclaimer = Reclaimer(self, policy or TmoReclaimPolicy())
         #: CPU seconds consumed by proactive (controller-driven) reclaim.

@@ -57,6 +57,9 @@ class Page:
             entry was created (file pages only; None when no shadow).
     """
 
+    #: Pages are shared by id in snapshots (repro.checkpoint.state).
+    __key__ = "page_id"
+
     page_id: int
     kind: PageKind
     cgroup: str

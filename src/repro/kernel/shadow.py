@@ -17,6 +17,9 @@ from typing import Dict, Optional
 class ShadowMap:
     """Eviction clock plus shadow entries for one cgroup."""
 
+    __state__ = ("_clock", "_stamps", "_capacity")
+    _stamps: Dict[int, int]
+
     def __init__(self, capacity_entries: Optional[int] = None) -> None:
         """
         Args:
@@ -25,7 +28,7 @@ class ShadowMap:
                 entries are dropped first when the bound is hit.
         """
         self._clock = 0
-        self._stamps: Dict[int, int] = {}
+        self._stamps = {}
         self._capacity = capacity_entries
 
     @property

@@ -25,7 +25,7 @@ _ALL_RULES = frozenset(
     {"TMO001", "TMO002", "TMO003", "TMO004",
      "TMO005", "TMO006", "TMO007", "TMO008",
      "TMO009", "TMO010", "TMO011", "TMO012",
-     "TMO013", "TMO014", "TMO015", "TMO016",
+     "TMO013", "TMO015", "TMO016",
      "TMO017", "TMO018", "TMO019", "TMO020",
      "TMO021"}
 )
@@ -129,33 +129,6 @@ def default_config() -> LintConfig:
                 "sink_method_names": ("record",),
             },
             # State contracts (LINTING.md "State contracts" section).
-            "TMO014": {
-                # Modules whose attribute mentions count as codec
-                # coverage for checkpoint round-trips.
-                "codec_modules": (
-                    "repro.checkpoint.codec",
-                    "repro.checkpoint.controllers",
-                ),
-                # Packages holding checkpointable simulation state.
-                "state_roots": (
-                    "repro.sim.",
-                    "repro.core.",
-                    "repro.backends.",
-                    "repro.psi.",
-                    "repro.workloads.",
-                    "repro.faults.",
-                ),
-                # Classes the codec refuses wholesale at snapshot time
-                # (trace workloads hold open recorders/replays), so
-                # attribute-level coverage is moot.
-                "exempt_class_suffixes": (
-                    "workloads.trace.RecordingWorkload",
-                    "workloads.trace.ReplayWorkload",
-                ),
-                # Per-class attribute allowlist for derived/scratch
-                # state (equivalent to inline '# tmo-lint: transient').
-                "transient_attrs": {},
-            },
             "TMO015": {
                 # Functions executed inside worker processes.
                 "worker_entrypoints": (

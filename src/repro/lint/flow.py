@@ -48,7 +48,7 @@ from repro.lint.ignores import collect_ignores, is_suppressed
 from repro.lint.registry import RULES
 from repro.lint.violations import Violation
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 DEFAULT_CACHE = ".tmo-lint-cache.json"
 
 
@@ -236,7 +236,7 @@ def analyze_flow(
     sink_options = config.options_for("TMO012")
     state_options = {
         rule_id: config.options_for(rule_id)
-        for rule_id in ("TMO014", "TMO015", "TMO016")
+        for rule_id in ("TMO015", "TMO016")
     }
     hot_options = {
         rule_id: config.options_for(rule_id)

@@ -1,11 +1,8 @@
-"""State-contract analysis (rules TMO014-TMO016).
+"""State-contract analysis (rules TMO015-TMO016).
 
-The simulator's production value rests on three contracts that, before
+The simulator's production value rests on two contracts that, before
 this pass, were only enforced dynamically:
 
-* **checkpoint coverage** — every byte of mutable per-class simulation
-  state must survive ``Host.snapshot()``/``restore()`` bit-identically
-  (the crash-equivalence gate);
 * **process safety** — fleet worker processes must share no mutable
   module-level state, or parallel runs diverge from serial ones on
   *some* seed;
@@ -13,25 +10,11 @@ this pass, were only enforced dynamically:
   gate and chaos verdicts, so they must come from one declared
   registry rather than scattered string literals.
 
-This pass proves all three statically, on every ``tmo-lint --flow``
+This pass proves both statically, on every ``tmo-lint --flow``
 run, using the same two-phase scheme as :mod:`repro.lint.unitflow`:
 phase A (:func:`collect_module`) records JSON-serialisable facts per
 file (cached on disk by the flow driver), phase B (:func:`check`)
 evaluates them whole-program.
-
-**TMO014 checkpoint-coverage-gap.** Phase A builds an attribute
-inventory per class: every ``self.x`` ever assigned in a method, with
-whether the assignment happens outside ``__init__``/``__post_init__``
-(evolving state) or binds a mutable container in ``__init__`` (a
-dict/list/set that methods will grow). Phase A also records, for the
-configured checkpoint-codec modules, every attribute name the codec
-mentions (attribute accesses plus document keys). Phase B keeps
-classes under the configured ``state_roots`` packages, resolves
-inheritance through the recorded base-class keys, and flags each
-mutable attribute no codec mention covers: that field silently
-vanishes across checkpoint→restore. Genuinely derived/scratch state
-is exempted with an inline ``# tmo-lint: transient -- <reason>``
-annotation or the per-class ``transient_attrs`` config allowlist.
 
 **TMO015 process-unsafe-global.** Phase A records each module's
 mutable module-level globals and, per function, every read or
@@ -66,9 +49,6 @@ from __future__ import annotations
 
 import ast
 import difflib
-import io
-import re
-import tokenize
 from pathlib import PurePosixPath
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -82,14 +62,6 @@ from repro.lint.registry import register
 from repro.lint.taint import TaintEvaluator, compute_sink_params
 from repro.lint.unitflow import FlowRule
 from repro.lint.violations import Violation
-
-#: Inline annotation exempting one attribute assignment from TMO014,
-#: written on the assignment line with a short reason:
-#:     self._cache = {}  # tmo-lint: transient -- rebuilt lazily
-_TRANSIENT_RE = re.compile(r"#\s*tmo-lint:\s*transient\b")
-
-#: Methods that count as initialisation for the inventory split.
-_INIT_METHODS = frozenset({"__init__", "__post_init__"})
 
 #: Constructor names whose call produces a mutable container.
 _MUTABLE_CTORS = frozenset({
@@ -111,20 +83,6 @@ _REGISTRY_VARS = {
     "DYNAMIC_NAMESPACES": "dynamic",
     "UNREAD_OK": "unread_ok",
 }
-
-
-def _transient_lines(source: str) -> Set[int]:
-    """Physical lines carrying a ``# tmo-lint: transient`` comment."""
-    lines: Set[int] = set()
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type != tokenize.COMMENT:
-                continue
-            if _TRANSIENT_RE.search(token.string):
-                lines.add(token.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return set()
-    return lines
 
 
 def _is_mutable_value(node: ast.AST) -> bool:
@@ -188,73 +146,6 @@ def _name_entry(index: int, node: ast.AST) -> Optional[Dict[str, Any]]:
 
 # ----------------------------------------------------------------------
 # phase A: per-module fact collection
-
-
-class _ClassAttrs(ast.NodeVisitor):
-    """Inventory of ``self.<attr>`` assignments in one class body."""
-
-    def __init__(self, transient: Set[int]) -> None:
-        self.transient_lines = transient
-        self.attrs: Dict[str, Dict[str, Any]] = {}
-        self._method: Optional[str] = None
-
-    def collect(self, node: ast.ClassDef) -> Dict[str, Dict[str, Any]]:
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._method = stmt.name
-                for inner in stmt.body:
-                    self.visit(inner)
-        return self.attrs
-
-    def _note(self, target: ast.expr, value: Optional[ast.AST],
-              aug: bool) -> None:
-        if not (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            return
-        name = target.attr
-        in_init = self._method in _INIT_METHODS
-        entry = self.attrs.get(name)
-        if entry is None:
-            entry = {
-                "line": target.lineno,
-                "col": target.col_offset,
-                "outside_init": False,
-                "mutable_init": False,
-                "transient": False,
-                "init_seen": False,
-            }
-            self.attrs[name] = entry
-        elif in_init and not entry["init_seen"]:
-            # Prefer reporting at the __init__ assignment when any.
-            entry["line"] = target.lineno
-            entry["col"] = target.col_offset
-        entry["init_seen"] = entry["init_seen"] or in_init
-        if not in_init or aug:
-            entry["outside_init"] = True
-        if in_init and value is not None and _is_mutable_value(value):
-            entry["mutable_init"] = True
-        if target.lineno in self.transient_lines:
-            entry["transient"] = True
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            if isinstance(target, ast.Tuple):
-                for elt in target.elts:
-                    self._note(elt, None, aug=False)
-            else:
-                self._note(target, node.value, aug=False)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._note(node.target, node.value, aug=False)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._note(node.target, None, aug=True)
-        self.generic_visit(node)
 
 
 def _module_mutable_globals(tree: ast.Module) -> Dict[str, int]:
@@ -630,35 +521,6 @@ class _FunctionFacts:
                         self.sink_aliases[target.id] = key
 
 
-def _codec_attr_mentions(tree: ast.Module) -> List[str]:
-    """Attribute names a codec module covers.
-
-    Attribute accesses (``senpai.stale_skips``) plus string keys of
-    document dicts, subscripts and ``.get()`` calls — the codec's
-    round-trip idioms. Free-floating strings (docstrings, messages) do
-    not count as coverage.
-    """
-    seen: Set[str] = set()
-
-    def note(node: Optional[ast.AST]) -> None:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            seen.add(node.value)
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            seen.add(node.attr)
-        elif isinstance(node, ast.Dict):
-            for dict_key in node.keys:
-                note(dict_key)
-        elif isinstance(node, ast.Subscript):
-            note(node.slice)
-        elif isinstance(node, ast.Call) and isinstance(
-            node.func, ast.Attribute
-        ) and node.func.attr == "get" and node.args:
-            note(node.args[0])
-    return sorted(seen)
-
-
 def _registry_literal(node: ast.AST) -> Optional[List[str]]:
     """String elements of a literal dict/set/tuple/frozenset(...)."""
     if isinstance(node, ast.Call):
@@ -717,12 +579,11 @@ def collect_module(
     assert module.tree is not None
     resolver = ModuleResolver(index, module)
     lines = source.splitlines()
-    transient = _transient_lines(source)
     own_globals = _module_mutable_globals(module.tree)
     own_names = _module_assigned_names(module.tree)
     records: Dict[str, List[Dict[str, Any]]] = {}
 
-    # -- class attribute inventories + method keys ---------------------
+    # -- class method keys and bases (for worker reachability) ---------
     classes: List[Dict[str, Any]] = []
     for stmt in module.tree.body:
         if not isinstance(stmt, ast.ClassDef):
@@ -735,38 +596,15 @@ def collect_module(
                 resolved = resolver.resolve_name(base_name)
                 if resolved is not None and resolved[0] == "class":
                     bases.append(resolved[1])
-        attrs = _ClassAttrs(transient).collect(stmt)
         classes.append({
             "key": class_key,
-            "line": stmt.lineno,
             "bases": bases,
             "methods": sorted(
                 f"{class_key}.{m}" for m in (
                     info.methods if info is not None else {}
                 )
             ),
-            "attrs": [
-                {
-                    "name": name,
-                    "line": entry["line"],
-                    "col": entry["col"],
-                    "outside_init": entry["outside_init"],
-                    "mutable_init": entry["mutable_init"],
-                    "transient": entry["transient"],
-                    "snippet": (
-                        lines[entry["line"] - 1].strip()
-                        if 1 <= entry["line"] <= len(lines) else ""
-                    ),
-                }
-                for name, entry in sorted(attrs.items())
-            ],
         })
-
-    codec_modules = set(options.get("TMO014", {}).get("codec_modules", ()))
-    codec_attrs = (
-        _codec_attr_mentions(module.tree)
-        if module.name in codec_modules else []
-    )
 
     # -- per-function walks (globals + metric names) -------------------
     def analyse(
@@ -814,7 +652,6 @@ def collect_module(
     return {
         "module": module.name,
         "classes": classes,
-        "codec_attrs": codec_attrs,
         "globals": [
             {"name": name, "line": line}
             for name, line in sorted(own_globals.items())
@@ -845,96 +682,10 @@ def check(
     facts_by_path: Dict[str, Dict[str, Any]],
     options: Dict[str, Dict[str, Any]],
 ) -> Iterator[Violation]:
-    """Phase B: emit TMO014/TMO015/TMO016 findings."""
+    """Phase B: emit TMO015/TMO016 findings."""
     state_facts = _state_facts(facts_by_path)
-    yield from _check_checkpoint_coverage(state_facts, options)
     yield from _check_process_safety(facts_by_path, state_facts, options)
     yield from _check_metric_registry(facts_by_path, state_facts)
-
-
-# -- TMO014 ------------------------------------------------------------
-
-
-def _check_checkpoint_coverage(
-    state_facts: List[Tuple[str, Dict[str, Any]]],
-    options: Dict[str, Dict[str, Any]],
-) -> Iterator[Violation]:
-    opts = options.get("TMO014", {})
-    roots: Tuple[str, ...] = tuple(opts.get("state_roots", ()))
-    exempt_suffixes: Tuple[str, ...] = tuple(
-        opts.get("exempt_class_suffixes", ())
-    )
-    allow: Dict[str, Sequence[str]] = dict(opts.get("transient_attrs", {}))
-    if not roots:
-        return
-
-    classes: Dict[str, Dict[str, Any]] = {}
-    covered: Set[str] = set()
-    for _, state in state_facts:
-        covered.update(state.get("codec_attrs", []))
-        for cls in state.get("classes", []):
-            classes[cls["key"]] = cls
-    if not covered:
-        # No codec module in the analysed set: coverage is undefined,
-        # not violated (small fixture trees, partial path sets).
-        return
-
-    def base_chain(key: str, seen: Optional[Set[str]] = None) -> Set[str]:
-        seen = set() if seen is None else seen
-        if key in seen:
-            return seen
-        seen.add(key)
-        cls = classes.get(key)
-        if cls is not None:
-            for base in cls["bases"]:
-                base_chain(base, seen)
-        return seen
-
-    def is_exempt(key: str) -> bool:
-        return any(
-            k == suffix or k.endswith(suffix)
-            for k in base_chain(key)
-            for suffix in exempt_suffixes
-        )
-
-    for path, state in state_facts:
-        for cls in state.get("classes", []):
-            key = cls["key"]
-            if not any(key.startswith(root) for root in roots):
-                continue
-            if is_exempt(key):
-                continue
-            class_name = key.rpartition(".")[2]
-            allowed = set(allow.get(class_name, ())) | set(
-                allow.get(key, ())
-            )
-            for attr in cls["attrs"]:
-                if not (attr["outside_init"] or attr["mutable_init"]):
-                    continue
-                if attr["transient"] or attr["name"] in allowed:
-                    continue
-                if attr["name"] in covered:
-                    continue
-                why = (
-                    "is reassigned outside __init__"
-                    if attr["outside_init"]
-                    else "holds a mutable container"
-                )
-                yield Violation(
-                    path=path,
-                    line=attr["line"],
-                    col=attr["col"],
-                    rule_id="TMO014",
-                    message=(
-                        f"mutable attribute {class_name}.{attr['name']} "
-                        f"{why} but no checkpoint codec field covers it; "
-                        "snapshot->restore silently drops it (add it to "
-                        "the codec, or mark the assignment "
-                        "'# tmo-lint: transient -- <reason>' if it is "
-                        "derived/scratch state)"
-                    ),
-                    snippet=attr["snippet"],
-                )
 
 
 # -- TMO015 ------------------------------------------------------------
@@ -1234,16 +985,6 @@ def _check_metric_registry(
 
 # ----------------------------------------------------------------------
 # rule registration
-
-
-@register
-class CheckpointCoverageGapRule(FlowRule):
-    rule_id = "TMO014"
-    name = "checkpoint-coverage-gap"
-    summary = (
-        "mutable class attribute not covered by the checkpoint codec "
-        "(flow pass)"
-    )
 
 
 @register

@@ -58,6 +58,18 @@ class PsiGroup:
     transition (and read) time.
     """
 
+    #: Groups are shared by name in snapshots (repro.checkpoint.state).
+    __key__ = "name"
+    __state__ = (
+        "name", "ncpu", "parent", "nr_stalled", "nr_productive",
+        "nr_nonidle", "totals", "_avgs", "_last_change", "_next_avg_update",
+    )
+    parent: Optional["PsiGroup"]
+    nr_stalled: List[int]
+    nr_productive: List[int]
+    totals: Dict[Tuple[Resource, str], float]
+    _avgs: Dict[Tuple[Resource, str], RunningAverages]
+
     def __init__(
         self,
         name: str,
@@ -73,14 +85,14 @@ class PsiGroup:
         # Task counters, updated by the tracker; indexed by the
         # resource's ordinal in RESOURCE_ORDER (plain list indexing is
         # markedly cheaper than enum-keyed dicts on this path).
-        self.nr_stalled: List[int] = [0] * len(RESOURCE_ORDER)
-        self.nr_productive: List[int] = [0] * len(RESOURCE_ORDER)
+        self.nr_stalled = [0] * len(RESOURCE_ORDER)
+        self.nr_productive = [0] * len(RESOURCE_ORDER)
         self.nr_nonidle = 0
         # Stall-time integrals in seconds.
-        self.totals: Dict[Tuple[Resource, str], float] = {
+        self.totals = {
             state: 0.0 for state in _STATES
         }
-        self._avgs: Dict[Tuple[Resource, str], RunningAverages] = {
+        self._avgs = {
             state: RunningAverages() for state in _STATES
         }
         self._last_change = now

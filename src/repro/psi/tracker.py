@@ -8,7 +8,7 @@ exactly how cgroup2 pressure files aggregate in the kernel.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.psi.group import PsiGroup
 from repro.psi.types import Resource, TaskFlags
@@ -18,6 +18,11 @@ class PsiTask:
     """A handle for one simulated task's PSI state."""
 
     __slots__ = ("name", "flags", "_groups")
+    #: Tasks are shared by name in snapshots (repro.checkpoint.state).
+    __key__ = "name"
+    __state__ = ("name", "flags", "_groups")
+    flags: TaskFlags
+    _groups: List[PsiGroup]
 
     def __init__(self, name: str, groups: List[PsiGroup]) -> None:
         self.name = name
@@ -41,15 +46,22 @@ class PsiTask:
 class PsiSystem:
     """All PSI domains of one host."""
 
+    __state__ = ("ncpu", "system", "_groups", "_tasks", "_frozen_at_s",
+                 "_frozen_totals")
+    system: PsiGroup
+    _groups: Dict[str, PsiGroup]
+    _tasks: Dict[str, PsiTask]
+    _frozen_totals: Dict[Tuple[str, Resource], float]
+
     def __init__(self, ncpu: int, now: float = 0.0) -> None:
         self.ncpu = ncpu
         self.system = PsiGroup("system", ncpu=ncpu, now=now)
-        self._groups: Dict[str, PsiGroup] = {"system": self.system}
-        self._tasks: Dict[str, PsiTask] = {}
+        self._groups = {"system": self.system}
+        self._tasks = {}
         #: When not None, the virtual time at which the *read side* of
         #: the telemetry froze (see :meth:`freeze_telemetry`).
         self._frozen_at_s: Optional[float] = None
-        self._frozen_totals: Dict[tuple, float] = {}
+        self._frozen_totals = {}
 
     def add_group(
         self, name: str, parent: Optional[str] = None, now: float = 0.0

@@ -85,6 +85,11 @@ class PsiTrigger:
     successive firings are rate-limited to one per window.
     """
 
+    __state__ = ("group", "spec", "_window_start", "_start_total",
+                 "_last_fire", "fire_count")
+    group: PsiGroup
+    spec: TriggerSpec
+
     def __init__(self, group: PsiGroup, spec: TriggerSpec, now: float = 0.0):
         self.group = group
         self.spec = spec

@@ -21,11 +21,13 @@ class Clock:
     """
 
     __slots__ = ("_now",)
+    __state__ = ("_now",)
+    _now: float
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0:
             raise ValueError(f"clock cannot start before zero, got {start}")
-        self._now = float(start)  # tmo-lint: transient -- via advance_to()
+        self._now = float(start)
 
     @property
     def now(self) -> float:

@@ -29,6 +29,9 @@ class Series:
     """
 
     __slots__ = ("name", "_t_buf", "_v_buf", "_n")
+    #: Shared by name in snapshots (repro.checkpoint.state), which hold
+    #: a series as ``[name, times, values]``, not its buffers.
+    __key__ = "name"
 
     def __init__(
         self,
@@ -44,15 +47,23 @@ class Series:
                 f"series {name!r}: {len(times)} times vs "
                 f"{len(values)} values"
             )
+        self._load(times, values)
+
+    def _load(self, times: Sequence[float], values: Sequence[float]) -> None:
         n = len(times)
         capacity = max(_INITIAL_CAPACITY, n)
-        # tmo-lint: transient markers: the checkpoint codec round-trips
-        # a series through the times/values properties, not the buffers.
-        self._t_buf = np.empty(capacity, dtype=np.float64)  # tmo-lint: transient
-        self._v_buf = np.empty(capacity, dtype=np.float64)  # tmo-lint: transient
+        self._t_buf = np.empty(capacity, dtype=np.float64)
+        self._v_buf = np.empty(capacity, dtype=np.float64)
         self._t_buf[:n] = times
         self._v_buf[:n] = values
-        self._n = n  # tmo-lint: transient -- restored via times/values
+        self._n = n
+
+    def __snapshot__(self) -> list:
+        return [self.name, self.times, self.values]
+
+    def __restore__(self, state: list) -> None:
+        self.name, times, values = state
+        self._load(times, values)
 
     @property
     def times(self) -> List[float]:
@@ -138,8 +149,11 @@ class Series:
 class MetricsRecorder:
     """A collection of named series, created lazily on first record."""
 
+    __state__ = ("_series",)
+    _series: Dict[str, Series]
+
     def __init__(self) -> None:
-        self._series: Dict[str, Series] = {}
+        self._series = {}
 
     def record(self, name: str, t: float, value: float) -> None:
         """Record one sample on the series called ``name``.

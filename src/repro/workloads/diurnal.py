@@ -15,17 +15,22 @@ allocated toward the peak and released toward the trough).
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from repro.kernel.mm import MemoryManager
+from repro.kernel.page import Page
 from repro.workloads.apps import AppProfile
 from repro.workloads.base import TickResult, Workload
 
 
 class DiurnalWorkload(Workload):
     """A workload whose load follows a day curve."""
+
+    __state__ = ("period_s", "amplitude", "footprint_swing", "phase_s",
+                 "_swing_pages", "_current_intensity")
+    _swing_pages: List[Page]
 
     def __init__(
         self,
@@ -59,7 +64,9 @@ class DiurnalWorkload(Workload):
         self.footprint_swing = footprint_swing
         self.phase_s = phase_s
         #: Pages allocated above the base population (the swing pool).
-        self._swing_pages: List = []
+        self._swing_pages = []
+        #: Load multiplier of the current tick (set as the tick starts).
+        self._current_intensity: Optional[float] = None
 
     def intensity(self, now: float) -> float:
         """Current load multiplier (1.0 = the profile's base level)."""

@@ -52,6 +52,8 @@ TAX_PROFILES: Dict[str, AppProfile] = {
 class TaxWorkload(Workload):
     """A sidecar container carrying one of the memory taxes."""
 
+    __state__ = ("kind",)
+
     def __init__(
         self,
         mm: MemoryManager,

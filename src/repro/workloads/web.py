@@ -59,6 +59,9 @@ class WebConfig:
 class WebWorkload(Workload):
     """Web with closed-loop RPS throttling."""
 
+    __state__ = ("config", "rps")
+    config: WebConfig
+
     def __init__(
         self,
         mm: MemoryManager,

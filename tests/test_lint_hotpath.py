@@ -188,14 +188,12 @@ def test_list_alloc_in_host_step_loop_fails_tmo018(tmp_path):
     anchor = (
         "        for name, hosted in self._hosted.items():\n"
         "            results[name] = hosted.workload.tick(now0, dt)\n"
-        "            hosted.last_tick = results[name]\n"
     )
     mutated = text.replace(
         anchor,
         "        for name, hosted in self._hosted.items():\n"
         "            scratch = [name, hosted]\n"
-        "            results[name] = hosted.workload.tick(now0, dt)\n"
-        "            hosted.last_tick = scratch and results[name]\n",
+        "            results[name] = scratch and hosted.workload.tick(now0, dt)\n",
     )
     assert mutated != text
     host.write_text(mutated)

@@ -59,7 +59,7 @@ def test_registry_covers_exactly_the_documented_rules():
     assert per_file == sorted(EXPECTED_BAD_LINES)
     assert flow_rule_ids() == {
         "TMO009", "TMO010", "TMO011", "TMO012",
-        "TMO014", "TMO015", "TMO016",
+        "TMO015", "TMO016",
         "TMO017", "TMO018", "TMO019", "TMO020", "TMO021",
     }
 

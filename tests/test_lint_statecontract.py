@@ -1,12 +1,11 @@
-"""End-to-end tests of the state-contract analyses (TMO014-016).
+"""End-to-end tests of the state-contract analyses (TMO015-016).
 
 The statepkg fixture package seeds known findings at pinned lines —
-a checkpoint-coverage gap, a worker-reachable module global, and
-misspelled metric names (directly, through a wrapper, and in both
-f-string shapes). The repo-tree tests then assert ``src/repro`` is
-clean and that the acceptance mutations (deleting a codec field,
-adding a memoized global on the worker path) re-fail lint with the
-right rule id.
+a worker-reachable module global, and misspelled metric names
+(directly, through a wrapper, and in both f-string shapes). The
+repo-tree tests then assert ``src/repro`` is clean and that the
+acceptance mutation (adding a memoized global on the worker path)
+re-fails lint with the right rule id.
 """
 
 import json
@@ -18,20 +17,13 @@ from repro.lint.config import default_config
 from repro.lint.flow import analyze_flow
 
 STATEPKG = Path("tests/lint_fixtures/statepkg")
-STATE_RULES = ["TMO014", "TMO015", "TMO016"]
+STATE_RULES = ["TMO015", "TMO016"]
 
 
-def _config(**overrides):
-    """The default config with TMO014-016 pointed at statepkg."""
+def _config():
+    """The default config with TMO015-016 pointed at statepkg."""
     config = default_config()
     config.rule_options = dict(config.rule_options)
-    config.rule_options["TMO014"] = {
-        "codec_modules": ("statepkg.codec",),
-        "state_roots": ("statepkg.state",),
-        "exempt_class_suffixes": ("state.Ephemeral",),
-        "transient_attrs": {},
-        **overrides.get("TMO014", {}),
-    }
     config.rule_options["TMO015"] = {
         "worker_entrypoints": ("statepkg.workers.run_host",),
     }
@@ -44,10 +36,8 @@ def _config(**overrides):
     return config
 
 
-def _findings(paths, config=None, select=STATE_RULES, cache_path=None):
-    result = analyze_flow(
-        paths, config or _config(), select=select, cache_path=cache_path
-    )
+def _findings(paths):
+    result = analyze_flow(paths, _config(), select=STATE_RULES)
     return [
         (v.rule_id, v.path.rpartition("/")[2], v.line)
         for v in result.violations
@@ -65,8 +55,6 @@ def test_fixture_package_findings_exact():
         ("TMO016", "emit.py", 15),   # typo through the _emit wrapper
         ("TMO016", "emit.py", 20),   # undeclared per-cgroup suffix
         ("TMO016", "emit.py", 22),   # undeclared dynamic namespace
-        ("TMO014", "state.py", 21),  # mutable dict not in codec
-        ("TMO014", "state.py", 24),  # evolves outside __init__
         ("TMO015", "workers.py", 15),  # read of mutated global
         ("TMO015", "workers.py", 26),  # write from worker path
     ]
@@ -80,23 +68,8 @@ def test_messages_name_the_contract_and_the_fix():
     assert "did you mean 'reclaim'?" in by_key[("TMO016", 15)]
     assert "PER_CGROUP_METRICS" in by_key[("TMO016", 20)]
     assert "DYNAMIC_NAMESPACES" in by_key[("TMO016", 22)]
-    assert "Leaky.backlog" in by_key[("TMO014", 21)]
-    assert "tmo-lint: transient" in by_key[("TMO014", 21)]
     assert "run_host" in by_key[("TMO015", 26)]
     assert "_RESULTS" in by_key[("TMO015", 26)]
-
-
-def test_transient_allowlist_suppresses_coverage_gaps():
-    config = _config(TMO014={
-        "transient_attrs": {"Leaky": ("backlog", "last_seen")},
-    })
-    rules = [rule for rule, _, _ in _findings([STATEPKG], config)]
-    assert "TMO014" not in rules
-
-
-def test_no_codec_in_analyzed_set_skips_coverage():
-    # Coverage is undefined without the codec module, not violated.
-    assert _findings([STATEPKG / "state.py"]) == []
 
 
 def test_no_registry_in_analyzed_set_skips_metric_drift():
@@ -109,47 +82,6 @@ def test_no_registry_in_analyzed_set_skips_metric_drift():
 
 
 # ----------------------------------------------------------------------
-# cache invalidation: a codec edit re-triggers TMO014 on classes whose
-# facts come straight from the cache
-
-
-def test_codec_edit_retriggers_coverage_from_cache(tmp_path):
-    pkg = tmp_path / "statepkg"
-    shutil.copytree(STATEPKG, pkg)
-    cache = tmp_path / "cache.json"
-
-    warm = analyze_flow([pkg], _config(), select=["TMO014"],
-                        cache_path=cache)
-    assert [(v.line) for v in warm.violations] == [21, 24]
-    assert warm.cache_misses == warm.files_checked
-
-    # A same-line-count edit: only codec.py's own hash changes, so
-    # every other fixture file is served straight from the cache.
-    codec = pkg / "codec.py"
-    text = codec.read_text()
-    text = text.replace(
-        '        "samples": list(tracker.samples),',
-        '        "payload": list(tracker.history),',
-    )
-    text = text.replace(
-        '    tracker.samples = list(enc["samples"])',
-        '    tracker.history = list(enc["payload"])',
-    )
-    codec.write_text(text)
-
-    rerun = analyze_flow([pkg], _config(), select=["TMO014"],
-                         cache_path=cache)
-    found = [
-        (v.path.rpartition("/")[2], v.line) for v in rerun.violations
-    ]
-    # Tracker.samples (state.py:9) is newly uncovered even though
-    # state.py itself was served from the cache.
-    assert ("state.py", 9) in found
-    assert rerun.cache_hits == rerun.files_checked - 1
-    assert rerun.cache_misses == 1
-
-
-# ----------------------------------------------------------------------
 # acceptance mutations against the real tree
 
 
@@ -157,23 +89,6 @@ def _copy_src(tmp_path):
     target = tmp_path / "src"
     shutil.copytree("src", target)
     return target
-
-
-def test_deleting_codec_field_fails_lint_with_tmo014(tmp_path):
-    src = _copy_src(tmp_path)
-    controllers = src / "repro" / "checkpoint" / "controllers.py"
-    text = controllers.read_text()
-    mutated = text.replace(
-        '        "stale_skips": int(senpai.stale_skips),\n', ""
-    ).replace(
-        '    senpai.stale_skips = int(enc["stale_skips"])\n', ""
-    )
-    assert mutated != text
-    controllers.write_text(mutated)
-
-    result = analyze_flow([src], default_config(), select=["TMO014"])
-    messages = [v.message for v in result.violations]
-    assert any("Senpai.stale_skips" in m for m in messages)
 
 
 def test_worker_path_global_fails_lint_with_tmo015(tmp_path):

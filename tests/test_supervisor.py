@@ -51,15 +51,25 @@ def boom(host, now):
     raise RuntimeError("controller bug")
 
 
+class PatchableSenpai(Senpai):
+    """A Senpai whose ``poll`` a test may replace on the instance.
+
+    ``poll`` is declared transient, so the supervisor can still persist
+    the instance, and a restart decodes a fresh one whose ``poll`` is
+    the healthy method again.
+    """
+
+    __transient__ = ("poll",)
+
+
 def failing_senpai() -> Senpai:
     """A real (hence persistable) Senpai whose every poll raises.
 
-    The instance attribute shadows the method, so the supervisor's
-    persist path still sees an encodable ``Senpai``. A restart decodes
-    a fresh, healthy instance — tests re-arm it when the failure must
+    The instance attribute shadows the method. A restart decodes a
+    fresh, healthy instance — tests re-arm it when the failure must
     persist across restarts.
     """
-    senpai = Senpai(SenpaiConfig(interval_s=30.0))
+    senpai = PatchableSenpai(SenpaiConfig(interval_s=30.0))
     senpai.poll = boom
     return senpai
 
@@ -220,7 +230,7 @@ def test_restart_resumes_from_the_last_persisted_state():
 def test_inner_poll_exception_does_not_escape():
     host = make_host()
     polls = []
-    senpai = Senpai(SenpaiConfig(interval_s=30.0))
+    senpai = PatchableSenpai(SenpaiConfig(interval_s=30.0))
 
     def tracked_boom(inner_host, now):
         polls.append(now)
