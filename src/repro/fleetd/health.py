@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Tuple
 class HealthSample:
     """One host's metric rollup over a time window.
 
-    All reads are **non-registering** (:meth:`MetricsRecorder.get` /
-    ``read_window``): sampling a host's health never creates phantom
+    All reads are **non-registering**
+    (:meth:`MetricsRecorder.read_window`): sampling a host's health never creates phantom
     series for names the host has not recorded (a gswap host has no
     ``senpai/degraded``), so health queries are digest-neutral.
 
@@ -127,8 +127,6 @@ class HealthGateConfig:
 
 
 def _window_mean(host, name: str, t0: float, t1: float) -> Tuple[float, int]:
-    # Non-registering read: an unrecorded name must not create a
-    # phantom series and mutate the host's metrics digest.
     window = host.metrics.read_window(name, t0, t1)
     n = len(window)
     return (window.mean() if n else 0.0), n

@@ -294,30 +294,11 @@ class RollupEngine:
         # registration): window against it, not engine time.
         t1 = entry.host.clock.now
         t0 = max(0.0, t1 - window_s)
-        # One read per ROLLUP_SIGNALS entry, unrolled: the state
-        # contract (TMO016) resolves metric names from literal
-        # ``/suffix`` tails at the read site, which a loop over the
-        # mapping cannot provide. ``_merge_signals`` iterates
-        # ROLLUP_SIGNALS, so a key drifting out of sync fails loudly.
         signals = {
-            "psi_mem_some": SignalSummary.of(metrics.read_window(
-                f"{_APP_CGROUP}/psi_mem_some_avg10", t0, t1
-            )),
-            "psi_io_some": SignalSummary.of(metrics.read_window(
-                f"{_APP_CGROUP}/psi_io_some_avg10", t0, t1
-            )),
-            "refault_rate": SignalSummary.of(metrics.read_window(
-                f"{_APP_CGROUP}/refaults", t0, t1
-            )),
-            "promotion_rate": SignalSummary.of(metrics.read_window(
-                f"{_APP_CGROUP}/promotion_rate", t0, t1
-            )),
-            "swap_bytes": SignalSummary.of(metrics.read_window(
-                f"{_APP_CGROUP}/swap_bytes", t0, t1
-            )),
-            "zswap_bytes": SignalSummary.of(metrics.read_window(
-                f"{_APP_CGROUP}/zswap_bytes", t0, t1
-            )),
+            signal: SignalSummary.of(metrics.read_window(
+                f"{_APP_CGROUP}/{suffix}", t0, t1
+            ))
+            for signal, suffix in ROLLUP_SIGNALS.items()
         }
         oom = metrics.read_window(f"{_APP_CGROUP}/oom", t0, t1)
         degraded = metrics.read_window("senpai/degraded", t0, t1)

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--flow", action="store_true",
         help="also run the whole-program analyses: unit-flow and "
              "determinism taint (TMO009-TMO012), state contracts "
-             "(TMO013-TMO016) and hot-path performance "
+             "(TMO015) and hot-path performance "
              "(TMO017-TMO021)",
     )
     parser.add_argument(

@@ -25,7 +25,7 @@ _ALL_RULES = frozenset(
     {"TMO001", "TMO002", "TMO003", "TMO004",
      "TMO005", "TMO006", "TMO007", "TMO008",
      "TMO009", "TMO010", "TMO011", "TMO012",
-     "TMO013", "TMO015", "TMO016",
+     "TMO013", "TMO015",
      "TMO017", "TMO018", "TMO019", "TMO020",
      "TMO021"}
 )
@@ -41,15 +41,13 @@ _ALL_RULES = frozenset(
 #: measures the wrong thing.
 _HARNESS_RULES = frozenset(
     {"TMO001", "TMO002", "TMO003", "TMO005", "TMO007", "TMO008",
-     "TMO009", "TMO010", "TMO011", "TMO012", "TMO016",
+     "TMO009", "TMO010", "TMO011", "TMO012",
      "TMO017", "TMO018", "TMO019", "TMO020", "TMO021"}
 )
 
 #: Tests probe components with hand-built RNGs and error paths, so only
-#: the unconditional hygiene rules apply — plus metric-registry drift
-#: (TMO016): a test recording or reading a misspelled metric name
-#: silently asserts against an always-empty series.
-_TEST_RULES = frozenset({"TMO005", "TMO008", "TMO016"})
+#: the unconditional hygiene rules apply.
+_TEST_RULES = frozenset({"TMO005", "TMO008"})
 
 
 @dataclass
@@ -165,24 +163,6 @@ def default_config() -> LintConfig:
                 # reachability of) functions at or above this share of
                 # measured tick time.
                 "profile_share_threshold": 0.05,
-            },
-            "TMO016": {
-                "record_sink_suffixes": (
-                    "repro.sim.metrics.MetricsRecorder.record",
-                    "repro.sim.metrics.Series.record",
-                ),
-                "record_method_names": ("record",),
-                "read_sink_suffixes": (
-                    "repro.sim.metrics.MetricsRecorder.series",
-                    "repro.sim.metrics.MetricsRecorder.summary",
-                    "repro.sim.metrics.MetricsRecorder.get",
-                    "repro.sim.metrics.MetricsRecorder.read_window",
-                ),
-                # "read_window" is distinctive; bare "get" is not
-                # (every dict has one), so `get` reads only count when
-                # the receiver resolves to MetricsRecorder above.
-                "read_method_names": ("series", "summary",
-                                      "read_window"),
             },
         },
     )

@@ -10,7 +10,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint import hotpath as _hotpath  # noqa: F401  (TMO017-021)
 from repro.lint import rules as _rules  # noqa: F401  (registers rules)
-from repro.lint import statecontract as _statecontract  # noqa: F401  (TMO015-016)
+from repro.lint import statecontract as _statecontract  # noqa: F401  (TMO015)
 from repro.lint import taint as _taint  # noqa: F401  (registers TMO012)
 from repro.lint import unitflow as _unitflow  # noqa: F401  (TMO009-011)
 from repro.lint.config import LintConfig, default_config

@@ -48,7 +48,7 @@ from repro.lint.ignores import collect_ignores, is_suppressed
 from repro.lint.registry import RULES
 from repro.lint.violations import Violation
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 DEFAULT_CACHE = ".tmo-lint-cache.json"
 
 
@@ -234,10 +234,7 @@ def analyze_flow(
 
     # -- pass 3: (re-)collect facts where needed ----------------------
     sink_options = config.options_for("TMO012")
-    state_options = {
-        rule_id: config.options_for(rule_id)
-        for rule_id in ("TMO015", "TMO016")
-    }
+    state_options = {"TMO015": config.options_for("TMO015")}
     hot_options = {
         rule_id: config.options_for(rule_id)
         for rule_id in ("TMO017", "TMO018", "TMO019", "TMO020", "TMO021")
@@ -282,7 +279,7 @@ def analyze_flow(
                 module, index, source, sink_options
             )),
             "state": _timed("state", lambda: _statecontract.collect_module(
-                module, index, source, state_options
+                module, index, source
             )),
             "hot": _timed("hotpath", lambda: _hotpath.collect_module(
                 module, index, source, hot_options

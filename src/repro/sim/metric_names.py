@@ -1,36 +1,33 @@
-"""The declared metric-name registry (checked by ``tmo-lint --flow``).
+"""The declared metric-name registry, enforced by the recorder.
 
 Metric names feed :func:`repro.sim.metrics.metrics_digest`, the bench
-regression gate and the chaos verdicts, so they are interface, not
-incidental strings. Every ``/``-namespaced name recorded anywhere in
-the tree must be declared here; the TMO016 lint rule statically
-collects the literals flowing into ``MetricsRecorder.record`` /
-``Series.record`` (including through wrappers and bound-method
-aliases) and fails the flow pass on drift — unregistered names,
-near-miss typos, and names recorded but never read.
+regression gate, the chaos verdicts and the fleetd health gates and
+rollups, so they are interface, not incidental strings. Every
+``/``-namespaced name must be declared here before it is recorded or
+read: :meth:`~repro.sim.metrics.MetricsRecorder.record` runs
+:func:`check_metric_name` when it creates a series, and the read
+paths (``series``, ``read_window``, ``summary``) run it on names the
+recorder has never seen. An undeclared name raises ``KeyError`` that
+names the table it belongs in and the closest declared name.
 
-Adding a metric is a three-line workflow (see LINTING.md):
+Adding a metric is two steps:
 
 1. declare the name below — ``METRIC_NAMES`` for a host-wide series,
    ``PER_CGROUP_METRICS`` for a ``<cgroup>/<suffix>`` family,
    ``DYNAMIC_NAMESPACES`` when the tail is runtime data;
-2. record it at the producing site;
-3. read it from a test or analysis — or, when it is genuinely
-   operator-facing only, list it in ``UNREAD_OK`` with a reason.
+2. record it at the producing site.
 
 Names without a ``/`` are ad-hoc local recorders (scratch series in
 tests and analyses) and are out of the registry's scope.
 
 The fleetd query surface (:mod:`repro.fleetd.rollup`) records
 **nothing**: it reduces already-declared series (the PSI/refault/
-offload families below) through the recorder's non-registering read
-path, so no rollup-side names belong here — the registry stays the
-record-side contract.
+offload families below) through the recorder's non-registering reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet
+from typing import Dict
 
 #: Host-wide series: full name -> one-line description.
 METRIC_NAMES: Dict[str, str] = {
@@ -89,21 +86,44 @@ DYNAMIC_NAMESPACES: Dict[str, str] = {
     "faults": "per-kind fault-injection activity, keyed by event kind",
 }
 
-#: Declared names that are recorded for operators (CSV exports,
-#: dashboards) without a reader in the test/analysis tree.
-UNREAD_OK: FrozenSet[str] = frozenset({
-    # Host dashboards: exported to CSV for figure plots, asserted
-    # only indirectly through the metrics digest.
-    "host/used_bytes",
-    "host/zswap_pool_bytes",
-    "fs/read_rate",
-    "swap/stored_bytes",
-    # Per-cgroup families sampled by exports, not read individually.
-    "anon_bytes",
-    "zswap_bytes",
-    "refaults",
-    "psi_io_some_avg10",
-    "psi_mem_some_total",
-    "psi_io_some_total",
-    "gswap_reclaim",
-})
+#: Namespaces of the host-wide names: an undeclared name under one of
+#: these belongs in ``METRIC_NAMES``; under any other head it is read
+#: as ``<cgroup>/<suffix>``.
+_HOST_NAMESPACES = frozenset(name.partition("/")[0] for name in METRIC_NAMES)
+
+
+def check_metric_name(name: str) -> None:
+    """Raise ``KeyError`` unless ``name`` is declared or has no ``/``.
+
+    A name is declared when it is in ``METRIC_NAMES``, its last
+    ``/``-component is in ``PER_CGROUP_METRICS`` or its first is in
+    ``DYNAMIC_NAMESPACES``.
+    """
+    head, slash, _ = name.partition("/")
+    suffix = name.rpartition("/")[2]
+    if (
+        not slash
+        or name in METRIC_NAMES
+        or suffix in PER_CGROUP_METRICS
+        or head in DYNAMIC_NAMESPACES
+    ):
+        return
+    if head in _HOST_NAMESPACES:
+        missing, table, declared = name, "METRIC_NAMES", METRIC_NAMES
+        alternative = ""
+    else:
+        missing, table, declared = (
+            suffix, "PER_CGROUP_METRICS", PER_CGROUP_METRICS
+        )
+        alternative = (
+            f", or namespace {head!r} to DYNAMIC_NAMESPACES when the "
+            "tail is runtime data"
+        )
+    import difflib  # error path only: keep it off the import graph
+
+    close = difflib.get_close_matches(missing, list(declared), n=1)
+    hint = f"; did you mean {close[0]!r}?" if close else ""
+    raise KeyError(
+        f"metric {name!r} is not declared: add {missing!r} to {table} "
+        f"in repro.sim.metric_names{alternative}{hint}"
+    )

@@ -14,6 +14,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.sim.metric_names import check_metric_name
+
 #: Initial sample capacity of a series buffer; doubles on overflow.
 _INITIAL_CAPACITY = 16
 
@@ -147,7 +149,15 @@ class Series:
 
 
 class MetricsRecorder:
-    """A collection of named series, created lazily on first record."""
+    """A collection of named series, created on first record.
+
+    :meth:`record` is the only way a series comes into being, and it
+    checks the name against :mod:`repro.sim.metric_names` when it
+    does. Every other method is a read: it never registers a name, so
+    querying a host leaves :func:`metrics_digest` byte-identical
+    (query-twice == query-never), and it refuses an undeclared name
+    with the same ``KeyError``.
+    """
 
     __state__ = ("_series",)
     _series: Dict[str, Series]
@@ -156,72 +166,31 @@ class MetricsRecorder:
         self._series = {}
 
     def record(self, name: str, t: float, value: float) -> None:
-        """Record one sample on the series called ``name``.
-
-        Inlines :meth:`Series.record` (buffer store + monotonicity
-        check): this runs a couple dozen times per simulated tick.
-        """
+        """Record one sample on the series called ``name``."""
         series = self._series.get(name)
         if series is None:
-            series = Series(name)
-            self._series[name] = series
-        n = series._n
-        t_buf = series._t_buf
-        if n and t < t_buf[n - 1]:
-            raise ValueError(
-                f"series {name!r}: time went backwards "
-                f"({t_buf[n - 1]} -> {t})"
-            )
-        if n == len(t_buf):
-            series._t_buf = t_buf = np.concatenate(
-                [t_buf, np.empty(n, dtype=np.float64)]
-            )
-            series._v_buf = np.concatenate(
-                [series._v_buf, np.empty(n, dtype=np.float64)]
-            )
-        t_buf[n] = t
-        series._v_buf[n] = value
-        series._n = n + 1
+            check_metric_name(name)
+            series = self._series[name] = Series(name)
+        series.record(t, value)
 
     def series(self, name: str) -> Series:
-        """Fetch a series by name, registering it if never recorded.
+        """The series called ``name``, without registering it.
 
-        The returned series is always the recorder's own: a ``record()``
-        on it is visible to later fetches, rather than vanishing into a
-        detached throwaway object.
-
-        This is the *write-side* fetch: asking for an unknown name
-        creates it, which changes :func:`metrics_digest`. Query paths
-        (health gates, fleet rollups, status surfaces) must use
-        :meth:`get` or :meth:`read_window` instead, so that observing a
-        live host never perturbs the digests the chaos verdicts and
-        crash-equivalence checks hang on.
+        A recorded name returns the recorder's own series; a declared
+        name never recorded returns an empty *detached* series
+        (recording on it does not reach this recorder).
         """
         series = self._series.get(name)
         if series is None:
-            series = Series(name)
-            self._series[name] = series
+            check_metric_name(name)
+            return Series(name)
         return series
 
-    def get(self, name: str) -> Optional[Series]:
-        """Fetch a series by name *without* registering it.
-
-        The read-side counterpart of :meth:`series`: an unknown name
-        returns ``None`` and leaves the recorder untouched, so query
-        paths are digest-neutral (query-twice == query-never).
-        """
-        return self._series.get(name)
-
     def read_window(self, name: str, start: float, end: float) -> Series:
-        """Non-registering windowed read: ``start <= t < end``.
-
-        An unknown name yields an empty *detached* series (recording on
-        it does not reach this recorder) instead of registering a
-        phantom empty series the way ``series(name).window(...)`` would.
-        """
+        """Windowed read of :meth:`series`: ``start <= t < end``."""
         series = self._series.get(name)
         if series is None:
-            return Series(name)
+            return self.series(name)  # checks the name; empty, detached
         return series.window(start, end)
 
     def names(self) -> Iterable[str]:
@@ -235,20 +204,15 @@ class MetricsRecorder:
     ) -> Dict[str, Optional[float]]:
         """Mean of each requested series (all series by default).
 
-        Read-only: unknown names are *not* registered (they used to
-        leave phantom empty series behind, silently mutating
-        :func:`metrics_digest` from a query path). Unknown or empty
-        series map to ``None`` — JSON-safe ``null`` — never to the
-        bare ``NaN`` token, which is invalid JSON on the wire.
+        Unrecorded or empty series map to ``None`` — JSON-safe
+        ``null`` — never to the bare ``NaN`` token, which is invalid
+        JSON on the wire.
         """
         wanted = list(names) if names is not None else list(self._series)
         out: Dict[str, Optional[float]] = {}
         for name in wanted:
-            series = self._series.get(name)
-            out[name] = (
-                series.mean() if series is not None and len(series)
-                else None
-            )
+            series = self.series(name)
+            out[name] = series.mean() if len(series) else None
         return out
 
 

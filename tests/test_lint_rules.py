@@ -59,7 +59,7 @@ def test_registry_covers_exactly_the_documented_rules():
     assert per_file == sorted(EXPECTED_BAD_LINES)
     assert flow_rule_ids() == {
         "TMO009", "TMO010", "TMO011", "TMO012",
-        "TMO015", "TMO016",
+        "TMO015",
         "TMO017", "TMO018", "TMO019", "TMO020", "TMO021",
     }
 
@@ -105,7 +105,7 @@ def test_scope_rules_differ_by_directory():
     assert src_rules == set(ALL_RULES)
     assert "TMO004" not in bench_rules  # benchmarks relax unit naming
     assert "TMO001" in bench_rules  # ... but not RNG discipline
-    assert test_rules == {"TMO005", "TMO008", "TMO016"}
+    assert test_rules == {"TMO005", "TMO008"}
 
 
 def test_rng_module_exempt_from_tmo001():

@@ -1,11 +1,10 @@
-"""End-to-end tests of the state-contract analyses (TMO015-016).
+"""End-to-end tests of the state-contract analysis (TMO015).
 
-The statepkg fixture package seeds known findings at pinned lines —
-a worker-reachable module global, and misspelled metric names
-(directly, through a wrapper, and in both f-string shapes). The
-repo-tree tests then assert ``src/repro`` is clean and that the
-acceptance mutation (adding a memoized global on the worker path)
-re-fails lint with the right rule id.
+The statepkg fixture package seeds known findings at pinned lines: a
+worker-reachable module global, read and written. The repo-tree tests
+then assert ``src/repro`` is clean and that the acceptance mutation
+(adding a memoized global on the worker path) re-fails lint with the
+right rule id.
 """
 
 import json
@@ -17,21 +16,15 @@ from repro.lint.config import default_config
 from repro.lint.flow import analyze_flow
 
 STATEPKG = Path("tests/lint_fixtures/statepkg")
-STATE_RULES = ["TMO015", "TMO016"]
+STATE_RULES = ["TMO015"]
 
 
 def _config():
-    """The default config with TMO015-016 pointed at statepkg."""
+    """The default config with TMO015 pointed at statepkg."""
     config = default_config()
     config.rule_options = dict(config.rule_options)
     config.rule_options["TMO015"] = {
         "worker_entrypoints": ("statepkg.workers.run_host",),
-    }
-    config.rule_options["TMO016"] = {
-        "record_sink_suffixes": ("statepkg.metrics.Recorder.record",),
-        "record_method_names": ("record",),
-        "read_sink_suffixes": ("statepkg.metrics.Recorder.series",),
-        "read_method_names": ("series",),
     }
     return config
 
@@ -50,11 +43,6 @@ def _findings(paths):
 
 def test_fixture_package_findings_exact():
     assert _findings([STATEPKG]) == [
-        ("TMO016", "emit.py", 11),   # misspelled full name
-        ("TMO016", "emit.py", 13),   # registered but never read
-        ("TMO016", "emit.py", 15),   # typo through the _emit wrapper
-        ("TMO016", "emit.py", 20),   # undeclared per-cgroup suffix
-        ("TMO016", "emit.py", 22),   # undeclared dynamic namespace
         ("TMO015", "workers.py", 15),  # read of mutated global
         ("TMO015", "workers.py", 26),  # write from worker path
     ]
@@ -63,22 +51,8 @@ def test_fixture_package_findings_exact():
 def test_messages_name_the_contract_and_the_fix():
     result = analyze_flow([STATEPKG], _config(), select=STATE_RULES)
     by_key = {(v.rule_id, v.line): v.message for v in result.violations}
-    assert "did you mean 'senpai/stale_skips'?" in by_key[("TMO016", 11)]
-    assert "never read" in by_key[("TMO016", 13)]
-    assert "did you mean 'reclaim'?" in by_key[("TMO016", 15)]
-    assert "PER_CGROUP_METRICS" in by_key[("TMO016", 20)]
-    assert "DYNAMIC_NAMESPACES" in by_key[("TMO016", 22)]
     assert "run_host" in by_key[("TMO015", 26)]
     assert "_RESULTS" in by_key[("TMO015", 26)]
-
-
-def test_no_registry_in_analyzed_set_skips_metric_drift():
-    paths = [
-        STATEPKG / "emit.py",
-        STATEPKG / "metrics.py",
-        STATEPKG / "reader.py",
-    ]
-    assert _findings(paths) == []
 
 
 # ----------------------------------------------------------------------

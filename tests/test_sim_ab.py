@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from repro.analysis.workingset import WorkingSetProfiler
 from repro.core.senpai import Senpai, SenpaiConfig
 from repro.sim.ab import ABTest
+from repro.sim.metrics import metrics_digest
 from repro.workloads.access import HeatBands
 from repro.workloads.apps import AppProfile
 from repro.workloads.base import Workload
@@ -70,6 +72,21 @@ def test_compare_unknown_series_raises():
     report = ab.run(10.0)
     with pytest.raises(KeyError):
         report.compare("nope/metric")
+
+
+def test_queries_on_unrecorded_names_leave_digests_unchanged():
+    """Regression: ``compare`` and ``record_from_host`` read through a
+    registering fetch, so asking about a declared name a host never
+    recorded added an empty series to it and changed its digest."""
+    report = ABTest(control=build, treatment=build).run(10.0)
+    hosts = (report.control, report.treatment)
+    before = [metrics_digest(host.metrics) for host in hosts]
+    with pytest.raises(KeyError):
+        report.compare("app/memory_max")  # no limits controller
+    profiler = WorkingSetProfiler()
+    profiler.record_from_host(report.control, "app", 10.0)  # no Senpai
+    assert profiler.samples[0].pressure == 0.0
+    assert [metrics_digest(host.metrics) for host in hosts] == before
 
 
 def test_delta_frac_nan_on_zero_control():

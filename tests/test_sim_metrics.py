@@ -76,19 +76,6 @@ def test_recorder_unknown_series_is_empty():
     assert len(rec.series("missing")) == 0
 
 
-def test_recorder_series_is_registered_not_detached():
-    """Regression: fetching an unknown name used to return a detached
-    throwaway Series, so samples recorded on it silently vanished."""
-    rec = MetricsRecorder()
-    series = rec.series("latency")
-    series.record(0.0, 1.5)
-    assert "latency" in rec
-    assert rec.series("latency") is series
-    assert rec.series("latency").values == [1.5]
-    rec.record("latency", 1.0, 2.5)  # recorder writes land on it too
-    assert series.values == [1.5, 2.5]
-
-
 def test_recorder_summary():
     rec = MetricsRecorder()
     rec.record("a", 0.0, 2.0)
@@ -133,12 +120,15 @@ def test_window_on_empty_series_is_empty():
 # the non-registering read path (query-side digest neutrality)
 
 
-def test_get_does_not_register_unknown_names():
+def test_series_does_not_register_unknown_names():
     rec = MetricsRecorder()
     rec.record("a", 0.0, 1.0)
-    assert rec.get("missing") is None
-    assert "missing" not in rec
-    assert rec.get("a") is rec.series("a")
+    ghost = rec.series("app/rps")
+    assert len(ghost) == 0
+    assert "app/rps" not in rec
+    ghost.record(0.0, 1.0)  # detached: must not reach the recorder
+    assert "app/rps" not in rec
+    assert rec.series("a") is rec.series("a")
 
 
 def test_read_window_does_not_register_and_detaches_unknowns():
@@ -167,13 +157,11 @@ def test_summary_does_not_register_phantom_series():
 
 
 def test_summary_empty_series_is_none_not_nan():
-    """An empty registered series must summarize as ``None`` (JSON
-    null), never as NaN — the socket protocol forbids the bare NaN
-    token."""
+    """An unrecorded series must summarize as ``None`` (JSON null),
+    never as NaN — the socket protocol forbids the bare NaN token."""
     rec = MetricsRecorder()
-    rec.series("registered_but_empty")
-    summary = rec.summary()
-    assert summary == {"registered_but_empty": None}
+    summary = rec.summary(["app/rps"])
+    assert summary == {"app/rps": None}
     assert not any(
         isinstance(v, float) and math.isnan(v)
         for v in summary.values()
@@ -182,7 +170,7 @@ def test_summary_empty_series_is_none_not_nan():
 
 def test_query_twice_equals_query_never():
     """The digest-neutrality contract behind the fleetd query surface:
-    any amount of get/read_window/summary traffic leaves the digest
+    any amount of series/read_window/summary traffic leaves the digest
     byte-identical to an unqueried twin recorder."""
     def build():
         rec = MetricsRecorder()
@@ -192,10 +180,57 @@ def test_query_twice_equals_query_never():
 
     queried, quiet = build(), build()
     for _ in range(2):
-        queried.get("app/psi_mem_some_avg10")
-        queried.get("never_recorded")
+        queried.series("app/psi_mem_some_avg10")
+        queried.series("never_recorded")
         queried.read_window("app/psi_mem_some_avg10", 2.0, 7.0)
         queried.read_window("senpai/degraded", 0.0, 10.0)
         queried.summary(["app/psi_mem_some_avg10", "missing"])
         queried.summary()
     assert metrics_digest(queried) == metrics_digest(quiet)
+
+
+# ----------------------------------------------------------------------
+# the declared-name registry, enforced by the recorder
+
+
+@pytest.mark.parametrize("name, table, hint", [
+    ("senpai/stal", "METRIC_NAMES", "did you mean 'senpai/stale'?"),
+    ("app/promoted", "PER_CGROUP_METRICS",
+     "did you mean 'promotion_rate'?"),
+    ("chaos/storm", "DYNAMIC_NAMESPACES", "namespace 'chaos'"),
+])
+def test_record_refuses_undeclared_names(name, table, hint):
+    rec = MetricsRecorder()
+    with pytest.raises(KeyError) as excinfo:
+        rec.record(name, 0.0, 1.0)
+    message = str(excinfo.value)
+    assert table in message
+    assert hint in message
+    assert name not in rec
+
+
+@pytest.mark.parametrize("name", [
+    "latency",                  # no namespace: ad-hoc, out of scope
+    "host/free_bytes",          # METRIC_NAMES
+    "web/refaults",             # PER_CGROUP_METRICS suffix
+    "faults/io_error",          # DYNAMIC_NAMESPACES head
+])
+def test_record_accepts_declared_and_unnamespaced_names(name):
+    rec = MetricsRecorder()
+    rec.record(name, 0.0, 1.0)
+    assert rec.series(name).values == [1.0]
+
+
+@pytest.mark.parametrize("read", [
+    lambda rec: rec.series("senpai/stal"),
+    lambda rec: rec.read_window("app/promoted", 0.0, 10.0),
+    lambda rec: rec.summary(["app/rps", "chaos/storm"]),
+], ids=["series", "read_window", "summary"])
+def test_reads_refuse_undeclared_names_without_registering(read):
+    rec = MetricsRecorder()
+    rec.record("app/rps", 0.0, 1.0)
+    names, digest = sorted(rec.names()), metrics_digest(rec)
+    with pytest.raises(KeyError, match="is not declared"):
+        read(rec)
+    assert sorted(rec.names()) == names
+    assert metrics_digest(rec) == digest
