@@ -9,24 +9,25 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# The CI seed sweep: deterministic fault storms under full invariant
-# checking (see docs/RESILIENCE.md). Seeds mirror
+# The CI seed sweep: deterministic host fault storms under full
+# invariant checking, each judged on determinism, query-neutrality and
+# crash-equivalence (docs/RESILIENCE.md, "Chaos"). Seeds mirror
 # tests/test_faults_chaos.py::CI_SEEDS.
 chaos:
-	TMO_CHECK_INVARIANTS=1 $(PYTHON) -m repro chaos --seeds 1 2 3 4 5
+	TMO_CHECK_INVARIANTS=1 $(PYTHON) -m repro chaos --seeds 1 2 3 4 5 --out chaos-host-verdict.json
 
 # Fleet-scale storms: parallel rollouts under seed-derived worker
 # crash/hang/slowdown faults; the recovered fleet's merged digest must
-# equal the fault-free control's (docs/RESILIENCE.md, "Fleet
-# recovery"). Seeds mirror the CI fleet-chaos job.
+# equal the fault-free control's (docs/RESILIENCE.md, "Chaos"). Seeds
+# mirror the CI fleet-chaos job.
 fleet-chaos:
 	TMO_CHECK_INVARIANTS=1 $(PYTHON) -m repro chaos --fleet --seeds 1 2 3
 
 # Control-plane storms: guarded rollouts under controller/worker
 # faults through the fleetd engine — every host must end on a single
 # policy, the kill switch must always win, and each seed's outcome
-# digest must be deterministic (docs/RESILIENCE.md, "Control plane").
-# Seeds mirror the CI fleetd-smoke job.
+# digest must be deterministic and query-neutral (docs/RESILIENCE.md,
+# "Chaos"). Seeds mirror the CI fleetd-smoke job.
 fleetd-chaos:
 	TMO_CHECK_INVARIANTS=1 $(PYTHON) -m repro chaos --fleetd --seeds 1 2 3
 
@@ -37,9 +38,10 @@ fleetd-chaos:
 fleetd-smoke:
 	$(PYTHON) examples/fleetd_smoke.py
 
-# Checkpoint -> kill -> restore -> continue must be digest-identical
-# to never having crashed (docs/RESILIENCE.md, "Recovery"). The seed
-# sweep fans out over worker processes; equivalence must hold there too.
+# The supervised host storm: checkpoint -> kill -> restore -> continue
+# must be digest-identical to never having crashed (docs/RESILIENCE.md,
+# "Chaos"). The seed sweep fans out over worker processes; every
+# contract must hold there too.
 crash-equivalence:
 	TMO_CHECK_INVARIANTS=1 $(PYTHON) -m repro crash-equivalence --seeds 1 2 3 --workers 3
 

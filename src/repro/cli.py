@@ -10,11 +10,13 @@ Commands:
   periodically, ``--resume PATH`` continues a killed run bit-identically
   (see docs/RESILIENCE.md, "Recovery").
 * ``cost-table`` — the Figure 1 hardware cost trends.
-* ``chaos`` — seeded fault-injection runs under invariant checking
-  (see docs/RESILIENCE.md); ``--fleet`` storms a parallel fleet with
-  worker crash/hang/slow faults, ``--fleetd`` storms the control
-  plane's guarded rollouts; both write a versioned
-  graceful-degradation verdict JSON.
+* ``chaos`` — seeded fault storms through the one chaos driver (see
+  docs/RESILIENCE.md, "Chaos"): a chaos host by default, a parallel
+  fleet with worker crash/hang/slow faults under ``--fleet``, the
+  control plane's guarded rollouts under ``--fleetd``. Every storm is
+  judged on determinism, query-neutrality and crash-equivalence plus
+  its topology's graceful-degradation checks, and the verdicts are
+  written as one versioned JSON envelope.
 * ``fleet`` — a fleet rollout through the resilience runtime, with
   loud partial-result warnings, per-failure repro hints, and
   ``--max-attempts`` / ``--deadline-min-s`` /
@@ -25,9 +27,10 @@ Commands:
   auto-rollback, the fleet kill switch, and the read-only query
   surface (``metrics`` — host/region/fleet rollup envelopes, ``top``
   — hosts ranked by a signal), over a Unix socket.
-* ``crash-equivalence`` — prove checkpoint → kill → restore → continue
-  matches the uninterrupted run digest-for-digest (``--workers`` farms a
-  seed sweep over processes).
+* ``crash-equivalence`` — the supervised host storm through the same
+  driver: checkpoint → kill → restore → continue must match the
+  uninterrupted run digest-for-digest (``--workers`` farms a seed
+  sweep over processes).
 * ``bench`` — the benchmark harness: run the scenario matrix, write a
   machine-readable ``BENCH_5.json`` and optionally gate against a
   committed baseline (see docs/PERFORMANCE.md).
@@ -213,7 +216,7 @@ def _build_single_app_host(args) -> Optional[Host]:
 
 def _cmd_run(args) -> int:
     from repro.checkpoint import SnapshotError, load_snapshot, save_snapshot
-    from repro.faults.chaos import metrics_digest
+    from repro.sim.metrics import metrics_digest
 
     if args.resume is not None:
         try:
@@ -251,14 +254,51 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_crash_equivalence(args) -> int:
+def _run_chaos_verb(label, topology, configs, out=None, workers=1) -> int:
+    """Run one storm per config through the one chaos driver; print
+    each verdict, write the envelope to ``out`` if given."""
+    import dataclasses
+    import functools
+
     from repro.faults.chaos import (
-        ChaosConfig,
-        format_crash_equivalence,
-        run_crash_equivalence,
+        chaos_verdict_document,
+        format_verdict,
+        run_storm,
+        write_chaos_verdicts,
     )
 
-    seeds = args.seeds if args.seeds else [args.seed]
+    run = functools.partial(run_storm, topology)
+    if workers > 1 and len(configs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(configs))
+        ) as pool:
+            verdicts = list(pool.map(run, configs))
+    else:
+        verdicts = [run(config) for config in configs]
+    for verdict in verdicts:
+        print(format_verdict(verdict, label))
+    if out:
+        provenance = dataclasses.asdict(configs[0])
+        del provenance["seed"]  # per-verdict, not shared provenance
+        write_chaos_verdicts(
+            chaos_verdict_document(topology.mode, provenance, verdicts),
+            out,
+        )
+        print(f"verdicts written to {out}")
+    failures = sum(1 for verdict in verdicts if not verdict.passed)
+    if failures:
+        print(f"{failures}/{len(verdicts)} {label} runs FAILED",
+              file=sys.stderr)
+        return 1
+    print(f"all {len(verdicts)} {label} runs passed")
+    return 0
+
+
+def _cmd_crash_equivalence(args) -> int:
+    from repro.faults.chaos import HOST_TOPOLOGY, ChaosConfig
+
     configs = [
         ChaosConfig(
             seed=seed,
@@ -266,28 +306,11 @@ def _cmd_crash_equivalence(args) -> int:
             supervised=True,
             controller_faults=args.controller_faults,
         )
-        for seed in seeds
+        for seed in (args.seeds if args.seeds else [args.seed])
     ]
-    if args.workers and args.workers > 1 and len(configs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(args.workers, len(configs))
-        ) as pool:
-            reports = list(pool.map(run_crash_equivalence, configs))
-    else:
-        reports = [run_crash_equivalence(config) for config in configs]
-    failures = 0
-    for report in reports:
-        print(format_crash_equivalence(report))
-        if not report.equivalent:
-            failures += 1
-    if failures:
-        print(f"{failures}/{len(seeds)} crash-equivalence runs FAILED",
-              file=sys.stderr)
-        return 1
-    print(f"all {len(seeds)} crash-equivalence runs passed")
-    return 0
+    return _run_chaos_verb(
+        "crash-equivalence", HOST_TOPOLOGY, configs, workers=args.workers
+    )
 
 
 def _cmd_bench(args) -> int:
@@ -351,130 +374,46 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
+    from repro.faults.chaos import (
+        FLEET_TOPOLOGY,
+        HOST_TOPOLOGY,
+        ChaosConfig,
+        FleetChaosConfig,
+    )
+
     if args.fleet and args.fleetd:
         print("--fleet and --fleetd are mutually exclusive",
               file=sys.stderr)
         return 2
+    seeds = args.seeds if args.seeds else [args.seed]
+    # Each topology's config carries its own default duration.
+    knobs = {} if args.duration is None else {"duration_s": args.duration}
     if args.fleet:
-        return _cmd_chaos_fleet(args)
-    if args.fleetd:
-        return _cmd_chaos_fleetd(args)
-    from repro.faults.chaos import ChaosConfig, format_report, run_chaos
+        label, topology = "fleet-chaos", FLEET_TOPOLOGY
+        configs = [
+            FleetChaosConfig(seed=seed, workers=args.workers,
+                             worker_faults=args.worker_faults, **knobs)
+            for seed in seeds
+        ]
+    elif args.fleetd:
+        from repro.fleetd.chaos import FLEETD_TOPOLOGY, FleetdChaosConfig
 
-    seeds = args.seeds if args.seeds else [args.seed]
-    duration = args.duration if args.duration is not None else 900.0
-    failures = 0
-    for seed in seeds:
-        config = ChaosConfig(
-            seed=seed,
-            duration_s=duration,
-            ram_gb=args.ram_gb,
-            ncpu=args.ncpu,
-            extra_events=args.extra_events,
-            hang_timeout_s=args.hang_timeout,
-        )
-        report = run_chaos(config)
-        print(format_report(report, config))
-        if not report.passed(config):
-            failures += 1
-    if failures:
-        print(f"{failures}/{len(seeds)} chaos runs FAILED",
-              file=sys.stderr)
-        return 1
-    print(f"all {len(seeds)} chaos runs passed")
-    return 0
-
-
-def _cmd_chaos_fleet(args) -> int:
-    """``chaos --fleet``: storm parallel fleets, write the verdict JSON."""
-    import dataclasses
-
-    from repro.faults.chaos import (
-        FleetChaosConfig,
-        chaos_verdict_document,
-        format_fleet_chaos,
-        run_fleet_chaos,
-        write_chaos_verdicts,
-    )
-
-    seeds = args.seeds if args.seeds else [args.seed]
-    duration = args.duration if args.duration is not None else 240.0
-    out = args.out if args.out else "chaos-fleet-verdict.json"
-    verdicts = []
-    config_doc = {}
-    failures = 0
-    for seed in seeds:
-        config = FleetChaosConfig(
-            seed=seed,
-            duration_s=duration,
-            workers=args.workers,
-            worker_faults=args.worker_faults,
-        )
-        config_doc = dataclasses.asdict(config)
-        del config_doc["seed"]  # per-verdict, not shared provenance
-        report = run_fleet_chaos(config)
-        print(format_fleet_chaos(report))
-        verdicts.append(report.to_json())
-        if not report.passed:
-            failures += 1
-    write_chaos_verdicts(
-        chaos_verdict_document("fleet", seeds, config_doc, verdicts),
-        out,
-    )
-    print(f"verdicts written to {out}")
-    if failures:
-        print(f"{failures}/{len(seeds)} fleet-chaos runs FAILED",
-              file=sys.stderr)
-        return 1
-    print(f"all {len(seeds)} fleet-chaos runs passed")
-    return 0
-
-
-def _cmd_chaos_fleetd(args) -> int:
-    """``chaos --fleetd``: storm the control plane, write the verdict."""
-    from repro.faults.chaos import (
-        chaos_verdict_document,
-        write_chaos_verdicts,
-    )
-    from repro.fleetd.chaos import (
-        FleetdChaosConfig,
-        format_fleetd_chaos,
-        run_fleetd_chaos,
-    )
-
-    seeds = args.seeds if args.seeds else [args.seed]
-    duration = args.duration if args.duration is not None else 420.0
-    out = args.out if args.out else "chaos-fleetd-verdict.json"
-    verdicts = []
-    config_doc = {}
-    failures = 0
-    for seed in seeds:
-        config = FleetdChaosConfig(
-            seed=seed,
-            duration_s=duration,
-            controller_faults=args.controller_faults,
-            worker_faults=args.worker_faults,
-        )
-        config_doc = config.to_json()
-        del config_doc["seed"]  # per-verdict, not shared provenance
-        report = run_fleetd_chaos(config)
-        print(format_fleetd_chaos(report))
-        verdicts.append(report.to_json())
-        if not report.passed:
-            failures += 1
-    write_chaos_verdicts(
-        chaos_verdict_document(
-            "fleetd", seeds, config_doc, verdicts
-        ),
-        out,
-    )
-    print(f"verdicts written to {out}")
-    if failures:
-        print(f"{failures}/{len(seeds)} fleetd-chaos runs FAILED",
-              file=sys.stderr)
-        return 1
-    print(f"all {len(seeds)} fleetd-chaos runs passed")
-    return 0
+        label, topology = "fleetd-chaos", FLEETD_TOPOLOGY
+        configs = [
+            FleetdChaosConfig(seed=seed,
+                              controller_faults=args.controller_faults,
+                              worker_faults=args.worker_faults, **knobs)
+            for seed in seeds
+        ]
+    else:
+        label, topology = "chaos", HOST_TOPOLOGY
+        configs = [
+            ChaosConfig(seed=seed, ram_gb=args.ram_gb, ncpu=args.ncpu,
+                        extra_events=args.extra_events, **knobs)
+            for seed in seeds
+        ]
+    out = args.out if args.out else f"chaos-{topology.mode}-verdict.json"
+    return _run_chaos_verb(label, topology, configs, out=out)
 
 
 def _cmd_fleet(args) -> int:
@@ -812,15 +751,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep several seeds; nonzero exit on any FAIL")
     chaos.add_argument("--duration", type=float, default=None,
                        help="simulated seconds per run (default 900; "
-                            "240 with --fleet)")
+                            "240 with --fleet, 420 with --fleetd)")
     chaos.add_argument("--ram-gb", type=float, default=1.0)
     chaos.add_argument("--ncpu", type=int, default=8)
     chaos.add_argument("--extra-events", type=int, default=6,
                        help="random fault windows beyond the guaranteed "
                             "breaker storm")
-    chaos.add_argument("--hang-timeout", type=float, default=20.0,
-                       help="supervisor hang-kill threshold in simulated "
-                            "seconds (default 20)")
     chaos.add_argument("--fleet", action="store_true",
                        help="storm a parallel fleet with worker "
                             "crash/hang/slow faults and assert the "
@@ -838,10 +774,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="controller fault events per --fleetd "
                             "storm (default 3)")
     chaos.add_argument("--out", default=None, metavar="PATH",
-                       help="where --fleet/--fleetd write the "
-                            "versioned verdict JSON (default "
-                            "chaos-fleet-verdict.json / "
-                            "chaos-fleetd-verdict.json)")
+                       help="where the versioned verdict JSON is "
+                            "written (default chaos-host-verdict.json, "
+                            "chaos-fleet-verdict.json with --fleet, "
+                            "chaos-fleetd-verdict.json with --fleetd)")
 
     fleet = sub.add_parser(
         "fleet",

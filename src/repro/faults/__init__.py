@@ -12,24 +12,26 @@ This package makes those conditions first-class and *reproducible*:
   fault seams (``DeviceFaultState``, ``ControlFsFaultState``, the PSI
   telemetry freeze, the host workload-event hooks) and records every
   injection as ``faults/*`` metrics.
-* :mod:`repro.faults.chaos` — the chaos harness: build a host, run a
-  seeded fault schedule under the invariant checker, and report
-  whether the system degraded gracefully (no crash, no accounting
-  corruption, breaker opens *and* re-closes, throughput recovers).
+* :mod:`repro.faults.chaos` — the one chaos driver: a storm (seed,
+  topology, fault plan) runs as several variants, and one
+  :class:`ChaosVerdict` judges the same contracts on every topology —
+  determinism, query-neutrality, crash-equivalence — plus the
+  topology's graceful-degradation checks. The ``host`` and ``fleet``
+  topologies live there, ``fleetd``'s in :mod:`repro.fleetd.chaos`.
 
 See docs/RESILIENCE.md for the fault taxonomy and the controller
 hardening this package exercises.
 """
 
 from repro.faults.chaos import (
+    CONTRACTS,
+    FLEET_TOPOLOGY,
+    HOST_TOPOLOGY,
     ChaosConfig,
-    ChaosReport,
-    CrashEquivalenceReport,
+    ChaosVerdict,
     FleetChaosConfig,
-    FleetChaosReport,
-    run_chaos,
-    run_crash_equivalence,
-    run_fleet_chaos,
+    Topology,
+    run_storm,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -49,12 +51,12 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",
+    "CONTRACTS",
+    "FLEET_TOPOLOGY",
+    "HOST_TOPOLOGY",
     "ChaosConfig",
-    "ChaosReport",
-    "CrashEquivalenceReport",
+    "ChaosVerdict",
     "FleetChaosConfig",
-    "FleetChaosReport",
-    "run_chaos",
-    "run_crash_equivalence",
-    "run_fleet_chaos",
+    "Topology",
+    "run_storm",
 ]

@@ -1,42 +1,48 @@
-"""The chaos harness: seeded fault storms under full invariant checking.
+"""One chaos driver: seeded fault storms judged by one contract set.
 
-``run_chaos(ChaosConfig(seed=N))`` builds a small host (SSD-backed swap,
-hardened Senpai with an eager circuit breaker, oomd, the fault
-injector installed first), runs a seed-derived fault schedule with the
-:class:`~repro.sim.invariants.InvariantChecker` enabled on every tick,
-and returns a :class:`ChaosReport` stating whether the system degraded
-*gracefully*:
+A storm is a seed, a topology and a fault plan. A topology is what the
+storm hits — one chaos ``host``, a parallel ``fleet`` or the ``fleetd``
+control plane — and supplies a :class:`Topology`: one
+``run(config, variant) -> (digest, facts, error)`` and its named
+graceful-degradation checks. :func:`run_storm` runs every variant the
+contracts name, compares their digests and returns one
+:class:`ChaosVerdict`. Every topology is held to the same contracts:
 
-* no unhandled exception escaped the run (invariant violations raise,
-  so accounting corruption fails this too);
-* every scheduled fault was injected and is visible in ``faults/*``;
-* the circuit breaker demonstrably opened and re-closed;
-* throughput in the quiet recovery tail is a bounded fraction of the
-  pre-fault baseline.
+* ``determinism`` — the same storm, run twice, digests identically;
+* ``query_neutrality`` — a run read through the topology's own read
+  surface digests like a quiet one: observing changes nothing;
+* ``crash_equivalence`` — a run killed and recovered from its
+  checkpoint digests like an uninterrupted one (not applicable where
+  the topology keeps no checkpoint).
 
-The report also carries SHA-256 digests of the fault plan and of every
-recorded metric series: two runs with the same seed must produce
-byte-identical digests, which the pytest suite and CI assert.
+``passed`` is ``not failures()``, so a failing verdict always names a
+reason. Verdicts are written in one versioned envelope
+(:func:`chaos_verdict_document`). The ``host`` and ``fleet``
+topologies live here; ``fleetd``'s lives in :mod:`repro.fleetd.chaos`.
 
-CLI: ``python -m repro chaos --seed N`` (see :mod:`repro.cli`).
+CLI: ``python -m repro chaos [--fleet | --fleetd]`` and
+``python -m repro crash-equivalence`` (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+import math
+from dataclasses import asdict, dataclass, field
+from typing import (
+    Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union,
+)
 
+from repro.analysis.workingset import WorkingSetProfiler
+from repro.checkpoint.snapshot import dump_envelope, parse_document
 from repro.core.oomd import Oomd, OomdConfig
 from repro.core.senpai import Senpai, SenpaiConfig
 from repro.core.supervisor import Supervisor, SupervisorConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import RECOVERY_TAIL_FRAC, FaultPlan
 from repro.sim.host import Host, HostConfig
-# Re-exported: the digest implementation lives next to the recorder it
-# hashes, but chaos callers historically import it from here.
-from repro.sim.metrics import metrics_digest  # noqa: F401
+from repro.sim.metrics import metrics_digest
 from repro.workloads.access import HeatBands
 from repro.workloads.apps import AppProfile
 from repro.workloads.base import Workload
@@ -44,10 +50,199 @@ from repro.workloads.base import Workload
 _MB = 1 << 20
 _GB = 1 << 30
 
+#: The contract set every verdict carries, in report order.
+CONTRACTS = ("determinism", "query_neutrality", "crash_equivalence")
+
+#: The topologies a verdict envelope may name.
+CHAOS_MODES = ("host", "fleet", "fleetd")
+
+#: ``(digest, facts, error)`` from one run of one storm variant.
+Run = Tuple[str, Dict[str, Any], Optional[str]]
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One named line of a verdict: a digest contract or a check."""
+
+    passed: bool
+    detail: str
+    #: False for a contract the topology has no witness for.
+    applicable: bool = True
+
+
+@dataclass(frozen=True)
+class Topology:
+    """What one topology supplies to the driver."""
+
+    mode: str
+    #: ``run(config, variant) -> (digest, facts, error)``; never raises.
+    run: Callable[[Any, str], Run]
+    #: ``checks(config, facts_by_variant) -> {name: Gate}``: the
+    #: topology's graceful-degradation checks.
+    checks: Callable[[Any, Mapping[str, Dict[str, Any]]], Dict[str, Gate]]
+    #: Contract -> the two variants whose digests must agree (for
+    #: ``query_neutrality`` the reading variant first), or the reason
+    #: the topology has no witness for it.
+    contracts: Mapping[str, Union[Tuple[str, str], str]]
+
+    @property
+    def variants(self) -> Tuple[str, ...]:
+        """Every variant a contract names, in first-use order; the first
+        is the primary run whose digest the verdict reports."""
+        seen: Dict[str, None] = {}
+        for witnesses in self.contracts.values():
+            if isinstance(witnesses, tuple):
+                seen.update(dict.fromkeys(witnesses))
+        return tuple(seen)
+
+
+@dataclass
+class ChaosVerdict:
+    """One storm's outcome: named contracts plus named checks."""
+
+    mode: str
+    seed: int
+    contracts: Dict[str, Gate] = field(default_factory=dict)
+    checks: Dict[str, Gate] = field(default_factory=dict)
+    #: Variant -> its digest, primary variant first.
+    digests: Dict[str, str] = field(default_factory=dict)
+    #: Variant -> what its run observed (JSON-clean).
+    facts: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: Variant -> the exception (repr) that escaped its run.
+    errors: Dict[str, str] = field(default_factory=dict)
+
+    @property
+    def digest(self) -> str:
+        """The primary run's digest."""
+        return next(iter(self.digests.values()), "")
+
+    def failures(self) -> Tuple[str, ...]:
+        """Why the verdict failed (empty if it passed)."""
+        reasons = [
+            f"unhandled error in {variant} run: {error}"
+            for variant, error in self.errors.items()
+        ]
+        for name, gate in {**self.contracts, **self.checks}.items():
+            if not gate.passed:
+                reasons.append(f"{name}: {gate.detail}")
+        return tuple(reasons)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures()
+
+    def to_json(self) -> Dict[str, Any]:
+        """JSON-clean verdict (one entry of the artifact envelope)."""
+        return {
+            "seed": self.seed,
+            "passed": self.passed,
+            "digest": self.digest,
+            "contracts": {k: asdict(g) for k, g in self.contracts.items()},
+            "checks": {k: asdict(g) for k, g in self.checks.items()},
+            "digests": dict(self.digests),
+            "facts": {k: dict(f) for k, f in self.facts.items()},
+            "errors": dict(self.errors),
+            "failures": list(self.failures()),
+        }
+
+
+def _contract(
+    name: str,
+    witnesses: Union[Tuple[str, str], str],
+    runs: Mapping[str, Run],
+) -> Gate:
+    if isinstance(witnesses, str):
+        return Gate(True, witnesses, applicable=False)
+    a, b = witnesses
+    da, db = (runs[v][0] if v in runs else "" for v in witnesses)
+    missing = [v for v, d in ((a, da), (b, db)) if not d]
+    if missing:
+        return Gate(False, f"no digest from the {' or '.join(missing)} run")
+    if name == "query_neutrality":
+        reads = runs[a][1].get("reads", 0)
+        if not reads:
+            return Gate(False, f"the {a} run made no reads")
+        a = f"{a} ({reads} reads)"
+    if da != db:
+        return Gate(False, f"{a} {da[:16]} != {b} {db[:16]}")
+    return Gate(True, f"{a} == {b}")
+
+
+def judge(
+    topology: Topology, config: Any, runs: Mapping[str, Run]
+) -> ChaosVerdict:
+    """Assemble the verdict from whatever runs completed.
+
+    A variant missing from ``runs`` fails every contract it witnesses,
+    so even an empty verdict names its reasons.
+    """
+    facts = {v: runs[v][1] for v in topology.variants if v in runs}
+    return ChaosVerdict(
+        mode=topology.mode,
+        seed=config.seed,
+        contracts={
+            name: _contract(name, topology.contracts[name], runs)
+            for name in CONTRACTS
+        },
+        checks=topology.checks(config, facts),
+        digests={v: runs[v][0] for v in topology.variants if v in runs},
+        facts=facts,
+        errors={
+            v: runs[v][2] for v in topology.variants
+            if v in runs and runs[v][2] is not None
+        },
+    )
+
+
+def run_storm(topology: Topology, config: Any) -> ChaosVerdict:
+    """Run every variant of one storm and judge it; never raises for
+    in-run failures (they land in the verdict)."""
+    return judge(topology, config, {
+        variant: topology.run(config, variant)
+        for variant in topology.variants
+    })
+
+
+def format_verdict(verdict: ChaosVerdict, label: str) -> str:
+    """Render one verdict for the CLI."""
+    status = "PASS" if verdict.passed else "FAIL"
+    lines = [
+        f"{label} seed={verdict.seed}: {status} "
+        f"(digest {verdict.digest[:16] or 'none'})"
+    ]
+    for name, gate in {**verdict.contracts, **verdict.checks}.items():
+        mark = "n/a" if not gate.applicable else (
+            "ok" if gate.passed else "FAIL"
+        )
+        lines.append(f"  {mark:<4} {name}: {gate.detail}")
+    for variant, error in verdict.errors.items():
+        lines.append(f"  !! unhandled error in {variant} run: {error}")
+    return "\n".join(lines)
+
+
+def _plan_digest(plan: FaultPlan) -> str:
+    return hashlib.sha256(plan.digest_text().encode()).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# topology: one chaos host
+
+
+#: Supervisor hang-kill threshold of the supervised scenario: a
+#: controller silent this long is declared hung and restarted.
+_SUPERVISED_HANG_TIMEOUT_S = 20.0
+
+#: Simulated seconds between read probes in a queried host run.
+_PROBE_EVERY_S = 30.0
+
+#: Declared, but recorded by no chaos host: reading it must not
+#: register it.
+_UNRECORDED_METRIC = "fleetd/generation"
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One chaos run's parameters. Everything derives from ``seed``."""
+    """One host storm's parameters. Everything derives from ``seed``."""
 
     seed: int
     duration_s: float = 900.0
@@ -66,72 +261,6 @@ class ChaosConfig:
     #: Controller crash/hang events appended to the plan (these draws
     #: never perturb the base schedule of a seed).
     controller_faults: int = 0
-    #: Supervisor hang-kill threshold for the supervised scenario: a
-    #: controller silent for this long is declared hung and restarted.
-    hang_timeout_s: float = 20.0
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one chaos run."""
-
-    seed: int
-    duration_s: float
-    #: Exception that escaped the run loop, if any (repr), else None.
-    unhandled_error: Optional[str] = None
-    #: Faults injected per kind (from the injector's counters).
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    #: Scheduled events versus injected activations.
-    scheduled_events: int = 0
-    injected_events: int = 0
-    breaker_opened: bool = False
-    breaker_reclosed: bool = False
-    senpai_stale_skips: int = 0
-    senpai_error_skips: int = 0
-    swap_faults: int = 0
-    fs_faults: int = 0
-    oom_ticks: int = 0
-    rps_head: float = 0.0
-    rps_tail: float = 0.0
-    #: SHA-256 of the fault plan's canonical text.
-    plan_digest: str = ""
-    #: SHA-256 over every metric series (times and values).
-    series_digest: str = ""
-
-    @property
-    def rps_recovery(self) -> float:
-        """Tail throughput as a fraction of the pre-fault baseline."""
-        if self.rps_head <= 0.0:
-            return 0.0
-        return self.rps_tail / self.rps_head
-
-    def passed(self, config: ChaosConfig) -> bool:
-        """The graceful-degradation verdict for this run."""
-        return (
-            self.unhandled_error is None
-            and self.injected_events > 0
-            and self.breaker_opened
-            and self.breaker_reclosed
-            and self.rps_recovery >= config.min_rps_recovery
-        )
-
-    def failures(self, config: ChaosConfig) -> Tuple[str, ...]:
-        """Human-readable reasons the verdict failed (empty if passed)."""
-        reasons = []
-        if self.unhandled_error is not None:
-            reasons.append(f"unhandled error: {self.unhandled_error}")
-        if self.injected_events == 0:
-            reasons.append("no fault was injected")
-        if not self.breaker_opened:
-            reasons.append("circuit breaker never opened")
-        if not self.breaker_reclosed:
-            reasons.append("circuit breaker never re-closed")
-        if self.rps_recovery < config.min_rps_recovery:
-            reasons.append(
-                f"throughput recovered to {self.rps_recovery:.2f} "
-                f"< {config.min_rps_recovery:.2f} of baseline"
-            )
-        return tuple(reasons)
 
 
 def _chaos_profile(config: ChaosConfig) -> AppProfile:
@@ -180,10 +309,8 @@ def build_chaos_host(config: ChaosConfig) -> Tuple[Host, FaultInjector, object]:
         stale_after_s=20.0,
     ))
     if config.supervised:
-        # The returned handle is the supervisor; report readers unwrap
-        # its (possibly restarted) inner controller at read time.
         senpai = host.add_controller(Supervisor(senpai, SupervisorConfig(
-            hang_timeout_s=config.hang_timeout_s,
+            hang_timeout_s=_SUPERVISED_HANG_TIMEOUT_S,
             persist_interval_s=30.0,
             restart_backoff_s=6.0,
             restart_backoff_max_s=60.0,
@@ -196,156 +323,142 @@ def build_chaos_host(config: ChaosConfig) -> Tuple[Host, FaultInjector, object]:
     return host, injector, senpai
 
 
+def _probe(host: Host) -> None:
+    """One round of the host's read surface (the reads Senpai-side
+    tooling, rollups and reports make); it must leave no trace."""
+    from repro.fleetd.rollup import ROLLUP_SIGNALS  # fleetd imports faults
+
+    now = host.clock.now
+    for suffix in ROLLUP_SIGNALS.values():
+        host.metrics.read_window(f"app/{suffix}", now - _PROBE_EVERY_S, now)
+    host.metrics.summary()
+    host.metrics.series(_UNRECORDED_METRIC)
+    WorkingSetProfiler().record_from_host(host, "app", now)
 
 
-def run_chaos(config: ChaosConfig) -> ChaosReport:
-    """Run one seeded chaos scenario; never raises for in-run failures."""
-    host, injector, senpai = build_chaos_host(config)
-    report = ChaosReport(seed=config.seed, duration_s=config.duration_s)
-    report.scheduled_events = len(injector.plan.events)
-    report.plan_digest = hashlib.sha256(
-        injector.plan.digest_text().encode()
-    ).hexdigest()
-    try:
-        host.run(config.duration_s)
-    except Exception as exc:
-        # The whole point of the harness: a crash (including an
-        # invariant violation) is a *finding*, reported, not raised.
-        report.unhandled_error = repr(exc)
+def _restored_host(config: ChaosConfig) -> Host:
+    """The quiet run killed at ``round(duration/2)``: only its
+    serialized text survives, re-parsed and restored, then run on."""
+    checkpoint_at_s = float(round(config.duration_s / 2.0))
+    victim, _, _ = build_chaos_host(config)
+    victim.run(checkpoint_at_s)
+    text = dump_envelope(victim.snapshot())
+    del victim
+    restored = Host.restore(parse_document(text))
+    restored.run(config.duration_s - checkpoint_at_s)
+    return restored
 
-    report.fault_counts = dict(injector.injected)
-    report.injected_events = sum(injector.injected.values())
-    if isinstance(senpai, Supervisor):
-        senpai = senpai.controller
-    report.breaker_opened = senpai.breaker_open_count > 0
-    report.breaker_reclosed = senpai.breaker_reclose_count > 0
-    report.senpai_stale_skips = senpai.stale_skips
-    report.senpai_error_skips = senpai.error_skips
-    report.swap_faults = host.mm.swap_fault_count
-    report.fs_faults = host.mm.fs_fault_count
 
+def _host_facts(host: Host, config: ChaosConfig) -> Dict[str, Any]:
+    facts: Dict[str, Any] = {}
+    for controller in host.controllers():
+        if isinstance(controller, FaultInjector):
+            facts["plan_digest"] = _plan_digest(controller.plan)
+            facts["scheduled_events"] = len(controller.plan.events)
+            facts["fault_counts"] = dict(controller.injected)
+            facts["injected_events"] = sum(controller.injected.values())
+        if isinstance(controller, Supervisor):
+            facts["supervisor_crashes"] = controller.crash_count
+            facts["supervisor_hang_kills"] = controller.hang_kill_count
+            facts["supervisor_restarts"] = controller.restart_count
+            controller = controller.controller
+        if isinstance(controller, Senpai):
+            facts["breaker_opens"] = controller.breaker_open_count
+            facts["breaker_recloses"] = controller.breaker_reclose_count
+            facts["senpai_stale_skips"] = controller.stale_skips
+            facts["senpai_error_skips"] = controller.error_skips
     rps = host.metrics.series("app/rps")
     head = rps.window(0.0, 0.15 * config.duration_s)
     tail = rps.window(
         RECOVERY_TAIL_FRAC * config.duration_s, config.duration_s + 1.0
     )
-    report.rps_head = head.mean() if len(head) else 0.0
-    report.rps_tail = tail.mean() if len(tail) else 0.0
-    oom = host.metrics.series("app/oom")
-    report.oom_ticks = int(sum(oom.values))
-    report.series_digest = metrics_digest(host.metrics)
-    return report
+    facts["rps_head"] = head.mean() if len(head) else 0.0
+    facts["rps_tail"] = tail.mean() if len(tail) else 0.0
+    facts["oom_ticks"] = int(sum(host.metrics.series("app/oom").values))
+    facts["swap_faults"] = host.mm.swap_fault_count
+    facts["fs_faults"] = host.mm.fs_fault_count
+    return facts
 
 
-@dataclass
-class CrashEquivalenceReport:
-    """Outcome of one checkpoint → kill → restore → continue experiment.
-
-    The claim under test (docs/RESILIENCE.md, "Recovery"): restoring a
-    snapshot and continuing is indistinguishable — down to the SHA-256
-    of every metric series — from never having crashed.
-    """
-
-    seed: int
-    duration_s: float
-    checkpoint_at_s: float
-    #: Payload digest of the mid-run snapshot.
-    snapshot_digest: str = ""
-    #: Metric-series digest of the uninterrupted control run.
-    uninterrupted_digest: str = ""
-    #: Metric-series digest of the kill+restore run.
-    restored_digest: str = ""
-    supervisor_crashes: int = 0
-    supervisor_hang_kills: int = 0
-    supervisor_restarts: int = 0
-    #: Exception that escaped either run (repr), else None.
-    error: Optional[str] = None
-
-    @property
-    def equivalent(self) -> bool:
-        """Whether the two runs produced byte-identical metric series."""
-        return (
-            self.error is None
-            and self.uninterrupted_digest != ""
-            and self.uninterrupted_digest == self.restored_digest
-        )
-
-
-def run_crash_equivalence(config: ChaosConfig) -> CrashEquivalenceReport:
-    """Prove (or refute) crash equivalence for one seed.
-
-    Runs the scenario twice: once uninterrupted, and once killed at the
-    midpoint — the host serialized to text, discarded, re-parsed and
-    restored through the full envelope validation path — then continued
-    to the same end time. Never raises for in-run failures.
-    """
-    checkpoint_at_s = float(round(config.duration_s / 2.0))
-    report = CrashEquivalenceReport(
-        seed=config.seed,
-        duration_s=config.duration_s,
-        checkpoint_at_s=checkpoint_at_s,
-    )
+def _run_host(config: ChaosConfig, variant: str) -> Run:
+    """``queried``/``rerun`` probe every 30 simulated seconds,
+    ``quiet`` only runs, ``restored`` is the quiet run killed and
+    restored at its midpoint."""
+    facts: Dict[str, Any] = {"reads": 0}
     try:
-        control, _, _ = build_chaos_host(config)
-        control.run(config.duration_s)
-        report.uninterrupted_digest = metrics_digest(control.metrics)
-
-        victim, _, _ = build_chaos_host(config)
-        victim.run(checkpoint_at_s)
-        envelope = victim.snapshot()
-        report.snapshot_digest = envelope["digest"]
-        # The kill: everything live is dropped; only the serialized
-        # text survives, exactly as a process death would leave it.
-        from repro.checkpoint.snapshot import dump_envelope, parse_document
-
-        text = dump_envelope(envelope)
-        del victim, envelope
-        restored = Host.restore(parse_document(text))
-        restored.run(config.duration_s - checkpoint_at_s)
-        report.restored_digest = metrics_digest(restored.metrics)
-
-        for controller in restored.controllers():
-            if isinstance(controller, Supervisor):
-                report.supervisor_crashes = controller.crash_count
-                report.supervisor_hang_kills = controller.hang_kill_count
-                report.supervisor_restarts = controller.restart_count
+        if variant == "restored":
+            host = _restored_host(config)
+        else:
+            host, _, _ = build_chaos_host(config)
+            if variant == "quiet":
+                host.run(config.duration_s)
+            else:
+                rounds = int(config.duration_s // _PROBE_EVERY_S)
+                for _ in range(rounds):
+                    host.run(_PROBE_EVERY_S)
+                    _probe(host)
+                    facts["reads"] += 1
+                rest = config.duration_s - rounds * _PROBE_EVERY_S
+                if rest > 0:
+                    host.run(rest)
+        digest = metrics_digest(host.metrics)
+        facts.update(_host_facts(host, config))
     except Exception as exc:
-        report.error = repr(exc)
-    return report
+        # A crash (invariant violations included) is a finding.
+        return "", facts, repr(exc)
+    return digest, facts, None
 
 
-def format_crash_equivalence(report: CrashEquivalenceReport) -> str:
-    """Render one crash-equivalence report for the CLI."""
-    status = "PASS" if report.equivalent else "FAIL"
-    lines = [
-        f"crash-equivalence seed={report.seed}: {status}",
-        f"  kill+restore at t={report.checkpoint_at_s:.0f}s "
-        f"of {report.duration_s:.0f}s "
-        f"(snapshot {report.snapshot_digest[:16]})",
-        f"  uninterrupted: {report.uninterrupted_digest[:16]}",
-        f"  restored:      {report.restored_digest[:16]}",
-        f"  supervisor: crashes={report.supervisor_crashes} "
-        f"hang_kills={report.supervisor_hang_kills} "
-        f"restarts={report.supervisor_restarts}",
-    ]
-    if report.error is not None:
-        lines.append(f"  !! unhandled error: {report.error}")
-    elif not report.equivalent:
-        lines.append("  !! metric series diverged after restore")
-    return "\n".join(lines)
+def _host_checks(
+    config: ChaosConfig, facts: Mapping[str, Dict[str, Any]]
+) -> Dict[str, Gate]:
+    seen = facts.get("queried", {})
+    injected = seen.get("injected_events", 0)
+    counts = ", ".join(
+        f"{k}={v}" for k, v in sorted(seen.get("fault_counts", {}).items())
+    )
+    opens = seen.get("breaker_opens", 0)
+    recloses = seen.get("breaker_recloses", 0)
+    head = seen.get("rps_head", 0.0)
+    recovery = seen.get("rps_tail", 0.0) / head if head > 0 else 0.0
+    return {
+        "faults_injected": Gate(
+            injected > 0,
+            f"{injected}/{seen.get('scheduled_events', 0)} scheduled "
+            f"events injected ({counts or 'none'})",
+        ),
+        "breaker": Gate(
+            opens > 0 and recloses > 0,
+            f"opened {opens}x, re-closed {recloses}x",
+        ),
+        "rps_recovery": Gate(
+            recovery >= config.min_rps_recovery,
+            f"tail/head throughput {recovery:.2f} "
+            f"(floor {config.min_rps_recovery:.2f})",
+        ),
+    }
+
+
+HOST_TOPOLOGY = Topology(
+    mode="host",
+    run=_run_host,
+    checks=_host_checks,
+    contracts={
+        "determinism": ("queried", "rerun"),
+        "query_neutrality": ("queried", "quiet"),
+        "crash_equivalence": ("quiet", "restored"),
+    },
+)
+
+
+# ----------------------------------------------------------------------
+# topology: a parallel fleet
 
 
 @dataclass(frozen=True)
 class FleetChaosConfig:
-    """One fleet-scale chaos storm's parameters.
-
-    A control fleet runs fault-free and serial; a faulted fleet runs
-    the same plans in parallel under a seed-derived storm of
-    ``worker_crash`` / ``worker_hang`` / ``worker_slow`` events. The
-    verdict (:class:`FleetChaosReport`) asserts graceful degradation:
-    every planned host completes or is recovered, and the recovered
-    fleet's merged metric digest equals the uninterrupted fleet's.
-    """
+    """One fleet storm's parameters: a seed-derived storm of
+    ``worker_crash`` / ``worker_hang`` / ``worker_slow`` events."""
 
     seed: int
     duration_s: float = 240.0
@@ -361,263 +474,141 @@ class FleetChaosConfig:
     deadline_per_sim_s: float = 0.25
 
 
-@dataclass
-class FleetChaosReport:
-    """Outcome of one fleet-scale chaos storm."""
+def _run_fleet(config: FleetChaosConfig, variant: str) -> Run:
+    """``control``/``rerun``: serial, fault-free, spool off.
+    ``spooled``: the control spooling every ``checkpoint_every_s``, at
+    least once mid-run (the spool is the fleet's one mid-run read).
+    ``faulted``: parallel under the worker storm, recovering hosts from
+    their spools."""
+    from repro.core.fleet import Fleet, HostPlan
+    from repro.core.fleetres import FleetResilienceConfig
 
-    seed: int
-    duration_s: float
-    planned_hosts: int = 0
-    completed_hosts: int = 0
-    recovered_hosts: int = 0
-    quarantined_hosts: int = 0
-    #: Merged metric digest of the fault-free serial control fleet.
-    control_digest: str = ""
-    #: Merged metric digest of the faulted parallel fleet.
-    faulted_digest: str = ""
-    #: Per-host digest mismatches, ``"app#index: control != faulted"``.
-    mismatches: Tuple[str, ...] = ()
-    #: Quarantine repro hints (one line per failed host).
-    quarantine_hints: Tuple[str, ...] = ()
-    #: Worker fault events scheduled, per kind.
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    #: SHA-256 of the fault plan's canonical text.
-    plan_digest: str = ""
-    #: Exception that escaped either rollout (repr), else None.
-    error: Optional[str] = None
-
-    @property
-    def passed(self) -> bool:
-        """The fleet graceful-degradation verdict."""
-        return (
-            self.error is None
-            and self.planned_hosts > 0
-            and self.completed_hosts == self.planned_hosts
-            and self.quarantined_hosts == 0
-            and not self.mismatches
-            and self.control_digest != ""
-            and self.control_digest == self.faulted_digest
-        )
-
-    def failures(self) -> Tuple[str, ...]:
-        """Human-readable reasons the verdict failed (empty if passed)."""
-        reasons = []
-        if self.error is not None:
-            reasons.append(f"unhandled error: {self.error}")
-        if self.completed_hosts < self.planned_hosts:
-            reasons.append(
-                f"only {self.completed_hosts}/{self.planned_hosts} "
-                "planned hosts completed"
-            )
-        if self.quarantined_hosts:
-            reasons.append(
-                f"{self.quarantined_hosts} host(s) quarantined"
-            )
-        for mismatch in self.mismatches:
-            reasons.append(f"digest mismatch: {mismatch}")
-        if (
-            not self.mismatches
-            and self.control_digest != self.faulted_digest
-        ):
-            reasons.append("merged fleet digests diverged")
-        return tuple(reasons)
-
-    def to_json(self) -> Dict[str, object]:
-        """JSON-clean verdict document (the CI artifact)."""
-        return {
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "passed": self.passed,
-            "planned_hosts": self.planned_hosts,
-            "completed_hosts": self.completed_hosts,
-            "recovered_hosts": self.recovered_hosts,
-            "quarantined_hosts": self.quarantined_hosts,
-            "control_digest": self.control_digest,
-            "faulted_digest": self.faulted_digest,
-            "mismatches": list(self.mismatches),
-            "quarantine_hints": list(self.quarantine_hints),
-            "fault_counts": dict(self.fault_counts),
-            "plan_digest": self.plan_digest,
-            "error": self.error,
-            "failures": list(self.failures()),
-        }
-
-
-def _fleet_chaos_plans(config: FleetChaosConfig):
-    """The planned host mix for one fleet storm (small but mixed)."""
-    from repro.core.fleet import HostPlan
-
-    return [
+    facts: Dict[str, Any] = {"reads": 0}
+    plans = [
         HostPlan(app="Feed", count=2, size_scale=config.size_scale),
         HostPlan(app="Web", count=1, size_scale=config.size_scale),
     ]
-
-
-def run_fleet_chaos(config: FleetChaosConfig) -> FleetChaosReport:
-    """Storm a parallel fleet; assert graceful degradation.
-
-    Runs the same planned hosts twice: a serial fault-free control, and
-    a parallel rollout under a seed-derived worker-fault storm with the
-    resilience runtime recovering crashed/hung hosts from their spooled
-    checkpoints. Never raises for in-run failures.
-    """
-    from repro.core.fleet import Fleet
-    from repro.core.fleetres import FleetResilienceConfig
-    from repro.sim.host import HostConfig
-
-    report = FleetChaosReport(
-        seed=config.seed, duration_s=config.duration_s,
+    planned = sum(plan.count for plan in plans)
+    fleet = Fleet(
+        base_config=HostConfig(ram_gb=0.25, page_size_bytes=1 * _MB, ncpu=4),
+        seed=config.seed,
     )
     try:
-        base = HostConfig(
-            ram_gb=0.25, page_size_bytes=1 * _MB, ncpu=4,
+        if variant == "faulted":
+            fault_plan = FaultPlan.generate(
+                config.seed, config.duration_s, extra_events=0,
+                worker_faults=config.worker_faults, fleet_hosts=planned,
+            )
+            counts: Dict[str, int] = {}
+            for event in fault_plan.events:
+                if event.target.startswith("host:"):
+                    counts[event.kind] = counts.get(event.kind, 0) + 1
+            facts["fault_counts"] = counts
+            facts["plan_digest"] = _plan_digest(fault_plan)
+            result = fleet.run(
+                plans, config.duration_s, workers=config.workers,
+                resilience=FleetResilienceConfig(
+                    max_attempts=config.max_attempts,
+                    retry_backoff_s=0.05,
+                    retry_backoff_max_s=0.5,
+                    deadline_min_s=config.deadline_min_s,
+                    deadline_per_sim_s=config.deadline_per_sim_s,
+                    checkpoint_every_s=config.checkpoint_every_s,
+                ),
+                fault_plan=fault_plan,
+            )
+        elif variant == "spooled":
+            # At least one mid-run spool per host, even in a storm no
+            # longer than the checkpoint interval.
+            every_s = min(config.checkpoint_every_s, config.duration_s / 2)
+            result = fleet.run(
+                plans, config.duration_s,
+                resilience=FleetResilienceConfig(checkpoint_every_s=every_s),
+            )
+            spools = math.ceil(config.duration_s / every_s) - 1
+            facts["reads"] = planned * spools
+        else:
+            result = fleet.run(plans, config.duration_s)
+        facts.update(
+            planned_hosts=result.planned_hosts,
+            completed_hosts=len(result.reports),
+            recovered_hosts=result.recovered_hosts,
+            quarantined_hosts=len(result.failed_hosts),
+            quarantine_hints=[f.repro_hint() for f in result.failed_hosts],
         )
-        plans = _fleet_chaos_plans(config)
-        planned = sum(plan.count for plan in plans)
-        report.planned_hosts = planned
-
-        control = Fleet(base_config=base, seed=config.seed).run(
-            plans, config.duration_s
-        )
-        report.control_digest = control.merged_digest()
-
-        fault_plan = FaultPlan.generate(
-            config.seed, config.duration_s, extra_events=0,
-            worker_faults=config.worker_faults, fleet_hosts=planned,
-        )
-        worker_events = [
-            ev for ev in fault_plan.events
-            if ev.target.startswith("host:")
-        ]
-        counts: Dict[str, int] = {}
-        for ev in worker_events:
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
-        report.fault_counts = counts
-        report.plan_digest = hashlib.sha256(
-            fault_plan.digest_text().encode()
-        ).hexdigest()
-
-        resilience = FleetResilienceConfig(
-            max_attempts=config.max_attempts,
-            retry_backoff_s=0.05,
-            retry_backoff_max_s=0.5,
-            deadline_min_s=config.deadline_min_s,
-            deadline_per_sim_s=config.deadline_per_sim_s,
-            checkpoint_every_s=config.checkpoint_every_s,
-        )
-        faulted = Fleet(base_config=base, seed=config.seed).run(
-            plans, config.duration_s, workers=config.workers,
-            resilience=resilience, fault_plan=fault_plan,
-        )
-        report.completed_hosts = len(faulted.reports)
-        report.recovered_hosts = faulted.recovered_hosts
-        report.quarantined_hosts = len(faulted.failed_hosts)
-        report.quarantine_hints = tuple(
-            failed.repro_hint() for failed in faulted.failed_hosts
-        )
-        report.faulted_digest = faulted.merged_digest()
-
-        control_by_host = {
-            (r.app, r.host_index): r.metrics_digest
-            for r in control.reports
-        }
-        mismatches = []
-        for r in faulted.reports:
-            expect = control_by_host.get((r.app, r.host_index))
-            if expect is not None and expect != r.metrics_digest:
-                mismatches.append(
-                    f"{r.app}#{r.host_index}: "
-                    f"{expect[:16]} != {r.metrics_digest[:16]}"
-                )
-        report.mismatches = tuple(mismatches)
     except Exception as exc:
-        report.error = repr(exc)
-    return report
+        return "", facts, repr(exc)
+    return result.merged_digest(), facts, None
 
 
-def format_fleet_chaos(report: FleetChaosReport) -> str:
-    """Render one fleet-chaos verdict for the CLI."""
-    status = "PASS" if report.passed else "FAIL"
-    counts = ", ".join(
-        f"{k}={v}" for k, v in sorted(report.fault_counts.items())
-    ) or "none"
-    lines = [
-        f"fleet-chaos seed={report.seed}: {status}",
-        f"  plan: {counts} over {report.planned_hosts} hosts "
-        f"(digest {report.plan_digest[:16]})",
-        f"  hosts: {report.completed_hosts}/{report.planned_hosts} "
-        f"completed, {report.recovered_hosts} recovered from "
-        f"checkpoints, {report.quarantined_hosts} quarantined",
-        f"  control digest: {report.control_digest[:16]}",
-        f"  faulted digest: {report.faulted_digest[:16]}",
-    ]
-    for hint in report.quarantine_hints:
-        lines.append(f"  !! quarantined: {hint}")
-    for reason in report.failures():
-        lines.append(f"  !! {reason}")
-    return "\n".join(lines)
+def _fleet_checks(
+    config: FleetChaosConfig, facts: Mapping[str, Dict[str, Any]]
+) -> Dict[str, Gate]:
+    seen = facts.get("faulted", {})
+    planned = seen.get("planned_hosts", 0)
+    completed = seen.get("completed_hosts", 0)
+    quarantined = seen.get("quarantined_hosts", 0)
+    return {
+        "hosts_completed": Gate(
+            planned > 0 and completed == planned,
+            f"{completed}/{planned} planned hosts completed, "
+            f"{seen.get('recovered_hosts', 0)} recovered from checkpoints",
+        ),
+        "none_quarantined": Gate(
+            quarantined == 0,
+            f"{quarantined} quarantined"
+            + "".join(f"; {h}" for h in seen.get("quarantine_hints", ())),
+        ),
+    }
 
 
-def format_report(report: ChaosReport, config: ChaosConfig) -> str:
-    """Render one report for the CLI."""
-    status = "PASS" if report.passed(config) else "FAIL"
-    lines = [
-        f"chaos seed={report.seed}: {status}",
-        f"  plan: {report.scheduled_events} events, "
-        f"digest {report.plan_digest[:16]}",
-        f"  injected: {report.injected_events} "
-        f"({', '.join(f'{k}={v}' for k, v in sorted(report.fault_counts.items())) or 'none'})",
-        f"  breaker: opened={report.breaker_opened} "
-        f"reclosed={report.breaker_reclosed}",
-        f"  senpai: stale_skips={report.senpai_stale_skips} "
-        f"error_skips={report.senpai_error_skips}",
-        f"  backend faults: swap={report.swap_faults} fs={report.fs_faults}",
-        f"  rps: head={report.rps_head:.1f} tail={report.rps_tail:.1f} "
-        f"recovery={report.rps_recovery:.2f}",
-        f"  oom ticks: {report.oom_ticks}",
-        f"  series digest: {report.series_digest[:16]}",
-    ]
-    for reason in report.failures(config):
-        lines.append(f"  !! {reason}")
-    return "\n".join(lines)
+FLEET_TOPOLOGY = Topology(
+    mode="fleet",
+    run=_run_fleet,
+    checks=_fleet_checks,
+    contracts={
+        "determinism": ("control", "rerun"),
+        "query_neutrality": ("spooled", "control"),
+        "crash_equivalence": ("faulted", "control"),
+    },
+)
 
 
 # ----------------------------------------------------------------------
 # the versioned chaos-verdict artifact
 
 
-#: Version of the ``chaos --fleet`` / ``chaos --fleetd`` verdict
-#: artifact (the CI upload). Bump on any incompatible envelope change;
-#: :func:`load_chaos_verdicts` refuses mismatched versions instead of
-#: misreading them.
-CHAOS_VERDICT_SCHEMA_VERSION = 1
+#: Version of the verdict artifact (the CI upload). Bump on any
+#: incompatible envelope change; :func:`load_chaos_verdicts` refuses
+#: mismatched versions instead of misreading them.
+#: v2: one envelope for every topology (mode ``host`` added), each
+#: verdict naming its ``contracts`` and ``checks``, with ``passed``
+#: derived from ``failures`` so a FAIL always names a reason.
+CHAOS_VERDICT_SCHEMA_VERSION = 2
 
 
 def chaos_verdict_document(
-    mode: str,
-    seeds: Sequence[int],
-    config: Dict[str, Any],
-    verdicts: Sequence[Dict[str, Any]],
+    mode: str, config: Dict[str, Any], verdicts: Sequence[ChaosVerdict]
 ) -> Dict[str, Any]:
     """Wrap per-seed verdicts in the versioned artifact envelope.
 
-    The envelope carries provenance — which seeds and which storm
-    configuration produced the verdicts — so an archived artifact is
-    reproducible on its own, like the BENCH_*.json reports.
+    ``config`` is the storm configuration shared by every seed, so an
+    archived artifact is reproducible on its own.
     """
-    if mode not in ("fleet", "fleetd"):
+    if mode not in CHAOS_MODES:
         raise ValueError(f"unknown chaos verdict mode {mode!r}")
-    if len(verdicts) != len(seeds):
-        raise ValueError(
-            f"{len(verdicts)} verdicts for {len(seeds)} seeds"
-        )
+    for verdict in verdicts:
+        if verdict.mode != mode:
+            raise ValueError(
+                f"a {verdict.mode} verdict in a {mode} document"
+            )
     return {
         "schema_version": CHAOS_VERDICT_SCHEMA_VERSION,
         "kind": "chaos-verdict",
         "mode": mode,
-        "seeds": [int(seed) for seed in seeds],
+        "seeds": [verdict.seed for verdict in verdicts],
         "config": dict(config),
-        "verdicts": [dict(v) for v in verdicts],
+        "verdicts": [verdict.to_json() for verdict in verdicts],
     }
 
 
@@ -644,7 +635,7 @@ def load_chaos_verdicts(path: str) -> Dict[str, Any]:
         raise ValueError(
             f"{path}: kind {document.get('kind')!r} is not a chaos "
             "verdict artifact (pre-versioning artifacts lack the "
-            "envelope; regenerate with `repro chaos --fleet/--fleetd`)"
+            "envelope; regenerate with `repro chaos --out PATH`)"
         )
     version = document.get("schema_version")
     if version != CHAOS_VERDICT_SCHEMA_VERSION:
@@ -652,7 +643,7 @@ def load_chaos_verdicts(path: str) -> Dict[str, Any]:
             f"{path}: schema_version {version!r} != "
             f"{CHAOS_VERDICT_SCHEMA_VERSION}"
         )
-    if document.get("mode") not in ("fleet", "fleetd"):
+    if document.get("mode") not in CHAOS_MODES:
         raise ValueError(
             f"{path}: unknown mode {document.get('mode')!r}"
         )
@@ -668,6 +659,16 @@ def load_chaos_verdicts(path: str) -> Dict[str, Any]:
         if not isinstance(verdict, dict) or "passed" not in verdict:
             raise ValueError(
                 f"{path}: verdict #{i} lacks a pass/fail outcome"
+            )
+        missing = set(CONTRACTS) - set(verdict.get("contracts", ()))
+        if missing:
+            raise ValueError(
+                f"{path}: verdict #{i} lacks contract(s) {sorted(missing)}"
+            )
+        if verdict["passed"] != (not verdict.get("failures")):
+            raise ValueError(
+                f"{path}: verdict #{i} passed={verdict['passed']} "
+                f"disagrees with its failures"
             )
     if not isinstance(document.get("config"), dict):
         raise ValueError(f"{path}: config provenance missing")

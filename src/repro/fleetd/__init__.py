@@ -28,10 +28,11 @@ This package is that production shape for the reproduction:
 * :mod:`repro.fleetd.server` / :mod:`repro.fleetd.client` — the socket
   control surface (newline-delimited JSON over a Unix domain socket)
   and its client, driven by the ``repro fleetd`` CLI verbs;
-* :mod:`repro.fleetd.chaos` — ``chaos --fleetd``: seeded rollout storms
-  under injected controller/host faults with a graceful-degradation
-  verdict (no host on a mixed policy generation, kill switch always
-  wins, deterministic digests per seed).
+* :mod:`repro.fleetd.chaos` — ``chaos --fleetd``: the control-plane
+  topology of the one chaos driver — seeded rollout storms under
+  injected controller/host faults, checked for a single policy
+  fleet-wide and a kill switch that always wins, plus the driver's
+  determinism and query-neutrality contracts.
 
 See docs/RESILIENCE.md, "Control plane".
 """

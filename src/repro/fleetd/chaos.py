@@ -1,4 +1,4 @@
-"""``chaos --fleetd``: rollout storms under injected faults.
+"""The ``fleetd`` chaos topology: rollout storms under injected faults.
 
 The storm drives one :class:`~repro.fleetd.engine.FleetdEngine`
 through a fixed choreography — register a small mixed fleet, start
@@ -10,32 +10,28 @@ re-admit a host while the fleet runs — while a seed-derived
 ``worker_hang`` faults into whole hosts (recovered through the
 fleetres spool path).
 
-The graceful-degradation verdict:
+:data:`FLEETD_TOPOLOGY` plugs the storm into the one chaos driver
+(:func:`repro.faults.chaos.run_storm`). Its variants are the
+``queried`` storm, which runs the read-only rollup/top queries at
+every control round, its ``rerun``, and a ``quiet`` storm that makes
+no queries. Its graceful-degradation checks:
 
-* no unhandled exception escaped the storm;
-* **no mixed policy**: every host ends on one single policy
-  generation — crashes, hangs, rollbacks and the kill switch
-  notwithstanding;
-* **the kill switch always wins**: it reverts the in-flight rollout,
-  empties the queue, and every later rollout attempt is refused;
-* every rollout record is terminal (nothing left ``running``);
-* **determinism**: the storm runs twice and both runs must produce
-  byte-identical outcome digests (rollout results, final generations,
-  per-host metric digests, recovery counts);
-* **query neutrality**: the storm interleaves read-only rollup
-  queries (``fleet_rollup`` + ``top_hosts``, envelope-encoded and
-  validated) at every control round; a third run makes *zero* queries
-  and must produce the same outcome digest — observing the fleet is
-  provably free of side effects on the metrics it reads.
+* **single policy**: every host ends on one policy spec — crashes,
+  hangs, rollbacks and the kill switch notwithstanding;
+* **rollouts terminal**: every rollout record ends succeeded, rolled
+  back or killed;
+* **kill switch**: it reverts the in-flight rollout, freezes the
+  fleet, and a later rollout attempt is refused.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Tuple
 
+from repro.faults.chaos import Gate, Run, Topology
 from repro.faults.plan import CONTROLLER_KINDS, FaultPlan
 from repro.fleetd.engine import FleetdConfig, FleetdEngine, FleetdError
 from repro.fleetd.policy import PolicySpec
@@ -75,151 +71,31 @@ class FleetdChaosConfig:
     #: Wedge length applied per ``worker_hang`` event.
     hang_wedge_s: float = 30.0
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "duration_s": self.duration_s,
-            "controller_faults": self.controller_faults,
-            "worker_faults": self.worker_faults,
-            "size_scale": self.size_scale,
-            "checkpoint_every_s": self.checkpoint_every_s,
-            "hang_wedge_s": self.hang_wedge_s,
-        }
+
+_TERMINAL = ("succeeded", "rolled_back", "killed")
 
 
-@dataclass
-class FleetdChaosReport:
-    """Outcome of one control-plane chaos storm."""
+def single_policy(
+    final_policies: Dict[str, Any], final_generations: Dict[str, int]
+) -> bool:
+    """No host left on a mixed/mid-rollout policy.
 
-    seed: int
-    hosts: int = 0
-    #: Rollout statuses in id order (terminal states only when healthy).
-    rollout_statuses: Tuple[str, ...] = ()
-    #: Final policy generation per host id.
-    final_generations: Dict[str, int] = field(default_factory=dict)
-    #: Final policy spec (wire form) per host id.
-    final_policies: Dict[str, Any] = field(default_factory=dict)
-    #: Crash recoveries per host id.
-    recoveries: Dict[str, int] = field(default_factory=dict)
-    quarantined_hosts: int = 0
-    #: Rollouts the kill switch reverted/killed.
-    kill_switch_killed: int = 0
-    frozen_after_kill: bool = False
-    post_kill_refused: bool = False
-    #: Read-only rollup queries interleaved into the storm (0 in the
-    #: quiet control run).
-    queries: int = 0
-    #: SHA-256 over the storm's canonical outcome document.
-    digest: str = ""
-    #: Digest of the verification re-run (must equal ``digest``).
-    rerun_digest: str = ""
-    #: Digest of the zero-query control run (must equal ``digest`` —
-    #: the query-neutrality witness).
-    quiet_digest: str = ""
-    plan_digest: str = ""
-    error: Optional[str] = None
-
-    @property
-    def single_policy(self) -> bool:
-        """No host left on a mixed/mid-rollout policy.
-
-        Uniformity is judged on the *policy spec* every host ends on
-        (a host re-admitted between rollouts carries a younger
-        generation number for the same policy), plus consistency:
-        hosts sharing a generation number must share a spec.
-        """
-        specs = {
-            json.dumps(spec, sort_keys=True)
-            for spec in self.final_policies.values()
-        }
-        if len(specs) > 1:
-            return False
-        by_generation: Dict[int, set] = {}
-        for host_id, generation in self.final_generations.items():
-            by_generation.setdefault(generation, set()).add(
-                json.dumps(
-                    self.final_policies.get(host_id), sort_keys=True
-                )
-            )
-        return all(len(s) <= 1 for s in by_generation.values())
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.error is None
-            and self.hosts > 0
-            and self.single_policy
-            and bool(self.rollout_statuses)
-            and all(
-                status in ("succeeded", "rolled_back", "killed")
-                for status in self.rollout_statuses
-            )
-            and self.kill_switch_killed >= 1
-            and self.frozen_after_kill
-            and self.post_kill_refused
-            and self.digest != ""
-            and self.digest == self.rerun_digest
-            and self.queries > 0
-            and self.digest == self.quiet_digest
+    Uniformity is judged on the *policy spec* every host ends on (a
+    host re-admitted between rollouts carries a younger generation
+    number for the same policy), plus consistency: hosts sharing a
+    generation number must share a spec.
+    """
+    specs = {
+        json.dumps(spec, sort_keys=True) for spec in final_policies.values()
+    }
+    if len(specs) > 1:
+        return False
+    by_generation: Dict[int, set] = {}
+    for host_id, generation in final_generations.items():
+        by_generation.setdefault(generation, set()).add(
+            json.dumps(final_policies.get(host_id), sort_keys=True)
         )
-
-    def failures(self) -> Tuple[str, ...]:
-        reasons: List[str] = []
-        if self.error is not None:
-            reasons.append(f"unhandled error: {self.error}")
-        if not self.single_policy:
-            reasons.append(
-                "hosts ended on mixed policies: "
-                f"{self.final_policies} "
-                f"(generations {self.final_generations})"
-            )
-        for status in self.rollout_statuses:
-            if status not in ("succeeded", "rolled_back", "killed"):
-                reasons.append(
-                    f"rollout left non-terminal ({status})"
-                )
-        if self.kill_switch_killed < 1:
-            reasons.append("kill switch reverted nothing")
-        if not self.frozen_after_kill:
-            reasons.append("fleet not frozen after kill switch")
-        if not self.post_kill_refused:
-            reasons.append("a post-kill rollout was accepted")
-        if self.digest != self.rerun_digest:
-            reasons.append(
-                f"storm digests diverged across reruns: "
-                f"{self.digest[:16]} != {self.rerun_digest[:16]}"
-            )
-        if self.queries < 1:
-            reasons.append("storm interleaved no rollup queries")
-        if self.digest != self.quiet_digest:
-            reasons.append(
-                f"rollup queries perturbed the storm "
-                f"(query-neutrality violated): queried "
-                f"{self.digest[:16]} != quiet {self.quiet_digest[:16]}"
-            )
-        return tuple(reasons)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "passed": self.passed,
-            "rollout_statuses": list(self.rollout_statuses),
-            "final_generations": dict(self.final_generations),
-            "recoveries": dict(self.recoveries),
-            "quarantined_hosts": self.quarantined_hosts,
-            "kill_switch_killed": self.kill_switch_killed,
-            "frozen_after_kill": self.frozen_after_kill,
-            "post_kill_refused": self.post_kill_refused,
-            "queries": self.queries,
-            "digest": self.digest,
-            "rerun_digest": self.rerun_digest,
-            "quiet_digest": self.quiet_digest,
-            "plan_digest": self.plan_digest,
-            "error": self.error,
-            "failures": list(self.failures()),
-        }
+    return all(len(s) <= 1 for s in by_generation.values())
 
 
 # ----------------------------------------------------------------------
@@ -441,63 +317,63 @@ def _outcome_digest(outcome: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def run_fleetd_chaos(config: FleetdChaosConfig) -> FleetdChaosReport:
-    """Run the storm three times and assemble its verdict.
+#: Outcome keys a verdict reports as facts (the digest covers them all).
+_FACT_KEYS = (
+    "rollout_statuses", "final_generations", "final_policies",
+    "recoveries", "quarantined_hosts", "kill_switch_killed",
+    "frozen_after_kill", "post_kill_refused", "plan_digest",
+)
 
-    The second run is the determinism witness: both executions must
-    produce byte-identical outcome digests. The third run is the
-    query-neutrality witness: it interleaves *zero* rollup queries and
-    must still produce the same digest — reading the fleet's metrics
-    must never mutate them. Never raises for in-storm failures — they
-    land in the report.
-    """
-    outcome = _run_storm(config)
-    rerun = _run_storm(config)
-    quiet = _run_storm(config, interleave_queries=False)
-    report = FleetdChaosReport(
-        seed=config.seed,
-        hosts=config.hosts,
-        rollout_statuses=tuple(outcome.get("rollout_statuses", ())),
-        final_generations=dict(outcome.get("final_generations", {})),
-        final_policies=dict(outcome.get("final_policies", {})),
-        recoveries=dict(outcome.get("recoveries", {})),
-        quarantined_hosts=int(outcome.get("quarantined_hosts", 0)),
-        kill_switch_killed=int(outcome.get("kill_switch_killed", 0)),
-        frozen_after_kill=bool(outcome.get("frozen_after_kill")),
-        post_kill_refused=bool(outcome.get("post_kill_refused")),
-        queries=int(outcome.get("_queries", 0)),
-        plan_digest=str(outcome.get("plan_digest", "")),
-        error=(
-            outcome.get("error") or rerun.get("error")
-            or quiet.get("error")
+
+def _run_fleetd(config: FleetdChaosConfig, variant: str) -> Run:
+    """``queried``/``rerun`` interleave rollup queries; ``quiet`` none."""
+    outcome = _run_storm(config, interleave_queries=variant != "quiet")
+    facts = {key: outcome[key] for key in _FACT_KEYS if key in outcome}
+    facts["reads"] = outcome["_queries"]
+    return _outcome_digest(outcome), facts, outcome["error"]
+
+
+def _fleetd_checks(
+    config: FleetdChaosConfig, facts: Mapping[str, Dict[str, Any]]
+) -> Dict[str, Gate]:
+    seen = facts.get("queried", {})
+    policies = seen.get("final_policies", {})
+    generations = seen.get("final_generations", {})
+    statuses = seen.get("rollout_statuses", [])
+    killed = seen.get("kill_switch_killed", 0)
+    frozen = seen.get("frozen_after_kill", False)
+    refused = seen.get("post_kill_refused", False)
+    specs = {json.dumps(p, sort_keys=True) for p in policies.values()}
+    return {
+        "single_policy": Gate(
+            bool(policies) and single_policy(policies, generations),
+            f"{len(specs)} spec(s), generations "
+            f"{sorted(set(generations.values()))} across "
+            f"{len(generations)} hosts",
         ),
-        digest=_outcome_digest(outcome),
-        rerun_digest=_outcome_digest(rerun),
-        quiet_digest=_outcome_digest(quiet),
-    )
-    return report
+        "rollouts_terminal": Gate(
+            bool(statuses) and all(s in _TERMINAL for s in statuses),
+            ", ".join(statuses) or "no rollout ran",
+        ),
+        "kill_switch": Gate(
+            killed >= 1 and frozen and refused,
+            f"killed {killed} rollout(s), frozen={frozen}, "
+            f"post-kill refused={refused}",
+        ),
+    }
 
 
-def format_fleetd_chaos(report: FleetdChaosReport) -> str:
-    """Render one control-plane chaos verdict for the CLI."""
-    status = "PASS" if report.passed else "FAIL"
-    generations = sorted(set(report.final_generations.values()))
-    lines = [
-        f"fleetd-chaos seed={report.seed}: {status}",
-        f"  rollouts: {', '.join(report.rollout_statuses) or 'none'}",
-        f"  final generation(s): {generations} across "
-        f"{len(report.final_generations)} hosts "
-        f"({sum(report.recoveries.values())} crash recoveries, "
-        f"{report.quarantined_hosts} quarantined)",
-        f"  kill switch: killed {report.kill_switch_killed} "
-        f"rollout(s), frozen={report.frozen_after_kill}, "
-        f"post-kill refused={report.post_kill_refused}",
-        f"  queries: {report.queries} read-only rollup queries "
-        f"interleaved",
-        f"  digest: {report.digest[:16]} "
-        f"(rerun {report.rerun_digest[:16]}, "
-        f"quiet {report.quiet_digest[:16]})",
-    ]
-    for reason in report.failures():
-        lines.append(f"  !! {reason}")
-    return "\n".join(lines)
+FLEETD_TOPOLOGY = Topology(
+    mode="fleetd",
+    run=_run_fleetd,
+    checks=_fleetd_checks,
+    contracts={
+        "determinism": ("queried", "rerun"),
+        "query_neutrality": ("queried", "quiet"),
+        "crash_equivalence": (
+            "the engine checkpoints its hosts, not itself (registry, "
+            "rollouts, kill switch), so a storm cannot be killed and "
+            "restored whole"
+        ),
+    },
+)

@@ -31,8 +31,9 @@ from repro.checkpoint.snapshot import (
 )
 from repro.checkpoint.state import decode_state, encode_state
 from repro.core.senpai import Senpai, SenpaiConfig, _CgroupState
-from repro.faults.chaos import ChaosConfig, build_chaos_host, metrics_digest
+from repro.faults.chaos import ChaosConfig, build_chaos_host
 from repro.sim.host import Host, HostConfig
+from repro.sim.metrics import metrics_digest
 from repro.workloads.web import WebWorkload
 
 MB = 1 << 20

@@ -110,10 +110,11 @@ def test_bench_check_rejects_missing_baseline(tmp_path, capsys):
 
 def test_crash_equivalence_parallel_seed_sweep(capsys):
     """The crash-equivalence proof must keep passing when the seed
-    sweep fans out over worker processes."""
+    sweep fans out over worker processes. The verb judges the whole
+    host verdict, so the storm runs its default 600 s: long enough for
+    the breaker to open and re-close."""
     code = main([
         "crash-equivalence", "--seeds", "1", "2", "--workers", "2",
-        "--duration", "120",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -160,16 +161,9 @@ def test_chaos_fleet_writes_verdict_json(tmp_path, capsys):
     assert len(doc["verdicts"]) == 1
     verdict = doc["verdicts"][0]
     assert verdict["seed"] == 5 and verdict["passed"] is True
-
-
-def test_chaos_hang_timeout_flag_is_threaded(capsys):
-    # The flag must reach ChaosConfig; a tiny sweep proves the plumbing.
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(
-        ["chaos", "--hang-timeout", "45.5"]
-    )
-    assert args.hang_timeout == 45.5
+    for contract in ("determinism", "query_neutrality",
+                     "crash_equivalence"):
+        assert verdict["contracts"][contract]["passed"] is True
 
 
 def test_chaos_fleet_and_fleetd_are_mutually_exclusive(capsys):
@@ -194,7 +188,9 @@ def test_chaos_fleetd_writes_versioned_verdict(tmp_path, capsys):
     assert doc["config"]["hosts"] == 4
     verdict = doc["verdicts"][0]
     assert verdict["passed"] is True
-    assert verdict["digest"] == verdict["rerun_digest"]
+    assert verdict["contracts"]["determinism"]["passed"] is True
+    assert verdict["contracts"]["query_neutrality"]["passed"] is True
+    assert verdict["contracts"]["crash_equivalence"]["applicable"] is False
 
 
 def test_fleet_resilience_knobs_are_threaded(capsys):
