@@ -13,8 +13,7 @@ import pytest
 from repro.backends.base import IoKind
 from repro.backends.ssd import make_ssd_device
 from repro.backends.zswap import ZswapBackend
-from repro.kernel.lru import LruSet
-from repro.kernel.page import Page, PageKind
+from repro.kernel.page import PageKind, PageState, PageTable
 from repro.kernel.shadow import ShadowMap
 from repro.backends.filesystem import FilesystemBackend
 from repro.kernel.mm import MemoryManager
@@ -56,19 +55,17 @@ def test_psi_transition_throughput(benchmark):
 
 
 def test_lru_touch_throughput(benchmark):
-    lruset = LruSet(PageKind.FILE, "g")
-    pages = [
-        Page(page_id=i, kind=PageKind.FILE, cgroup="g")
-        for i in range(4096)
-    ]
-    for page in pages:
-        lruset.insert_new(page)
+    table = PageTable()
+    table.fit_cgroups(1)
+    kind = int(PageKind.FILE)
+    pages = table.add(4096, 0, kind, int(PageState.RESIDENT), False, 3.0, 0.0)
+    table.link_new(pages, 0, kind)
     rng = derive_rng(BENCH_SEED, "microbench:lru-order")
-    order = rng.integers(0, len(pages), size=512)
+    # One batch of distinct pages, as workloads touch them.
+    order = pages[rng.choice(len(pages), size=512, replace=False)]
 
     def touches():
-        for i in order:
-            lruset.touch(pages[i])
+        table.hit(order, 1.0)
 
     benchmark(touches)
 
@@ -81,9 +78,9 @@ def test_reclaim_scan_throughput(benchmark):
     def reclaim_and_restore():
         outcome = mm.memory_reclaim("app", 64 * PAGE, now=1.0)
         # Restore so each round reclaims from the same population.
-        for page in mm.pages("app"):
-            if not page.resident:
-                mm.touch(page, now=2.0)
+        pages = mm.pages("app")
+        for pid in pages[mm.table.state[pages] != PageState.RESIDENT]:
+            mm.touch(pid, now=2.0)
         return outcome
 
     benchmark(reclaim_and_restore)

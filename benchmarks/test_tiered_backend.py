@@ -58,9 +58,9 @@ def _tier_share(host, cgroup: str, tier: str) -> float:
     """Share of a cgroup's offloaded pages living in ``tier``."""
     backend = host.swap_backend
     placed = [
-        backend.tier_of(p.page_id)
-        for p in host.mm.pages(cgroup)
-        if backend.tier_of(p.page_id) is not None
+        backend.tier_of(pid)
+        for pid in host.mm.pages(cgroup).tolist()
+        if backend.tier_of(pid) is not None
     ]
     if not placed:
         return 0.0

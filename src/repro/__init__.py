@@ -60,9 +60,9 @@ from repro.kernel import (
     LegacyReclaimPolicy,
     MemoryManager,
     OutOfMemoryError,
-    Page,
     PageKind,
     PageState,
+    PageTable,
     TmoReclaimPolicy,
 )
 from repro.psi import PsiGroup, PsiSystem, Resource, TaskFlags
@@ -95,9 +95,9 @@ __all__ = [
     "LimitSenpaiConfig",
     "MemoryManager",
     "OutOfMemoryError",
-    "Page",
     "PageKind",
     "PageState",
+    "PageTable",
     "PsiGroup",
     "PsiSystem",
     "Resource",

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.workloads.base import Workload
 
 
@@ -35,21 +37,14 @@ def measure_coldness(workload: Workload, now: float) -> ColdnessProfile:
     been touched; placement does not affect recency.
     """
     pages = workload.pages
-    if not pages:
+    if not len(pages):
         raise ValueError(
             f"workload {workload.profile.name!r} has no pages to profile"
         )
-    buckets = [0, 0, 0, 0]
-    for page in pages:
-        age = now - page.last_access
-        if age <= 60.0:
-            buckets[0] += 1
-        elif age <= 120.0:
-            buckets[1] += 1
-        elif age <= 300.0:
-            buckets[2] += 1
-        else:
-            buckets[3] += 1
+    ages = now - workload.mm.table.last_access[pages]
+    # Bucket i holds ages in (edge[i-1], edge[i]]; the last, the rest.
+    index = np.searchsorted(np.array([60.0, 120.0, 300.0]), ages, side="left")
+    buckets = np.bincount(index, minlength=4).tolist()
     total = len(pages)
     return ColdnessProfile(
         used_1min=buckets[0] / total,

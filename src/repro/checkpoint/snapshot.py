@@ -2,7 +2,7 @@
 
 A snapshot is a canonical-JSON document in a three-field envelope::
 
-    {"schema_version": 3, "digest": "<sha256>", "payload": {...}}
+    {"schema_version": 4, "digest": "<sha256>", "payload": {...}}
 
 ``digest`` is the SHA-256 of the *canonical* payload encoding
 (``json.dumps(payload, sort_keys=True, separators=(",", ":"))``), so a
@@ -32,7 +32,11 @@ from typing import Any, Dict, Optional
 #: (:mod:`repro.checkpoint.state`) in place of the hand-written codecs:
 #: objects are positional rows, every dict is ordered pairs (so dict
 #: order survives a restore), shared objects are written by key.
-SCHEMA_VERSION = 3
+#: v4: pages are the memory manager's page table, one column per page
+#: attribute (integer and bool columns as packed bytes), in place of
+#: per-page rows and per-cgroup LRU lists; workloads hold page-id
+#: arrays. A v3 payload has no page table to read.
+SCHEMA_VERSION = 4
 
 #: Payload marker distinguishing host snapshots from other documents.
 PAYLOAD_KIND = "tmo-host-snapshot"

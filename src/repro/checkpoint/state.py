@@ -14,7 +14,8 @@ Every stateful class declares its state once:
 The class annotations give each declared attribute its type, and the
 walker encodes by type: JSON scalars as themselves; enums by value;
 lists, tuples and sets (sorted) as lists; every dict as ordered
-``[key, value]`` pairs; float64 ndarrays as lists; NumPy generators by
+``[key, value]`` pairs; float64 ndarrays as lists and integer and bool
+ndarrays as packed bytes (:func:`encode_array`); NumPy generators by
 their bit-generator state; declared objects as a positional row in
 declaration order. An attribute annotated ``Any``, or not at all, must
 already hold JSON (a scalar, or a document such as a persisted
@@ -42,6 +43,7 @@ attributes of such classes need class-level defaults.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import enum
 import functools
@@ -315,14 +317,59 @@ def _optional_codec(inner: Tuple[Encoder, Decoder]):
     )
 
 
-def _array_enc(value: np.ndarray, ctx: _Encoding) -> list:
-    if value.dtype != np.float64:
-        raise TypeError(f"only float64 arrays encode, got {value.dtype}")
-    return value.tolist()
+#: Integer widths an int column is narrowed to in a snapshot, narrowest
+#: first.
+_INT_WIDTHS = tuple(np.dtype(t) for t in ("<i1", "<i2", "<i4", "<i8"))
+
+
+def encode_array(value: np.ndarray) -> Any:
+    """A 1-d float64, integer or bool array as JSON.
+
+    Floats are a list of numbers. Integers are the little-endian bytes
+    of the narrowest width that holds them, base64-encoded; bools are
+    bits, packed eight to a byte.
+    """
+    if value.dtype == np.float64:
+        return value.tolist()
+    if value.dtype == np.bool_:
+        bits = np.packbits(value)
+        return {"bool": len(value), "bits": base64.b64encode(bits).decode()}
+    if value.dtype.kind != "i":
+        raise TypeError(
+            f"only float64, integer and bool arrays encode, got {value.dtype}"
+        )
+    lo, hi = (int(value.min()), int(value.max())) if len(value) else (0, 0)
+    width = next(
+        w for w in _INT_WIDTHS
+        if np.iinfo(w).min <= lo and hi <= np.iinfo(w).max
+    )
+    data = value.astype(width).tobytes()
+    return {"int": value.dtype.str, "as": width.str,
+            "data": base64.b64encode(data).decode()}
+
+
+def decode_array(doc: Any) -> np.ndarray:
+    """Rebuild an array :func:`encode_array` wrote."""
+    if isinstance(doc, list):
+        return np.array(doc, dtype=np.float64)
+    if not isinstance(doc, dict):
+        raise SnapshotError(f"malformed array {doc!r:.80}")
+    try:
+        if "bool" in doc:
+            bits = np.frombuffer(base64.b64decode(doc["bits"]), np.uint8)
+            return np.unpackbits(bits, count=doc["bool"]).astype(np.bool_)
+        raw = np.frombuffer(base64.b64decode(doc["data"]), doc["as"])
+        return raw.astype(doc["int"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"malformed array {doc!r:.80}: {exc}") from exc
+
+
+def _array_enc(value: np.ndarray, ctx: _Encoding) -> Any:
+    return encode_array(value)
 
 
 def _array_dec(doc, ctx, template) -> np.ndarray:
-    return np.array(doc, dtype=np.float64)
+    return decode_array(doc)
 
 
 def _generator_enc(value: np.random.Generator, ctx: _Encoding) -> dict:

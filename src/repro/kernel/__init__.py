@@ -11,9 +11,8 @@ balanced rewrite that was upstreamed.
 from repro.kernel.cgroup import Cgroup
 from repro.kernel.controlfs import ControlFileError, ControlFs, parse_bytes
 from repro.kernel.idle import AgeHistogram, IdlePageTracker
-from repro.kernel.lru import LruList, LruSet
 from repro.kernel.mm import FaultResult, MemoryManager, OutOfMemoryError
-from repro.kernel.page import Page, PageKind, PageState
+from repro.kernel.page import PageKind, PageState, PageTable
 from repro.kernel.reclaim import (
     LegacyReclaimPolicy,
     ReclaimOutcome,
@@ -32,13 +31,11 @@ __all__ = [
     "parse_bytes",
     "FaultResult",
     "LegacyReclaimPolicy",
-    "LruList",
-    "LruSet",
     "MemoryManager",
     "OutOfMemoryError",
-    "Page",
     "PageKind",
     "PageState",
+    "PageTable",
     "ReclaimOutcome",
     "ReclaimPolicy",
     "ShadowMap",

@@ -1,7 +1,8 @@
 """The cgroup memory-control hierarchy.
 
 Containers in TMO are cgroups: each has hierarchical memory accounting,
-its own LRU lists, shadow-entry clock, vmstat counters, and the control
+its own LRU lists (kept in the memory manager's page table under the
+cgroup's index), shadow-entry clock, vmstat counters, and the control
 surface Senpai drives (``memory.max`` and the stateless ``memory.reclaim``
 knob the paper added upstream).
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
-from repro.kernel.lru import LruSet
 from repro.kernel.page import PageKind
 from repro.kernel.shadow import ShadowMap
 from repro.kernel.vmstat import RateEstimator, VmStat
@@ -27,14 +27,13 @@ class Cgroup:
     #: Cgroups are shared by name in snapshots (repro.checkpoint.state).
     __key__ = "name"
     __state__ = (
-        "name", "page_size_bytes", "parent", "children", "memory_max",
-        "memory_low", "swap_max", "compressibility", "anon_bytes",
-        "file_bytes", "swap_bytes", "zswap_bytes", "lru", "shadow",
+        "name", "index", "page_size_bytes", "parent", "children",
+        "memory_max", "memory_low", "swap_max", "compressibility",
+        "anon_bytes", "file_bytes", "swap_bytes", "zswap_bytes", "shadow",
         "vmstat", "refault_rate", "swapin_rate", "reuse_distance_hist",
     )
     parent: Optional["Cgroup"]
     children: Dict[str, "Cgroup"]
-    lru: Dict[PageKind, LruSet]
     shadow: ShadowMap
     vmstat: VmStat
     refault_rate: RateEstimator
@@ -47,10 +46,14 @@ class Cgroup:
         page_size_bytes: int,
         parent: Optional["Cgroup"] = None,
         compressibility: float = 3.0,
+        index: int = 0,
     ) -> None:
         if page_size_bytes <= 0:
             raise ValueError(f"page_size_bytes must be positive, got {page_size_bytes}")
         self.name = name
+        #: Position among its memory manager's cgroups: the value of the
+        #: page table's ``cgroup`` column for this cgroup's pages.
+        self.index = index
         self.page_size_bytes = page_size_bytes
         self.parent = parent
         self.children = {}
@@ -82,10 +85,6 @@ class Cgroup:
         self.swap_bytes = 0
         self.zswap_bytes = 0
 
-        self.lru = {
-            PageKind.ANON: LruSet(PageKind.ANON, name),
-            PageKind.FILE: LruSet(PageKind.FILE, name),
-        }
         self.shadow = ShadowMap()
         self.vmstat = VmStat()
 
@@ -122,14 +121,14 @@ class Cgroup:
 
     def charge(self, kind: PageKind, nbytes: int) -> None:
         """Charge resident bytes for a page entering DRAM."""
-        if kind is PageKind.ANON:
+        if kind == PageKind.ANON:
             self.anon_bytes += nbytes
         else:
             self.file_bytes += nbytes
 
     def uncharge(self, kind: PageKind, nbytes: int) -> None:
         """Release resident bytes for a page leaving DRAM."""
-        if kind is PageKind.ANON:
+        if kind == PageKind.ANON:
             self.anon_bytes -= nbytes
             if self.anon_bytes < 0:
                 raise RuntimeError(

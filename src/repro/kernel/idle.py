@@ -20,6 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.kernel.mm import MemoryManager
+from repro.kernel.page import RESIDENT
 
 #: CPU seconds to test-and-clear one page's idle bit.
 IDLE_SCAN_COST_S = 0.5e-6
@@ -77,23 +78,12 @@ class IdlePageTracker:
         self.pages_scanned = 0
 
     def _resident_ages(self, cgroup_name: str, now: float) -> np.ndarray:
-        """Idle ages of the cgroup's resident pages, in LRU-list order.
-
-        The cgroup's active/inactive lists hold exactly its resident
-        pages, so one pass over them replaces the old filter over every
-        page the memory manager has ever allocated.
-        """
-        cgroup = self.mm.cgroup(cgroup_name)
-        ages = np.fromiter(
-            (
-                page.last_access
-                for lruset in cgroup.lru.values()
-                for lru in (lruset.active, lruset.inactive)
-                for page in lru
-            ),
-            dtype=np.float64,
-        )
-        np.subtract(now, ages, out=ages)
+        """Idle ages of the cgroup's resident pages, in page-id order."""
+        index = self.mm.cgroup(cgroup_name).index
+        table = self.mm.table
+        n = table.npages
+        mine = (table.cgroup[:n] == index) & (table.state[:n] == RESIDENT)
+        ages = now - table.last_access[:n][mine]
         np.maximum(ages, 0.0, out=ages)
         return ages
 

@@ -12,7 +12,9 @@ It exposes the operations workloads and controllers exercise:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.backends.base import BackendFaultError, OffloadBackend
 from repro.backends.filesystem import FilesystemBackend
@@ -20,7 +22,7 @@ from repro.backends.nvm import FarMemoryFullError
 from repro.backends.ssd import SwapFullError
 from repro.backends.zswap import ZswapPoolFullError
 from repro.kernel.cgroup import Cgroup
-from repro.kernel.page import Page, PageKind, PageState
+from repro.kernel.page import ANON, FILE, RESIDENT, PageState, PageTable
 from repro.kernel.reclaim import (
     Reclaimer,
     ReclaimOutcome,
@@ -30,6 +32,11 @@ from repro.kernel.reclaim import (
 
 #: CPU cost of submitting one async swap-out write, in seconds.
 _SWAP_SUBMIT_COST_S = 5e-6
+
+SWAPPED = int(PageState.SWAPPED)
+ZSWAPPED = int(PageState.ZSWAPPED)
+EVICTED = int(PageState.EVICTED)
+ABSENT = int(PageState.ABSENT)
 
 #: Stall charged to a task whose fault could not be resolved because the
 #: backend errored: the kernel's retry path (wait, re-queue, re-issue)
@@ -47,7 +54,7 @@ class FaultResult:
     """Outcome of touching one page.
 
     Attributes:
-        page: the touched page.
+        page: the touched page's id.
         event: one of ``hit``, ``swapin``, ``zswapin``, ``refault``,
             ``file_read``, ``swapin_error``, ``fileread_error`` — what
             the access turned into. The ``*_error`` events mean a
@@ -58,7 +65,7 @@ class FaultResult:
         iostall: the delay counts toward IO pressure.
     """
 
-    page: Page
+    page: int
     event: str
     stall_seconds: float = 0.0
     memstall: bool = False
@@ -68,9 +75,9 @@ class FaultResult:
 class MemoryManager:
     """All memory-management state of one simulated host."""
 
-    # Pages first: cgroup LRU lists and workloads refer to them by id.
+    # The page table first: cgroups and workloads refer to pages by id.
     __state__ = (
-        "_pages", "root", "_cgroups", "_next_page_id",
+        "table", "root", "_cgroups",
         "proactive_cpu_seconds", "retry_stall_s", "swap_op_count",
         "swap_fault_count", "fs_op_count", "fs_fault_count",
         "kswapd_low_frac", "kswapd_high_frac", "kswapd_reclaimed_bytes",
@@ -79,7 +86,7 @@ class MemoryManager:
     __transient__ = (
         "ram_bytes", "page_size_bytes", "fs", "swap_backend", "reclaimer",
     )
-    _pages: Dict[int, Page]
+    table: PageTable
     root: Cgroup
     _cgroups: Dict[str, Cgroup]
 
@@ -112,10 +119,11 @@ class MemoryManager:
         self.page_size_bytes = page_size_bytes
         self.fs = fs
         self.swap_backend = swap_backend
+        #: Every page's state, and the LRU lists (see repro.kernel.page).
+        self.table = PageTable()
         self.root = Cgroup("root", page_size_bytes=page_size_bytes)
         self._cgroups = {"root": self.root}
-        self._pages = {}
-        self._next_page_id = 0
+        self.table.fit_cgroups(1)
         self.reclaimer = Reclaimer(self, policy or TmoReclaimPolicy())
         #: CPU seconds consumed by proactive (controller-driven) reclaim.
         self.proactive_cpu_seconds = 0.0
@@ -155,8 +163,10 @@ class MemoryManager:
             page_size_bytes=self.page_size_bytes,
             parent=self._cgroups[parent],
             compressibility=compressibility,
+            index=len(self._cgroups),
         )
         self._cgroups[name] = cgroup
+        self.table.fit_cgroups(len(self._cgroups))
         return cgroup
 
     def cgroup(self, name: str) -> Cgroup:
@@ -165,15 +175,20 @@ class MemoryManager:
     def cgroups(self) -> List[Cgroup]:
         return list(self._cgroups.values())
 
-    def pages(self, cgroup_name: Optional[str] = None) -> List[Page]:
-        """All live pages, optionally filtered to one cgroup.
+    def _owner(self, pid: int) -> Cgroup:
+        """The cgroup a live page is charged to."""
+        return self.cgroups()[self.table.cgroup.item(pid)]
+
+    def pages(self, cgroup_name: Optional[str] = None) -> np.ndarray:
+        """Ids of all live pages, optionally of one cgroup, ascending.
 
         Used by profiling tools (idle-page tracking, coldness
         histograms); the fault path never iterates this.
         """
+        owners = self.table.cgroup[:self.table.npages]
         if cgroup_name is None:
-            return list(self._pages.values())
-        return [p for p in self._pages.values() if p.cgroup == cgroup_name]
+            return np.flatnonzero(owners >= 0)
+        return np.flatnonzero(owners == self._cgroups[cgroup_name].index)
 
     # ------------------------------------------------------------------
     # capacity accounting
@@ -254,31 +269,53 @@ class MemoryManager:
     # ------------------------------------------------------------------
     # allocation and the fault path
 
-    def _new_page(
+    def _allocate(
         self,
         cgroup: Cgroup,
-        kind: PageKind,
-        state: PageState,
+        npages: int,
+        kind: int,
         now: float,
         dirty: bool,
         compressibility: Optional[float],
-    ) -> Page:
-        page = Page(
-            page_id=self._next_page_id,
-            kind=kind,
-            cgroup=cgroup.name,
-            state=state,
-            dirty=dirty,
-            compressibility=(
-                cgroup.compressibility
-                if compressibility is None
-                else compressibility
-            ),
-            last_access=now,
-        )
-        self._next_page_id += 1
-        self._pages[page.page_id] = page
-        return page
+    ) -> Tuple[np.ndarray, float]:
+        """Charge ``npages`` new resident pages, each entering the
+        inactive head; returns ``(ids, stall_seconds)``.
+
+        Page by page, the charge may enter direct reclaim first. The
+        pages that fit under every limit and in free DRAM need none, so
+        they are added in one run; only the page that does not fit
+        takes the reclaim path, alone. An OOM releases the pages already
+        allocated rather than leaking untracked charges.
+        """
+        table = self.table
+        psize = self.page_size_bytes
+        if compressibility is None:
+            compressibility = cgroup.compressibility
+        first = table.npages  # reclaim adds no pages: the ids are a range
+        stall = 0.0
+        left = npages
+        try:
+            while left > 0:
+                room = self.free_bytes()
+                limit = self._tightest_limit(cgroup)
+                if limit is not None:
+                    room = min(room, limit[1])
+                run = min(left, max(0, room // psize))
+                if run == 0:
+                    stall += self._charge_with_reclaim(cgroup, now)
+                    run = 1
+                ids = table.add(
+                    run, cgroup.index, kind, RESIDENT, dirty,
+                    compressibility, now,
+                )
+                cgroup.charge(kind, run * psize)
+                table.link_new(ids, cgroup.index, kind)
+                left -= run
+        except OutOfMemoryError:
+            for pid in range(first, table.npages):
+                self.release_page(pid)
+            raise
+        return np.arange(first, table.npages, dtype=np.int64), stall
 
     def alloc_anon(
         self,
@@ -286,32 +323,16 @@ class MemoryManager:
         npages: int,
         now: float,
         compressibility: Optional[float] = None,
-    ) -> Tuple[List[Page], float]:
-        """Allocate anonymous pages; returns ``(pages, stall_seconds)``.
+    ) -> Tuple[np.ndarray, float]:
+        """Allocate anonymous pages; returns ``(page_ids, stall_seconds)``.
 
         The charge path may enter direct reclaim, whose cost is the
         returned stall (a memory stall for the allocating task).
         """
-        cgroup = self._cgroups[cgroup_name]
-        pages: List[Page] = []
-        stall = 0.0
-        try:
-            for _ in range(npages):
-                stall += self._charge_with_reclaim(cgroup, now)
-                page = self._new_page(
-                    cgroup, PageKind.ANON, PageState.RESIDENT, now,
-                    dirty=False, compressibility=compressibility,
-                )
-                cgroup.charge(PageKind.ANON, self.page_size_bytes)
-                cgroup.lru[PageKind.ANON].insert_new(page)
-                pages.append(page)
-        except OutOfMemoryError:
-            # Atomic semantics: an OOM mid-batch releases the pages
-            # already allocated rather than leaking untracked charges.
-            for page in pages:
-                self.release_page(page)
-            raise
-        return pages, stall
+        return self._allocate(
+            self._cgroups[cgroup_name], npages, ANON, now, False,
+            compressibility,
+        )
 
     def register_file(
         self,
@@ -321,220 +342,158 @@ class MemoryManager:
         resident: bool = False,
         dirty: bool = False,
         compressibility: Optional[float] = None,
-    ) -> Tuple[List[Page], float]:
-        """Declare file-backed pages.
+    ) -> Tuple[np.ndarray, float]:
+        """Declare file-backed pages; returns ``(page_ids, stall_seconds)``.
 
         With ``resident=False`` the pages start on disk (first touch
         reads them in); with ``resident=True`` they are preloaded into
         the page cache (Web's start-up behaviour in Section 4.2).
         """
         cgroup = self._cgroups[cgroup_name]
-        pages: List[Page] = []
-        stall = 0.0
-        try:
-            for _ in range(npages):
-                if resident:
-                    stall += self._charge_with_reclaim(cgroup, now)
-                    page = self._new_page(
-                        cgroup, PageKind.FILE, PageState.RESIDENT, now,
-                        dirty=dirty, compressibility=compressibility,
-                    )
-                    cgroup.charge(PageKind.FILE, self.page_size_bytes)
-                    cgroup.lru[PageKind.FILE].insert_new(page)
-                else:
-                    page = self._new_page(
-                        cgroup, PageKind.FILE, PageState.ABSENT, now,
-                        dirty=False, compressibility=compressibility,
-                    )
-                pages.append(page)
-        except OutOfMemoryError:
-            for page in pages:
-                self.release_page(page)
-            raise
-        return pages, stall
+        if resident:
+            return self._allocate(
+                cgroup, npages, FILE, now, dirty, compressibility
+            )
+        ids = self.table.add(
+            npages, cgroup.index, FILE, ABSENT, False,
+            cgroup.compressibility if compressibility is None
+            else compressibility,
+            now,
+        )
+        return ids, 0.0
 
-    def touch(self, page: Page, now: float) -> FaultResult:
+    def mark_dirty(self, page_ids: np.ndarray) -> None:
+        """Mark file pages dirty: their eviction needs writeback."""
+        self.table.dirty[page_ids] = True
+
+    def touch(self, pid: int, now: float) -> FaultResult:
         """Access one page, resolving whatever fault its state implies."""
-        cgroup = self._cgroups[page.cgroup]
-        page.last_access = now
+        pid = int(pid)
+        table = self.table
+        table.last_access[pid] = now
+        state = table.state.item(pid)
+        if state == RESIDENT:
+            table.hit(np.array([pid]), now)
+            return FaultResult(page=pid, event="hit")
 
-        if page.state is PageState.RESIDENT:
-            cgroup.lru[page.kind].touch(page)
-            return FaultResult(page=page, event="hit")
-
-        if page.state is PageState.ZSWAPPED:
+        cgroup = self._owner(pid)
+        compressibility = table.compressibility.item(pid)
+        if state == ZSWAPPED or state == SWAPPED:
+            on_disk = state == SWAPPED
             stall = self._charge_with_reclaim(cgroup, now)
             self.swap_op_count += 1
             try:
                 latency = self.swap_backend.load(
-                    self.page_size_bytes, page.compressibility, now,
-                    page_id=page.page_id,
+                    self.page_size_bytes, compressibility, now, page_id=pid,
                 )
             except BackendFaultError:
-                # Refault-with-retry: the page stays ZSWAPPED and its
-                # pool bytes stay accounted — nothing was mutated — so
-                # the next access simply retries. The task eats a retry
-                # stall (a memory stall: resolution is in-DRAM).
+                # Refault-with-retry: the page is still safely in the
+                # pool or on the swap device with its bytes accounted —
+                # nothing was mutated — so the next access simply
+                # retries. The task eats a retry stall (memory, plus IO
+                # when the page is on disk).
                 self.swap_fault_count += 1
                 return FaultResult(
-                    page=page, event="swapin_error",
+                    page=pid, event="swapin_error",
                     stall_seconds=stall + self.retry_stall_s,
-                    memstall=True, iostall=False,
+                    memstall=True, iostall=on_disk,
                 )
             self.swap_backend.free(
-                self.page_size_bytes, page.compressibility, page_id=page.page_id
+                self.page_size_bytes, compressibility, page_id=pid
             )
-            cgroup.zswap_bytes -= self.page_size_bytes
-            page.state = PageState.RESIDENT
-            cgroup.charge(PageKind.ANON, self.page_size_bytes)
-            cgroup.lru[PageKind.ANON].insert_active(page)
+            if on_disk:
+                cgroup.swap_bytes -= self.page_size_bytes
+            else:
+                cgroup.zswap_bytes -= self.page_size_bytes
+            table.state[pid] = RESIDENT
+            cgroup.charge(ANON, self.page_size_bytes)
+            table.link(pid, True)
             cgroup.vmstat.pswpin += 1
             cgroup.vmstat.pgmajfault += 1
             return FaultResult(
-                page=page, event="zswapin",
-                stall_seconds=stall + latency, memstall=True, iostall=False,
-            )
-
-        if page.state is PageState.SWAPPED:
-            stall = self._charge_with_reclaim(cgroup, now)
-            self.swap_op_count += 1
-            try:
-                latency = self.swap_backend.load(
-                    self.page_size_bytes, page.compressibility, now,
-                    page_id=page.page_id,
-                )
-            except BackendFaultError:
-                # Failed swap-in: the page is still safely on the swap
-                # device, so keep it SWAPPED and let the next access
-                # retry. Counts as memory+IO stall like the fault it
-                # failed to resolve.
-                self.swap_fault_count += 1
-                return FaultResult(
-                    page=page, event="swapin_error",
-                    stall_seconds=stall + self.retry_stall_s,
-                    memstall=True, iostall=True,
-                )
-            self.swap_backend.free(
-                self.page_size_bytes, page.compressibility, page_id=page.page_id
-            )
-            cgroup.swap_bytes -= self.page_size_bytes
-            page.state = PageState.RESIDENT
-            cgroup.charge(PageKind.ANON, self.page_size_bytes)
-            cgroup.lru[PageKind.ANON].insert_active(page)
-            cgroup.vmstat.pswpin += 1
-            cgroup.vmstat.pgmajfault += 1
-            return FaultResult(
-                page=page, event="swapin",
-                stall_seconds=stall + latency, memstall=True, iostall=True,
+                page=pid, event="swapin" if on_disk else "zswapin",
+                stall_seconds=stall + latency, memstall=True,
+                iostall=on_disk,
             )
 
         # EVICTED or ABSENT file page: read from the filesystem.
         stall = self._charge_with_reclaim(cgroup, now)
         self.fs_op_count += 1
         try:
-            latency = self.fs.load(
-                self.page_size_bytes, page.compressibility, now
-            )
+            latency = self.fs.load(self.page_size_bytes, compressibility, now)
         except BackendFaultError:
             # Failed read: page stays EVICTED/ABSENT (its backing copy
             # is intact); the next access retries the read.
             self.fs_fault_count += 1
             return FaultResult(
-                page=page, event="fileread_error",
+                page=pid, event="fileread_error",
                 stall_seconds=stall + self.retry_stall_s,
                 memstall=False, iostall=True,
             )
-        distance = cgroup.shadow.reuse_distance(page.page_id)
+        distance = cgroup.shadow.reuse_distance(pid)
         if distance is not None and distance >= 1:
             cgroup.record_reuse_distance(distance)
-        refault = cgroup.shadow.consume(
-            page.page_id, cgroup.resident_pages
-        )
-        page.state = PageState.RESIDENT
-        page.shadow_stamp = None
-        cgroup.charge(PageKind.FILE, self.page_size_bytes)
+        refault = cgroup.shadow.consume(pid, cgroup.resident_pages)
+        table.state[pid] = RESIDENT
+        table.shadow_stamp[pid] = -1
+        cgroup.charge(FILE, self.page_size_bytes)
         cgroup.vmstat.pgpgin_file += 1
         cgroup.vmstat.pgmajfault += 1
+        table.link(pid, refault)
         if refault:
             cgroup.vmstat.workingset_refault += 1
-            cgroup.lru[PageKind.FILE].insert_active(page)
             return FaultResult(
-                page=page, event="refault",
+                page=pid, event="refault",
                 stall_seconds=stall + latency, memstall=True, iostall=True,
             )
-        cgroup.lru[PageKind.FILE].insert_new(page)
         return FaultResult(
-            page=page, event="file_read",
+            page=pid, event="file_read",
             stall_seconds=stall + latency, memstall=False, iostall=True,
         )
 
     def touch_batch(
         self,
-        pages: Sequence[Page],
-        indices: Sequence[int],
+        pages: np.ndarray,
+        indices: np.ndarray,
         now: float,
     ) -> Tuple[Dict[str, int], float, float, float, int, bool]:
         """Access ``pages[i]`` for each ``i`` in ``indices``, aggregated.
 
-        Semantically identical to calling :meth:`touch` per index in
-        order — same fault resolution, same device/RNG streams, same
-        "OOM abandons the rest of the quantum" behaviour — but the
-        resident-hit fast path skips the per-access :class:`FaultResult`
-        allocation, which dominates workload tick time.
+        ``pages`` is an array of page ids. Precondition: ``indices``
+        names no page twice (workloads draw them from ``np.nonzero``;
+        trace replay refuses events that repeat one), so each run of
+        resident hits between two faults settles in one
+        :meth:`PageTable.hit`. Semantically identical to calling
+        :meth:`touch` per index in order — same fault resolution, same
+        device/RNG streams, same "OOM abandons the rest of the quantum"
+        behaviour. Only the non-resident pages take :meth:`touch`; when
+        a fault's reclaim evicts pages, the residency of the indices
+        still to come is read again.
 
         Returns ``(events, stall_mem_s, stall_io_s, stall_both_s,
-        work_done, oom)`` with events counted in encounter order and
-        stalls bucketed the way :meth:`repro.workloads.base.Workload.
-        _accumulate` buckets them.
+        work_done, oom)`` with events counted in encounter order (hits
+        last) and stalls bucketed the way
+        :meth:`repro.workloads.base.Workload._accumulate` buckets them.
         """
+        table = self.table
+        ids = pages[indices]
         events: Dict[str, int] = {}
         stall_mem = stall_io = stall_both = 0.0
         work_done = 0
         hits = 0
         oom = False
-        cgroups = self._cgroups
-        resident = PageState.RESIDENT
-        anon = PageKind.ANON
-        touch = self.touch
-        # Per-cgroup LRU lookups are hoisted out of the loop (batches
-        # are usually single-cgroup) and the LruSet referenced-bit
-        # protocol is inlined: with ~every page hit every tick, the
-        # per-touch method and enum-keyed dict costs dominate.
-        last_cg: Optional[str] = None
-        lru_anon = lru_file = None
-        for idx in indices:
-            page = pages[idx]
-            if page.state is resident:
-                page.last_access = now
-                if page.cgroup != last_cg:
-                    last_cg = page.cgroup
-                    lru = cgroups[last_cg].lru
-                    lru_anon = lru[PageKind.ANON]
-                    lru_file = lru[PageKind.FILE]
-                lruset = lru_anon if page.kind is anon else lru_file
-                if page.active:
-                    # Rotate to the active head.
-                    page.referenced = True
-                    od = lruset.active._pages
-                    pid = page.page_id
-                    od[pid] = page
-                    od.move_to_end(pid)
-                elif page.referenced:
-                    # Second touch of an inactive page: promote.
-                    del lruset.inactive._pages[page.page_id]
-                    page.active = True
-                    page.referenced = False
-                    od = lruset.active._pages
-                    pid = page.page_id
-                    od[pid] = page
-                    od.move_to_end(pid)
-                else:
-                    # First touch only sets the reference bit.
-                    page.referenced = True
-                hits += 1
-                continue
+        faults = (table.state[ids] != RESIDENT).nonzero()[0].tolist()
+        start = 0
+        i = 0
+        while i < len(faults):
+            pos = faults[i]
+            if pos > start:
+                table.hit(ids[start:pos], now)
+                hits += pos - start
+            start = pos + 1
+            evictions = self.reclaimer.evictions
             try:
-                result = touch(page, now)
+                result = self.touch(ids[pos], now)
             except OutOfMemoryError:
                 oom = True
                 break
@@ -549,6 +508,17 @@ class MemoryManager:
                 elif result.iostall:
                     stall_io += stall
             work_done += 1
+            i += 1
+            if self.reclaimer.evictions != evictions:
+                # Reclaim may have evicted pages still to be touched.
+                faults = (start + (
+                    table.state[ids[start:]] != RESIDENT
+                ).nonzero()[0]).tolist()
+                i = 0
+        else:
+            if start < len(ids):
+                table.hit(ids[start:], now)
+                hits += len(ids) - start
         if hits:
             events["hit"] = events.get("hit", 0) + hits
             work_done += hits
@@ -620,7 +590,7 @@ class MemoryManager:
     # ------------------------------------------------------------------
     # backend operations
 
-    def swap_out(self, page: Page, now: float) -> Optional[float]:
+    def swap_out(self, pid: int, now: float) -> Optional[float]:
         """Offload one anonymous page; returns CPU seconds or None if full.
 
         Swap writes are submitted asynchronously (the reclaiming context
@@ -630,17 +600,18 @@ class MemoryManager:
         backend = self.swap_backend
         if backend is None:
             return None
-        cgroup = self._cgroups[page.cgroup]
+        cgroup = self._owner(pid)
         if cgroup.swap_max is not None:
             used = cgroup.swap_bytes + cgroup.zswap_bytes
             if used + self.page_size_bytes > cgroup.swap_max:
                 return None  # memory.swap.max reached: fall back to file
-        age_s = max(0.0, now - page.last_access)
+        table = self.table
+        age_s = max(0.0, now - table.last_access.item(pid))
         self.swap_op_count += 1
         try:
             cost = backend.store(
-                self.page_size_bytes, page.compressibility, now,
-                page_id=page.page_id, age_s=age_s,
+                self.page_size_bytes, table.compressibility.item(pid), now,
+                page_id=pid, age_s=age_s,
             )
         except (SwapFullError, ZswapPoolFullError, FarMemoryFullError):
             return None
@@ -652,46 +623,51 @@ class MemoryManager:
             return None
         tier_of = getattr(backend, "tier_of", None)
         if tier_of is not None:
-            on_disk = tier_of(page.page_id) == "ssd"
+            on_disk = tier_of(pid) == "ssd"
         else:
             on_disk = backend.blocks_on_io
         if on_disk:
-            page.state = PageState.SWAPPED
+            table.state[pid] = SWAPPED
             return _SWAP_SUBMIT_COST_S
-        page.state = PageState.ZSWAPPED
+        table.state[pid] = ZSWAPPED
         return cost  # compression CPU
 
     # ------------------------------------------------------------------
     # lifecycle helpers
 
-    def release_page(self, page: Page) -> None:
-        """Free a page entirely (application exit / cache truncation)."""
-        cgroup = self._cgroups[page.cgroup]
-        if page.state is PageState.RESIDENT:
-            cgroup.lru[page.kind].remove(page)
-            cgroup.uncharge(page.kind, self.page_size_bytes)
-        elif page.state is PageState.SWAPPED:
+    def release_page(self, pid: int) -> None:
+        """Free a page entirely (application exit / cache truncation).
+
+        Releasing a page twice is a no-op.
+        """
+        pid = int(pid)
+        table = self.table
+        if table.cgroup.item(pid) < 0:
+            return
+        cgroup = self._owner(pid)
+        state = table.state.item(pid)
+        if state == RESIDENT:
+            table.unlink(pid)
+            cgroup.uncharge(table.kind.item(pid), self.page_size_bytes)
+        elif state == SWAPPED or state == ZSWAPPED:
             self.swap_backend.free(
-                self.page_size_bytes, page.compressibility, page_id=page.page_id
+                self.page_size_bytes, table.compressibility.item(pid),
+                page_id=pid,
             )
-            cgroup.swap_bytes -= self.page_size_bytes
-        elif page.state is PageState.ZSWAPPED:
-            self.swap_backend.free(
-                self.page_size_bytes, page.compressibility, page_id=page.page_id
-            )
-            cgroup.zswap_bytes -= self.page_size_bytes
-        elif page.state is PageState.EVICTED:
-            cgroup.shadow.forget(page.page_id)
-        page.state = PageState.ABSENT
-        self._pages.pop(page.page_id, None)
+            if state == SWAPPED:
+                cgroup.swap_bytes -= self.page_size_bytes
+            else:
+                cgroup.zswap_bytes -= self.page_size_bytes
+        elif state == EVICTED:
+            cgroup.shadow.forget(pid)
+        table.state[pid] = ABSENT
+        table.cgroup[pid] = -1
 
     def release_cgroup_pages(self, cgroup_name: str) -> int:
         """Drop every page of a cgroup (container restart). Returns count."""
-        doomed = [
-            p for p in self._pages.values() if p.cgroup == cgroup_name
-        ]
-        for page in doomed:
-            self.release_page(page)
+        doomed = self.pages(cgroup_name).tolist()
+        for pid in doomed:
+            self.release_page(pid)
         return len(doomed)
 
     # ------------------------------------------------------------------

@@ -24,12 +24,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.backends.base import BackendFaultError
-from repro.kernel.page import Page, PageKind, PageState
+from repro.kernel.page import ANON, FILE, PageState, lru_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.cgroup import Cgroup
     from repro.kernel.mm import MemoryManager
 
+
+SWAPPED = int(PageState.SWAPPED)
+EVICTED = int(PageState.EVICTED)
 
 #: CPU cost of examining one page during an LRU scan, in seconds. The
 #: paper reports Senpai-driven reclaim at 0.05% of all CPU cycles; this
@@ -156,6 +159,9 @@ class Reclaimer:
     def __init__(self, mm: "MemoryManager", policy: ReclaimPolicy) -> None:
         self.mm = mm
         self.policy = policy
+        #: Pages evicted so far; a change tells the touch path that
+        #: residency may have changed under it.
+        self.evictions = 0
 
     # ------------------------------------------------------------------
 
@@ -213,6 +219,8 @@ class Reclaimer:
         file_only: bool = False,
     ) -> ReclaimOutcome:
         outcome = ReclaimOutcome(requested_bytes=nr_bytes)
+        table = self.mm.table
+        index = cgroup.index
         page_size_bytes = cgroup.page_size_bytes
         target_pages = max(1, int(math.ceil(nr_bytes / page_size_bytes)))
         swap_available = (not file_only) and self.mm.swap_available(page_size_bytes)
@@ -224,27 +232,27 @@ class Reclaimer:
         reclaimed_pages = 0
         while reclaimed_pages < target_pages and scan_budget > 0:
             file_credit += file_frac
-            if file_credit >= 1.0 and len(cgroup.lru[PageKind.FILE]) > 0:
-                kind = PageKind.FILE
+            if file_credit >= 1.0 and table.list_len(index, FILE) > 0:
+                kind = FILE
                 file_credit -= 1.0
-            elif swap_available and len(cgroup.lru[PageKind.ANON]) > 0:
-                kind = PageKind.ANON
-            elif len(cgroup.lru[PageKind.FILE]) > 0:
-                kind = PageKind.FILE
+            elif swap_available and table.list_len(index, ANON) > 0:
+                kind = ANON
+            elif table.list_len(index, FILE) > 0:
+                kind = FILE
             else:
                 outcome.exhausted = True
                 break
 
-            page, scans = self._isolate_cold_page(cgroup, kind)
+            pid, scans = self._isolate_cold_page(cgroup, kind)
             scan_budget -= max(1, scans)
             outcome.scanned_pages += max(1, scans)
             cgroup.vmstat.pgscan += max(1, scans)
-            if page is None:
+            if pid is None:
                 continue
-            evicted = self._evict(cgroup, page, now, synchronous, outcome)
+            evicted = self._evict(cgroup, pid, now, synchronous, outcome)
             if evicted:
                 reclaimed_pages += 1
-            elif kind is PageKind.ANON:
+            elif kind == ANON:
                 # Swap filled up mid-reclaim: stop considering anon.
                 swap_available = False
                 file_frac = 1.0
@@ -252,40 +260,40 @@ class Reclaimer:
         outcome.cpu_seconds += outcome.scanned_pages * SCAN_COST_S
         return outcome
 
-    def _isolate_cold_page(self, cgroup: "Cgroup", kind: PageKind):
+    def _isolate_cold_page(self, cgroup: "Cgroup", kind: int):
         """Pull one evictable page off the inactive tail.
 
-        Returns ``(page_or_None, pages_scanned)``. Handles deactivation
-        of an oversized active list and second chances for referenced
-        pages.
+        Returns ``(page_id_or_None, pages_scanned)``. Handles
+        deactivation of an oversized active list and second chances for
+        referenced pages.
         """
-        lru = cgroup.lru[kind]
+        table = self.mm.table
+        lru_len = table.lru_len
+        inactive = lru_key(cgroup.index, kind, False)
         scans = 0
         # Refill the inactive list when it is empty or undersized.
-        while len(lru.inactive) == 0 and len(lru.active) > 0:
-            demoted = lru.deactivate_one()
+        while lru_len[inactive] == 0 and lru_len[inactive + 1] > 0:
+            table.deactivate_one(inactive)
             scans += 1
             cgroup.vmstat.pgdeactivate += 1
-            if scans > len(lru.active) + 1:
+            if scans > lru_len[inactive + 1] + 1:
                 break
-            if demoted is None:
-                continue
-        if lru.needs_deactivation():
-            if lru.deactivate_one() is not None:
+        if table.needs_deactivation(inactive):
+            if table.deactivate_one(inactive) is not None:
                 cgroup.vmstat.pgdeactivate += 1
             scans += 1
-        page, evictable = lru.scan_tail()
+        pid, evictable = table.scan_tail(inactive)
         scans += 1
-        if page is None or not evictable:
-            if page is not None:
+        if pid is None or not evictable:
+            if pid is not None:
                 cgroup.vmstat.pgactivate += 1
             return None, scans
-        return page, scans
+        return pid, scans
 
     def _evict(
         self,
         cgroup: "Cgroup",
-        page: Page,
+        pid: int,
         now: float,
         synchronous: bool,
         outcome: ReclaimOutcome,
@@ -293,49 +301,51 @@ class Reclaimer:
         """Evict an isolated page to its backend. Returns success.
 
         On failure (offload backend full, or a transient device fault
-        on swap-out / dirty writeback) the page is put back on its LRU
-        and the caller falls back to the other pool.
+        on swap-out / dirty writeback) the page is put back on its
+        active list and the caller falls back to the other pool.
         """
+        table = self.mm.table
         page_size_bytes = cgroup.page_size_bytes
-        if page.kind is PageKind.FILE:
-            if page.dirty:
+        if table.kind.item(pid) == FILE:
+            if table.dirty.item(pid):
                 # Write back *before* any eviction bookkeeping so a
                 # device fault leaves the page fully intact (dirty,
                 # resident, on its LRU) for a later pass to retry.
                 self.mm.fs_op_count += 1
                 try:
                     latency = self.mm.fs.store(
-                        page_size_bytes, page.compressibility, now
+                        page_size_bytes, table.compressibility.item(pid),
+                        now,
                     )
                 except BackendFaultError:
                     self.mm.fs_fault_count += 1
-                    cgroup.lru[PageKind.FILE].insert_active(page)
+                    table.link(pid, True)
                     return False
                 cgroup.vmstat.pgwriteback += 1
-                page.dirty = False
+                table.dirty[pid] = False
                 if synchronous:
                     outcome.stall_seconds += latency
-            stamp = cgroup.shadow.record_eviction(page.page_id)
-            page.shadow_stamp = stamp
-            page.state = PageState.EVICTED
+            table.shadow_stamp[pid] = cgroup.shadow.record_eviction(pid)
+            table.state[pid] = EVICTED
             cgroup.vmstat.workingset_evict += 1
-            cgroup.uncharge(PageKind.FILE, page_size_bytes)
+            cgroup.uncharge(FILE, page_size_bytes)
             outcome.reclaimed_file_bytes += page_size_bytes
         else:
-            cpu_cost = self.mm.swap_out(page, now)
+            cpu_cost = self.mm.swap_out(pid, now)
             if cpu_cost is None:
                 # Backend full: put the page back; it stays resident.
-                cgroup.lru[PageKind.ANON].insert_active(page)
+                table.link(pid, True)
                 return False
             outcome.cpu_seconds += cpu_cost
-            cgroup.uncharge(PageKind.ANON, page_size_bytes)
-            cgroup.swap_bytes += page_size_bytes if page.state is PageState.SWAPPED else 0
-            cgroup.zswap_bytes += (
-                page_size_bytes if page.state is PageState.ZSWAPPED else 0
-            )
+            cgroup.uncharge(ANON, page_size_bytes)
+            if table.state.item(pid) == SWAPPED:
+                cgroup.swap_bytes += page_size_bytes
+            else:
+                cgroup.zswap_bytes += page_size_bytes
             cgroup.vmstat.pswpout += 1
             outcome.reclaimed_anon_bytes += page_size_bytes
 
+        self.evictions += 1
         cgroup.vmstat.pgsteal += 1
         outcome.reclaimed_bytes += page_size_bytes
         return True

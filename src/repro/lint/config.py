@@ -142,6 +142,8 @@ def default_config() -> LintConfig:
                 "entrypoints": (
                     "repro.sim.host.Host.step",
                     "repro.kernel.mm.MemoryManager.touch_batch",
+                    "repro.kernel.page.PageTable.hit",
+                    "repro.kernel.page.PageTable.pop_tail",
                     "repro.kernel.mm.MemoryManager.kswapd",
                     "repro.kernel.reclaim.Reclaimer.reclaim",
                     "repro.kernel.idle.IdlePageTracker.scan",

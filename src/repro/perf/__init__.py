@@ -22,6 +22,7 @@ from repro.perf.harness import (
     format_report,
     load_report,
     run_bench,
+    wall_s,
     write_report,
 )
 from repro.perf.profile import (
@@ -47,5 +48,6 @@ __all__ = [
     "format_report",
     "load_report",
     "run_bench",
+    "wall_s",
     "write_report",
 ]

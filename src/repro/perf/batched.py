@@ -1,8 +1,8 @@
 """The batched-API registry behind the hot-path lint (TMO017/TMO021).
 
-The columnar-kernel roadmap replaces scalar per-page calls with batched
-equivalents; this module is the single declared mapping between the two
-shapes. ``repro.lint.hotpath`` parses these literal tables statically
+The columnar page core (``repro.kernel.page.PageTable``) keeps page
+state in numpy columns and offers batched forms of the per-page calls;
+this module is the single declared mapping between the two shapes. ``repro.lint.hotpath`` parses these literal tables statically
 (phase A of ``tmo-lint --flow``), so editing them re-triggers the
 scalar-loop checks on every cached file:
 
@@ -25,6 +25,8 @@ from typing import Dict, Tuple
 BATCHED_EQUIVALENTS: Dict[str, str] = {
     "repro.kernel.mm.MemoryManager.touch":
         "repro.kernel.mm.MemoryManager.touch_batch",
+    "repro.kernel.page.PageTable.link":
+        "repro.kernel.page.PageTable.link_new",
     "repro.kernel.idle.AgeHistogram.add":
         "repro.kernel.idle.IdlePageTracker.scan",
 }

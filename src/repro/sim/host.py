@@ -129,7 +129,7 @@ class Host:
     """A simulated server running containers under optional controllers."""
 
     # Snapshot state (repro.checkpoint.state), owners before borrowers:
-    # workloads refer to the memory manager, pages and PSI tasks.
+    # workloads refer to the memory manager and PSI tasks.
     __state__ = (
         "clock", "psi", "metrics", "fs", "swap_backend", "mm",
         "controlfs", "_hosted", "_controllers", "_tick_index",

@@ -1,7 +1,7 @@
 """Debug-mode runtime invariant checking.
 
 The simulator maintains several redundant views of the same state —
-byte counters on cgroups, page objects in the MM, LRU membership,
+byte counters on cgroups, the page table's columns, LRU lengths,
 PSI stall integrals. In normal runs the redundancy is what makes the
 experiments cheap to record; in debug runs it is an opportunity to
 cross-check. :class:`InvariantChecker` walks those views after every
@@ -11,8 +11,8 @@ the (much later) metric that exposed it.
 
 Enable it per host with ``HostConfig(check_invariants=True)`` or
 globally with the ``TMO_CHECK_INVARIANTS`` environment variable
-(``1``/``true``/``yes``/``on``). The checks cost one full page-table
-walk per tick, so they default to off.
+(``1``/``true``/``yes``/``on``). The checks cost a few passes over
+the page table per tick, so they default to off.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.kernel.page import PageKind, PageState
+import numpy as np
+
+from repro.kernel.page import RESIDENT, PageKind, PageState
 from repro.psi.types import Resource
 
 #: Environment variable that switches checking on for every host whose
@@ -28,6 +30,9 @@ from repro.psi.types import Resource
 ENV_FLAG = "TMO_CHECK_INVARIANTS"
 
 _TRUTHY = ("1", "true", "yes", "on")
+
+SWAPPED = int(PageState.SWAPPED)
+ZSWAPPED = int(PageState.ZSWAPPED)
 
 #: Slack for floating-point comparisons on PSI fractions and stall
 #: integrals. Stall times accumulate as sums of tick segments, so exact
@@ -86,42 +91,36 @@ class InvariantChecker:
         counters the charge/uncharge paths maintain incrementally.
         """
         psize = mm.page_size_bytes
-        # Per-cgroup tallies are allocated up front so the per-page loop
-        # only increments counters (the checker runs every tick under
-        # TMO_CHECK_INVARIANTS, inside the lint's hot region).
-        tallies: Dict[str, Dict[str, int]] = {
-            cgroup.name: {"anon": 0, "file": 0, "swap": 0, "zswap": 0}
-            for cgroup in mm.cgroups()
-        }
-        for page in mm.pages():
-            tally = tallies.get(page.cgroup)
-            if tally is None:
-                # A page charged to no known cgroup has no byte counters
-                # to cross-check; the per-cgroup LRU check catches it.
-                continue
-            if page.state is PageState.RESIDENT:
-                key = "anon" if page.kind is PageKind.ANON else "file"
-                tally[key] += 1
-            elif page.state is PageState.SWAPPED:
-                tally["swap"] += 1
-            elif page.state is PageState.ZSWAPPED:
-                tally["zswap"] += 1
-            # EVICTED/ABSENT pages hold no charged bytes anywhere.
-
-        for cgroup in mm.cgroups():
-            tally = tallies[cgroup.name]
-            for key, actual in (
+        table = mm.table
+        n = table.npages
+        live = table.cgroup[:n] >= 0
+        owner = table.cgroup[:n][live].astype(np.int64)
+        state = table.state[:n][live]
+        # Tally column per page: resident anon, resident file, swap,
+        # zswap; EVICTED/ABSENT pages hold no charged bytes anywhere.
+        tally = np.full(len(owner), 4, dtype=np.int64)
+        resident = state == RESIDENT
+        tally[resident] = table.kind[:n][live][resident]
+        tally[state == SWAPPED] = 2
+        tally[state == ZSWAPPED] = 3
+        cgroups = mm.cgroups()
+        counts = np.bincount(
+            owner * 5 + tally, minlength=5 * len(cgroups)
+        ).reshape(-1, 5)
+        for cgroup in cgroups:
+            for column, (key, actual) in enumerate((
                 ("anon", cgroup.anon_bytes),
                 ("file", cgroup.file_bytes),
                 ("swap", cgroup.swap_bytes),
                 ("zswap", cgroup.zswap_bytes),
-            ):
-                expected = tally[key] * psize
+            )):
+                pages = int(counts[cgroup.index, column])
+                expected = pages * psize
                 if actual != expected:
                     raise InvariantViolation(
                         f"cgroup {cgroup.name!r}: {key}_bytes is "
                         f"{actual} but its page population implies "
-                        f"{expected} ({tally[key]} pages x {psize} B)"
+                        f"{expected} ({pages} pages x {psize} B)"
                     )
                 if actual < 0:
                     raise InvariantViolation(
@@ -130,11 +129,32 @@ class InvariantChecker:
                     )
 
     def check_lru_accounting(self, mm) -> None:
-        """Each LRU must hold exactly the resident pages of its kind."""
+        """Each LRU must hold exactly the resident pages of its kind,
+        and its kept length must match its members."""
         psize = mm.page_size_bytes
+        table = mm.table
+        n = table.npages
+        on_list = table.stamp[:n] > 0
+        if np.any(on_list != (
+            (table.state[:n] == RESIDENT) & (table.cgroup[:n] >= 0)
+        )):
+            raise InvariantViolation(
+                "the pages on LRU lists are not exactly the resident ones"
+            )
+        keys = (
+            table.cgroup[:n][on_list].astype(np.int64) * 2
+            + table.kind[:n][on_list]
+        ) * 2 + table.active[:n][on_list]
+        members = np.bincount(keys, minlength=len(table.lru_len))
+        if members.tolist() != table.lru_len:
+            raise InvariantViolation(
+                f"the kept LRU list lengths {table.lru_len} do not match "
+                f"the lists' members {members.tolist()}"
+            )
         for cgroup in mm.cgroups():
             for kind in (PageKind.ANON, PageKind.FILE):
-                lru_bytes = len(cgroup.lru[kind]) * psize
+                pages = table.list_len(cgroup.index, kind)
+                lru_bytes = pages * psize
                 counter = (
                     cgroup.anon_bytes
                     if kind is PageKind.ANON
@@ -143,7 +163,7 @@ class InvariantChecker:
                 if lru_bytes != counter:
                     raise InvariantViolation(
                         f"cgroup {cgroup.name!r}: {kind.name} LRU holds "
-                        f"{len(cgroup.lru[kind])} pages ({lru_bytes} B) "
+                        f"{pages} pages ({lru_bytes} B) "
                         f"but the byte counter says {counter} B"
                     )
 

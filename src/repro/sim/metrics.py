@@ -118,13 +118,13 @@ class Series:
         window is one contiguous slice found by bisection.
         """
         t = self._t_buf[: self._n]
-        lo = int(np.searchsorted(t, start, side="left"))
-        hi = int(np.searchsorted(t, end, side="left"))
-        return Series(
-            self.name,
-            times=t[lo:hi],
-            values=self._v_buf[lo:hi],
-        )
+        lo = int(t.searchsorted(start, side="left"))
+        hi = int(t.searchsorted(end, side="left"))
+        # Copied buffer to buffer: no detour through Python lists.
+        window = Series.__new__(Series)
+        window.name = self.name
+        window._load(t[lo:hi], self._v_buf[lo:hi])
+        return window
 
     def mean(self) -> float:
         """Mean of all sample values (nan when empty)."""

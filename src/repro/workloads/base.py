@@ -10,12 +10,11 @@ and the experiment metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.kernel.mm import MemoryManager, OutOfMemoryError
-from repro.kernel.page import Page
 from repro.sim.rng import derive_rng
 from repro.workloads.access import (
     assign_reaccess_intervals,
@@ -70,8 +69,8 @@ class Workload:
     resolved through the memory manager.
     """
 
-    # Snapshot state (repro.checkpoint.state); the memory manager and
-    # the pages are references into the host's.
+    # Snapshot state (repro.checkpoint.state); the memory manager is a
+    # reference into the host's, the pages are its page ids.
     __state__ = (
         "mm", "profile", "cgroup_name", "_rng", "_pages", "_intervals",
         "_growth_carry", "_pending_spike_pages", "started",
@@ -81,7 +80,7 @@ class Workload:
     mm: MemoryManager
     profile: AppProfile
     _rng: np.random.Generator
-    _pages: List[Page]
+    _pages: np.ndarray
     _intervals: np.ndarray
 
     # Touch-probability cache: valid while the interval array object
@@ -105,7 +104,7 @@ class Workload:
         self.profile = profile
         self.cgroup_name = cgroup_name
         self._rng = derive_rng(seed, f"workload:{profile.name}:{cgroup_name}")
-        self._pages = []
+        self._pages = np.empty(0, dtype=np.int64)
         self._intervals = np.empty(0)
         self._growth_carry = 0.0
         self._pending_spike_pages = 0
@@ -121,8 +120,8 @@ class Workload:
         return self.mm.page_size_bytes
 
     @property
-    def pages(self) -> List[Page]:
-        """The workload's page population (all states)."""
+    def pages(self) -> np.ndarray:
+        """The ids of the workload's page population (all states)."""
         return self._pages
 
     @property
@@ -157,9 +156,8 @@ class Workload:
             compressibility=self.profile.compress_ratio,
         )
         dirty_count = int(round(n_file * self.profile.dirty_file_frac))
-        for page in file_pages[:dirty_count]:
-            page.dirty = True
-        self._pages = anon_pages + file_pages
+        self.mm.mark_dirty(file_pages[:dirty_count])
+        self._pages = np.concatenate([anon_pages, file_pages])
         self._intervals = assign_reaccess_intervals(
             len(self._pages), self.profile.bands, self._rng,
             never_share=self.profile.cold_never_share,
@@ -178,7 +176,7 @@ class Workload:
         scale = len(self._pages) / max(1, self.size_pages())
         while True:
             self.mm.release_cgroup_pages(self.cgroup_name)
-            self._pages = []
+            self._pages = np.empty(0, dtype=np.int64)
             self._intervals = np.empty(0)
             self.started = False
             try:
@@ -230,7 +228,7 @@ class Workload:
             len(new_pages), self.profile.bands, self._rng,
             never_share=self.profile.cold_never_share,
         )
-        self._pages.extend(new_pages)
+        self._pages = np.concatenate([self._pages, new_pages])
         self._intervals = np.concatenate([self._intervals, new_intervals])
         return len(new_pages)
 
@@ -276,7 +274,9 @@ class Workload:
         """Choose which page indices get touched this quantum.
 
         Separated from execution so traces can be recorded and replayed
-        (see :mod:`repro.workloads.trace`).
+        (see :mod:`repro.workloads.trace`). The indices are distinct, as
+        :meth:`MemoryManager.touch_batch` requires: one draw per page,
+        shuffled.
         """
         if self._probs_for is not self._intervals or self._probs_dt != dt:
             self._probs = touch_probability(self._intervals, dt)

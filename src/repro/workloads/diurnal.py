@@ -15,12 +15,11 @@ allocated toward the peak and released toward the trough).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.kernel.mm import MemoryManager
-from repro.kernel.page import Page
 from repro.workloads.apps import AppProfile
 from repro.workloads.base import TickResult, Workload
 
@@ -30,7 +29,7 @@ class DiurnalWorkload(Workload):
 
     __state__ = ("period_s", "amplitude", "footprint_swing", "phase_s",
                  "_swing_pages", "_current_intensity")
-    _swing_pages: List[Page]
+    _swing_pages: np.ndarray
 
     def __init__(
         self,
@@ -63,8 +62,9 @@ class DiurnalWorkload(Workload):
         self.amplitude = amplitude
         self.footprint_swing = footprint_swing
         self.phase_s = phase_s
-        #: Pages allocated above the base population (the swing pool).
-        self._swing_pages = []
+        #: Ids of the pages allocated above the base population (the
+        #: swing pool).
+        self._swing_pages = np.empty(0, dtype=np.int64)
         #: Load multiplier of the current tick (set as the tick starts).
         self._current_intensity: Optional[float] = None
 
@@ -96,24 +96,18 @@ class DiurnalWorkload(Workload):
         if target > have:
             start = len(self._pages)
             grown = self._allocate_more(target - have, now, tick)
-            self._swing_pages.extend(self._pages[start:start + grown])
+            self._swing_pages = np.concatenate(
+                [self._swing_pages, self._pages[start:start + grown]]
+            )
         elif target < have:
-            doomed = {
-                id(self._swing_pages.pop()) for _ in range(have - target)
-            }
-            keep_mask = np.ones(len(self._pages), dtype=bool)
-            for idx in range(len(self._pages) - 1, -1, -1):
-                if not doomed:
-                    break
-                page = self._pages[idx]
-                if id(page) in doomed:
-                    doomed.discard(id(page))
-                    self.mm.release_page(page)
-                    keep_mask[idx] = False
-            self._pages = [
-                p for p, keep in zip(self._pages, keep_mask) if keep
-            ]
-            self._intervals = self._intervals[keep_mask]
+            # Release the newest swing pages, last in the population
+            # first.
+            doomed = np.isin(self._pages, self._swing_pages[target:])
+            for pid in self._pages[doomed][::-1].tolist():
+                self.mm.release_page(pid)
+            self._swing_pages = self._swing_pages[:target]
+            self._pages = self._pages[~doomed]
+            self._intervals = self._intervals[~doomed]
 
     def tick(self, now: float, dt: float) -> TickResult:
         self._current_intensity = self.intensity(now)

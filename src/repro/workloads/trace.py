@@ -110,8 +110,9 @@ class ReplayWorkload(Workload):
         self.trace = trace
         self._cursor = 0
         #: Touches referencing pages the replay host could not allocate
-        #: (it OOMed where the recording host did not). Nonzero values
-        #: mean the A/B is not apples-to-apples — check it.
+        #: (it OOMed where the recording host did not), or no page at
+        #: all (a negative index). Nonzero values mean the A/B is not
+        #: apples-to-apples — check it.
         self.dropped_touches = 0
 
     def start(self, now: float, size_scale: Optional[float] = None) -> None:
@@ -129,7 +130,15 @@ class ReplayWorkload(Workload):
             )
         event = self.trace.events[self._cursor]
         touched = np.asarray(event.touched, dtype=np.int64)
-        in_range = touched < len(self._pages)
+        # touch_batch requires distinct indices; a recorded event never
+        # repeats one, so a repeat means the trace was edited or corrupt.
+        values, counts = np.unique(touched, return_counts=True)
+        if len(values) != len(touched):
+            raise ValueError(
+                f"trace event {self._cursor} touches page index "
+                f"{int(values[counts > 1][0])} more than once"
+            )
+        in_range = (touched >= 0) & (touched < len(self._pages))
         self.dropped_touches += int((~in_range).sum())
         return touched[in_range]
 

@@ -103,7 +103,7 @@ def test_distances_recorded_by_real_refaults():
     mm.create_cgroup("app")
     pages, _ = mm.register_file("app", 20, now=0.0, resident=True)
     mm.memory_reclaim("app", 5 * PAGE, now=1.0)
-    evicted = [p for p in pages if p.state is PageState.EVICTED]
+    evicted = pages[mm.table.state[pages] == PageState.EVICTED]
     for page in evicted:
         mm.touch(page, now=2.0)
     assert sum(mm.cgroup("app").reuse_distance_hist.values()) == len(evicted)

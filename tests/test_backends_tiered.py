@@ -120,12 +120,12 @@ def test_host_integration_with_tiered_backend():
     # beyond cold_age_s) go to SSD.
     assert counts[TIER_ZSWAP] > 0
     pages = host.workload("app").pages
-    states = {p.state for p in pages}
-    assert PageState.ZSWAPPED in states
+    state = host.mm.table.state
+    assert (state[pages] == PageState.ZSWAPPED).any()
     # Page states agree with tier placement.
-    for page in pages:
-        tier = host.swap_backend.tier_of(page.page_id)
+    for page in pages.tolist():
+        tier = host.swap_backend.tier_of(page)
         if tier == TIER_ZSWAP:
-            assert page.state is PageState.ZSWAPPED
+            assert state[page] == PageState.ZSWAPPED
         elif tier == TIER_SSD:
-            assert page.state is PageState.SWAPPED
+            assert state[page] == PageState.SWAPPED

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.fleet import Fleet, HostPlan, cgroup_memory_savings
 from repro.core.senpai import SenpaiConfig
+from repro.kernel.page import PageState
 from repro.sim.host import HostConfig
 
 from tests.helpers import make_mm
@@ -65,7 +66,7 @@ def test_refault_reduces_file_savings():
     mm.create_cgroup("app")
     pages, _ = mm.register_file("app", 20, now=0.0, resident=True)
     mm.memory_reclaim("app", 5 * PAGE, now=1.0)
-    evicted = [p for p in pages if not p.resident]
+    evicted = pages[mm.table.state[pages] != PageState.RESIDENT]
     mm.touch(evicted[0], now=2.0)  # refault: saving undone
     stats = cgroup_memory_savings(mm, "app")
     assert stats["saved_file_bytes"] == 4 * PAGE

@@ -13,7 +13,7 @@ import pytest
 from repro.backends.base import BackendFaultError
 from repro.backends.ssd import SwapFullError
 from repro.core.senpai import Senpai, SenpaiConfig
-from repro.kernel.page import PageKind, PageState
+from repro.kernel.page import PageState
 from repro.workloads.access import HeatBands
 from repro.workloads.apps import AppProfile
 from repro.workloads.base import Workload
@@ -87,7 +87,7 @@ def test_restart_storm_under_senpai():
     cg = host.mm.cgroup("app")
     # Books still balance after repeated teardown/rebuild.
     pages = host.workload("app").pages
-    resident = sum(1 for p in pages if p.state is PageState.RESIDENT)
+    resident = int((host.mm.table.state[pages] == PageState.RESIDENT).sum())
     assert cg.resident_bytes == resident * host.mm.page_size_bytes
     assert host.mm.used_bytes() <= host.mm.ram_bytes
 
@@ -123,8 +123,8 @@ def test_release_of_evicted_file_page_forgets_shadow():
     mm.create_cgroup("app")
     pages, _ = mm.register_file("app", 10, now=0.0, resident=True)
     mm.memory_reclaim("app", 3 * PAGE, now=1.0)
-    evicted = [p for p in pages if p.state is PageState.EVICTED]
-    assert evicted
+    evicted = pages[mm.table.state[pages] == PageState.EVICTED]
+    assert len(evicted)
     before = len(mm.cgroup("app").shadow)
     mm.release_page(evicted[0])
     assert len(mm.cgroup("app").shadow) == before - 1
@@ -153,18 +153,19 @@ def test_swapin_error_is_refault_with_retry():
     mm.create_cgroup("app")
     pages, _ = mm.alloc_anon("app", 10, now=0.0)
     mm.memory_reclaim("app", 10 * PAGE, now=1.0)
-    victim = next(p for p in pages if p.state is not PageState.RESIDENT)
+    state = mm.table.state
+    victim = next(p for p in pages if state[p] != PageState.RESIDENT)
 
     mm.swap_backend.device.faults.io_error_rate = 1.0
     result = mm.touch(victim, now=2.0)
     assert result.event in ("swapin_error", "fileread_error")
     assert result.stall_seconds > 0.0
-    assert victim.state is not PageState.RESIDENT  # still offloaded
+    assert state[victim] != PageState.RESIDENT  # still offloaded
     assert mm.swap_fault_count > 0
 
     mm.swap_backend.device.faults.clear()
     result = mm.touch(victim, now=3.0)  # the retry succeeds
-    assert victim.state is PageState.RESIDENT
+    assert state[victim] == PageState.RESIDENT
     assert mm.cgroup("app").resident_bytes <= mm.ram_bytes
 
 
@@ -198,10 +199,9 @@ def test_failed_file_writeback_keeps_dirty_page():
     mm = make_mm(backend=None, ram_mb=64)
     mm.create_cgroup("app")
     pages, _ = mm.register_file("app", 10, now=0.0, resident=True)
-    for page in pages:
-        page.dirty = True
+    mm.mark_dirty(pages)
     mm.fs.device.faults.io_error_rate = 1.0
     mm.memory_reclaim("app", 5 * PAGE, now=1.0)
-    assert all(p.state is PageState.RESIDENT for p in pages)
+    assert (mm.table.state[pages] == PageState.RESIDENT).all()
     assert mm.fs_fault_count > 0
     assert len(mm.cgroup("app").shadow) == 0  # no phantom evictions

@@ -46,12 +46,15 @@ def test_accounting_invariants_hold_after_long_run():
     mm = host.mm
     cg = mm.cgroup("app")
     pages = host.workload("app").pages
-    resident = sum(1 for p in pages if p.state is PageState.RESIDENT)
-    zswapped = sum(1 for p in pages if p.state is PageState.ZSWAPPED)
+    state = mm.table.state[pages]
+    resident = int((state == PageState.RESIDENT).sum())
+    zswapped = int((state == PageState.ZSWAPPED).sum())
     assert resident * mm.page_size_bytes == cg.resident_bytes
     assert zswapped * mm.page_size_bytes == cg.zswap_bytes
     # LRU lists hold exactly the resident pages.
-    on_lru = sum(len(cg.lru[k]) for k in (PageKind.ANON, PageKind.FILE))
+    on_lru = sum(
+        mm.table.list_len(cg.index, k) for k in (PageKind.ANON, PageKind.FILE)
+    )
     assert on_lru == resident
     # Host capacity is respected.
     assert mm.used_bytes() <= mm.ram_bytes

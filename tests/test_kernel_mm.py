@@ -24,9 +24,9 @@ def test_alloc_anon_charges_and_lists():
     cg = mm.cgroup("app")
     assert len(pages) == 4
     assert cg.anon_bytes == 4 * PAGE
-    assert len(cg.lru[PageKind.ANON]) == 4
+    assert mm.table.list_len(cg.index, PageKind.ANON) == 4
     assert stall == 0.0
-    assert all(p.state is PageState.RESIDENT for p in pages)
+    assert (mm.table.state[pages] == PageState.RESIDENT).all()
 
 
 def test_register_file_absent_vs_resident():
@@ -35,8 +35,8 @@ def test_register_file_absent_vs_resident():
     lazy, _ = mm.register_file("app", 2, now=0.0, resident=False)
     warm, _ = mm.register_file("app", 3, now=0.0, resident=True)
     cg = mm.cgroup("app")
-    assert all(p.state is PageState.ABSENT for p in lazy)
-    assert all(p.state is PageState.RESIDENT for p in warm)
+    assert (mm.table.state[lazy] == PageState.ABSENT).all()
+    assert (mm.table.state[warm] == PageState.RESIDENT).all()
     assert cg.file_bytes == 3 * PAGE
 
 
@@ -47,7 +47,7 @@ def test_touch_resident_is_free():
     result = mm.touch(pages[0], now=1.0)
     assert result.event == "hit"
     assert result.stall_seconds == 0.0
-    assert pages[0].last_access == 1.0
+    assert mm.table.last_access[pages[0]] == 1.0
 
 
 def test_touch_absent_file_reads_from_fs():
@@ -58,7 +58,7 @@ def test_touch_absent_file_reads_from_fs():
     assert result.event == "file_read"
     assert result.iostall and not result.memstall
     assert result.stall_seconds > 0.0
-    assert pages[0].state is PageState.RESIDENT
+    assert mm.table.state[pages[0]] == PageState.RESIDENT
     assert mm.cgroup("app").vmstat.pgpgin_file == 1
 
 
@@ -72,8 +72,8 @@ def test_zswap_swap_out_and_back():
     assert cg.zswap_bytes > 0
     # Pool physically holds ~1/4 of the logical bytes (4x ratio).
     assert mm.zswap_pool_bytes < cg.zswap_bytes
-    swapped = [p for p in pages if p.state is PageState.ZSWAPPED]
-    assert swapped
+    swapped = pages[mm.table.state[pages] == PageState.ZSWAPPED]
+    assert len(swapped)
     result = mm.touch(swapped[0], now=2.0)
     assert result.event == "zswapin"
     assert result.memstall and not result.iostall
@@ -85,8 +85,8 @@ def test_ssd_swap_out_and_back():
     mm.create_cgroup("app")
     pages, _ = mm.alloc_anon("app", 10, now=0.0)
     mm.memory_reclaim("app", 10 * PAGE, now=1.0)
-    swapped = [p for p in pages if p.state is PageState.SWAPPED]
-    assert swapped
+    swapped = pages[mm.table.state[pages] == PageState.SWAPPED]
+    assert len(swapped)
     assert mm.cgroup("app").swap_bytes == len(swapped) * PAGE
     result = mm.touch(swapped[0], now=2.0)
     assert result.event == "swapin"
@@ -112,8 +112,8 @@ def test_refault_detection_and_psi_classification():
     mm.alloc_anon("app", 20, now=0.0)
     victim = pages[0]
     mm.memory_reclaim("app", PAGE, now=1.0)
-    evicted = [p for p in pages if p.state is PageState.EVICTED]
-    assert evicted
+    evicted = pages[mm.table.state[pages] == PageState.EVICTED]
+    assert len(evicted)
     result = mm.touch(evicted[0], now=2.0)
     # Reuse distance 1 << resident size: must be a refault, which
     # stalls on memory AND io.
@@ -206,6 +206,6 @@ def test_swap_in_frees_backend_space():
     pages, _ = mm.alloc_anon("app", 10, now=0.0)
     mm.memory_reclaim("app", 4 * PAGE, now=1.0)
     stored_before = mm.swap_backend.stored_bytes
-    swapped = [p for p in pages if p.state is PageState.SWAPPED]
+    swapped = pages[mm.table.state[pages] == PageState.SWAPPED]
     mm.touch(swapped[0], now=2.0)
     assert mm.swap_backend.stored_bytes == stored_before - PAGE

@@ -92,9 +92,10 @@ def test_reclaim_prefers_cold_pages():
         mm.touch(page, now=2.0)
     outcome = mm.memory_reclaim("app", 2 * PAGE, now=3.0)
     assert outcome.reclaimed_bytes == 2 * PAGE
-    assert pages[0].state is PageState.EVICTED
-    assert pages[1].state is PageState.EVICTED
-    assert all(p.state is PageState.RESIDENT for p in pages[2:])
+    state = mm.table.state
+    assert state[pages[0]] == PageState.EVICTED
+    assert state[pages[1]] == PageState.EVICTED
+    assert (state[pages[2:]] == PageState.RESIDENT).all()
 
 
 def test_referenced_pages_get_second_chance():
@@ -152,12 +153,11 @@ def test_dirty_file_pages_are_written_back():
     mm = make_mm(backend=None)
     mm.create_cgroup("app")
     pages, _ = mm.register_file("app", 4, now=0.0, resident=True)
-    for page in pages:
-        page.dirty = True
+    mm.mark_dirty(pages)
     mm.memory_reclaim("app", 4 * PAGE, now=1.0)
     cg = mm.cgroup("app")
     assert cg.vmstat.pgwriteback == 4
-    assert all(not p.dirty for p in pages)
+    assert not mm.table.dirty[pages].any()
 
 
 def test_eviction_installs_shadow_entries():

@@ -57,7 +57,7 @@ def test_swap_in_frees_budget_for_re_offload():
     cg.refault_rate.rate = 100.0
     mm.memory_reclaim("app", 4 * PAGE, now=1.0)
     assert cg.zswap_bytes == 2 * PAGE
-    swapped = [p for p in pages if p.state is PageState.ZSWAPPED]
+    swapped = pages[mm.table.state[pages] == PageState.ZSWAPPED]
     mm.touch(swapped[0], now=2.0)  # frees one slot of budget
     mm.memory_reclaim("app", 2 * PAGE, now=3.0)
     assert cg.zswap_bytes == 2 * PAGE  # refilled up to the cap

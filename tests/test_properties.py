@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policy import reclaim_amount
-from repro.kernel.lru import LruSet
-from repro.kernel.page import Page, PageKind
+import numpy as np
+
+from repro.kernel.page import PageKind, PageState, PageTable, lru_key
 from repro.kernel.shadow import ShadowMap
 from repro.psi.avgs import RunningAverages
 from repro.psi.group import FULL, SOME, PsiGroup
@@ -65,25 +66,26 @@ def lru_operations(draw):
 @settings(max_examples=60)
 def test_lru_never_loses_or_duplicates_pages(case):
     n, ops = case
-    lruset = LruSet(PageKind.FILE, "g")
-    pages = [Page(page_id=i, kind=PageKind.FILE, cgroup="g") for i in range(n)]
+    kind = int(PageKind.FILE)
+    table = PageTable()
+    table.fit_cgroups(1)
+    pages = table.add(n, 0, kind, int(PageState.RESIDENT), False, 3.0, 0.0)
+    table.link_new(pages, 0, kind)
+    inactive = lru_key(0, kind, False)
     alive = set(range(n))
-    for page in pages:
-        lruset.insert_new(page)
     for op, idx in ops:
-        page = pages[idx]
         if op == "touch" and idx in alive:
-            lruset.touch(page)
+            table.hit(np.array([idx]), 1.0)
         elif op == "scan":
-            victim, evictable = lruset.scan_tail()
+            victim, evictable = table.scan_tail(inactive)
             if victim is not None and evictable:
-                alive.discard(victim.page_id)
+                alive.discard(victim)
         elif op == "deactivate":
-            lruset.deactivate_one()
+            table.deactivate_one(inactive)
         # Invariant: resident pages are on exactly one list.
-        assert len(lruset) == len(alive)
-        on_active = {p.page_id for p in lruset.active}
-        on_inactive = {p.page_id for p in lruset.inactive}
+        assert table.list_len(0, kind) == len(alive)
+        on_active = set(table.members(0, kind, True).tolist())
+        on_inactive = set(table.members(0, kind, False).tolist())
         assert not (on_active & on_inactive)
         assert on_active | on_inactive == alive
 

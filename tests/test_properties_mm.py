@@ -37,7 +37,7 @@ class MmMachine(RuleBasedStateMachine):
         self.mm = make_mm(ram_mb=64, backend=backend)  # 256 pages
         self.mm.create_cgroup("a")
         self.mm.create_cgroup("b")
-        self.pages = []
+        self.pages = []  # page ids
 
     def _tick(self):
         self.now += 1.0
@@ -52,7 +52,7 @@ class MmMachine(RuleBasedStateMachine):
             pages, _ = self.mm.alloc_anon(cg, n, self.now)
         except OutOfMemoryError:
             return
-        self.pages.extend(pages)
+        self.pages.extend(pages.tolist())
 
     @rule(cg=st.sampled_from(["a", "b"]), n=st.integers(1, 8),
           resident=st.booleans())
@@ -64,7 +64,7 @@ class MmMachine(RuleBasedStateMachine):
             )
         except OutOfMemoryError:
             return
-        self.pages.extend(pages)
+        self.pages.extend(pages.tolist())
 
     @rule(idx=st.integers(0, 10_000))
     def touch(self, idx):
@@ -106,9 +106,10 @@ class MmMachine(RuleBasedStateMachine):
     def counters_match_page_states(self):
         for name in ("a", "b"):
             cg = self.mm.cgroup(name)
-            mine = [p for p in self.pages if p.cgroup == name]
+            table = self.mm.table
+            mine = [p for p in self.pages if table.cgroup[p] == cg.index]
             by_state = {
-                state: sum(1 for p in mine if p.state is state)
+                state: sum(1 for p in mine if table.state[p] == state)
                 for state in PageState
             }
             resident_bytes = by_state[PageState.RESIDENT] * PAGE
@@ -120,10 +121,13 @@ class MmMachine(RuleBasedStateMachine):
     def lru_holds_exactly_resident_pages(self):
         for name in ("a", "b"):
             cg = self.mm.cgroup(name)
-            on_lru = len(cg.lru[PageKind.ANON]) + len(cg.lru[PageKind.FILE])
+            table = self.mm.table
+            on_lru = (table.list_len(cg.index, PageKind.ANON)
+                      + table.list_len(cg.index, PageKind.FILE))
             resident = sum(
                 1 for p in self.pages
-                if p.cgroup == name and p.state is PageState.RESIDENT
+                if table.cgroup[p] == cg.index
+                and table.state[p] == PageState.RESIDENT
             )
             assert on_lru == resident
 

@@ -121,9 +121,9 @@ def test_catches_lru_membership_leak():
     cgroup = host.mm.cgroup("app")
     # Drop one resident file page from its LRU without uncharging —
     # the classic "forgot to update the list" bug.
-    lru = cgroup.lru[PageKind.FILE]
-    victim = next(iter(lru.inactive or lru.active))
-    lru.remove(victim)
+    table = host.mm.table
+    victim = table.members(cgroup.index, PageKind.FILE, False)[0]
+    table.unlink(victim)
     checker = host.invariants
     with pytest.raises(InvariantViolation, match="LRU"):
         checker.check_lru_accounting(host.mm)

@@ -37,19 +37,20 @@ def make_workload(mm=None, profile=None, **overrides):
 def test_start_splits_anon_and_file():
     w = make_workload()
     w.start(0.0)
-    anon = [p for p in w.pages if p.kind is PageKind.ANON]
-    file = [p for p in w.pages if p.kind is PageKind.FILE]
+    kind = w.mm.table.kind[w.pages]
+    anon = w.pages[kind == PageKind.ANON]
+    file = w.pages[kind == PageKind.FILE]
     assert len(anon) == 60
     assert len(file) == 40
     # Non-preload profile: file pages start on disk.
-    assert all(p.state is PageState.ABSENT for p in file)
+    assert (w.mm.table.state[file] == PageState.ABSENT).all()
 
 
 def test_start_with_preload_makes_file_resident():
     w = make_workload(file_preload=True)
     w.start(0.0)
-    file = [p for p in w.pages if p.kind is PageKind.FILE]
-    assert all(p.state is PageState.RESIDENT for p in file)
+    file = w.pages[w.mm.table.kind[w.pages] == PageKind.FILE]
+    assert (w.mm.table.state[file] == PageState.RESIDENT).all()
 
 
 def test_double_start_rejected():
@@ -125,11 +126,11 @@ def test_restart_rebuilds_population():
     w = make_workload()
     w.start(0.0)
     w.mm.memory_reclaim("app", 20 * PAGE, now=1.0)
-    old_pages = list(w.pages)
+    old_pages = w.pages.tolist()
     w.restart(2.0)
     assert w.started
     assert w.npages_total == len(old_pages)
-    assert all(p not in old_pages for p in w.pages)
+    assert all(p not in old_pages for p in w.pages.tolist())
     cg = w.mm.cgroup("app")
     assert cg.zswap_bytes == 0  # offloaded state dropped with restart
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.senpai import Senpai, SenpaiConfig
+from repro.kernel.page import PageState
 from repro.workloads.access import HeatBands
 from repro.workloads.apps import AppProfile
 from repro.workloads.diurnal import DiurnalWorkload
@@ -82,7 +83,7 @@ def test_released_pages_uncharge():
         w.tick(t, 10.0)
         t += 10.0
         # Accounting invariant holds through every breath.
-        resident = sum(1 for p in w.pages if p.resident)
+        resident = int((mm.table.state[w.pages] == PageState.RESIDENT).sum())
         assert mm.cgroup("app").resident_bytes == (
             resident * mm.page_size_bytes
         )

@@ -8,6 +8,7 @@ from repro.workloads.trace import (
     AccessTrace,
     RecordingWorkload,
     ReplayWorkload,
+    TraceEvent,
 )
 
 from tests.helpers import make_mm
@@ -114,3 +115,33 @@ def test_replay_on_different_backend_same_accesses():
         total += replayer.tick(float(i) * 6.0, 6.0).work_done
     assert total == trace.total_touches
     assert replayer.dropped_touches == 0
+
+
+def replayer_of(*events):
+    trace = AccessTrace(
+        profile=profile(), seed=9, size_scale=1.0,
+        events=[TraceEvent(touched=list(e)) for e in events],
+    )
+    mm = make_mm()
+    mm.create_cgroup("app")
+    replayer = ReplayWorkload(mm, trace, "app")
+    replayer.start(0.0)
+    return replayer
+
+
+def test_replay_drops_negative_indices():
+    replayer = replayer_of([-1, 0])
+    tick = replayer.tick(5.0, 6.0)
+    # -1 names no page: it must not wrap around to the last one.
+    assert replayer.dropped_touches == 1
+    assert tick.work_done == 1
+    last_access = replayer.mm.table.last_access
+    assert last_access[replayer.pages[-1]] == 0.0
+    assert last_access[replayer.pages[0]] == 5.0
+
+
+def test_replay_rejects_duplicate_indices():
+    replayer = replayer_of([1, 2], [4, 7, 4])
+    replayer.tick(0.0, 6.0)
+    with pytest.raises(ValueError, match="trace event 1 .* index 4"):
+        replayer.tick(6.0, 6.0)

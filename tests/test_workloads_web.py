@@ -40,9 +40,9 @@ def make_web(ram_mb=256, config=None, npages=200):
 
 def test_starts_with_file_cache_loaded():
     web = make_web()
-    file = [p for p in web.pages if p.kind is PageKind.FILE]
-    assert file
-    assert all(p.state is PageState.RESIDENT for p in file)
+    file = web.pages[web.mm.table.kind[web.pages] == PageKind.FILE]
+    assert len(file)
+    assert (web.mm.table.state[file] == PageState.RESIDENT).all()
 
 
 def test_healthy_host_serves_base_rps():
