@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test chaos fleet-chaos fleetd-chaos fleetd-smoke crash-equivalence bench bench-quick bench-pytest bench-tables examples docs lint profile all
+.PHONY: install test chaos fleet-chaos fleetd-chaos fleetd-smoke crash-equivalence bench bench-pytest bench-tables examples docs lint all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -62,24 +62,12 @@ lint:
 	@echo "== repro.lint"
 	$(PYTHON) -m repro.lint --flow --stats lint-stats.json
 
-# Profile-guided hot-path lint (docs/LINTING.md, "Hot paths"): write
-# the per-function tick-share profile of the warmed microbench, then
-# check it against the static hot region — findings in measured-hot
-# functions escalate, and measured-hot functions the call graph cannot
-# reach fail the run.
-profile:
-	$(PYTHON) -m repro bench --profile
-	$(PYTHON) -m repro.lint --flow --profile BENCH_profile.json
-
-# The benchmark harness (docs/PERFORMANCE.md): run the scenario
-# matrix, write BENCH_5.json and gate against the committed baseline's
-# normalized scores (>20% drop fails).
+# The perfbench throughput gate (docs/PERFORMANCE.md): run every
+# workload for seeds 1-3 and fail on a >20% drop of the median
+# calibrated host_ticks_per_s below the newest benchmarks/BENCH_<n>.json,
+# or on any failed correctness check.
 bench:
-	$(PYTHON) -m repro bench --out BENCH_5.json --check benchmarks/BENCH_baseline.json
-
-# Smoke variant for quick local runs; too noisy to gate or commit.
-bench-quick:
-	$(PYTHON) -m repro bench --quick --out BENCH_5.json
+	$(PYTHON) benchmarks/perfbench_pairs.py --check
 
 # The pytest-benchmark microbenches (figure tables + timings).
 bench-pytest:

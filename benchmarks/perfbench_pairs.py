@@ -16,6 +16,19 @@ per-layer table), keeps every run's last stdout line under
 ``--results`` (named ``<workload>-t<trace>-<side>-<seed>.json``).
 Seeds run from ``--first-seed`` up. Timings depend on the machine;
 compare sides of one file, not files.
+
+``--check`` is the CI throughput gate. It runs the ``--change``
+checkout alone on every workload for seeds 1-3, at the ``seconds`` of
+the newest committed point (``benchmarks/BENCH_<n>.json`` with the
+largest ``n``), and fails when a workload's median calibrated
+``host_ticks_per_s`` is more than 20% below that point's ``change``
+median, when a run is missing, or when a run reports ``correct:
+false`` or ``failed > 0``:
+
+    python benchmarks/perfbench_pairs.py --check
+
+With ``--assemble-only`` it judges the run files already in
+``--results``.
 """
 
 from __future__ import annotations
@@ -24,15 +37,22 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 import numpy
 
 WORKLOADS = ("host_large", "fleetd_soak", "fleetd_serve")
 SIDES = ("parent", "change")
+
+#: The gate: seeds run per workload, the metric judged, and the largest
+#: drop of its median below the point's ``change`` median that passes.
+CHECK_SEEDS = (1, 2, 3)
+CHECK_METRIC = "host_ticks_per_s"
+CHECK_TOLERANCE = 0.20
 
 
 def _bench_spec(checkout: str) -> Dict[str, Dict]:
@@ -48,10 +68,11 @@ def _path(results: str, workload: str, trace: int, side: str,
 
 
 def run_pairs(dirs: Dict[str, str], results: str, workload: str,
-              trace: int, seeds: range, seconds: int) -> None:
-    """Run alternating parent/change pairs of one workload."""
+              trace: int, seeds: Sequence[int], seconds: int,
+              sides: Sequence[str] = SIDES) -> None:
+    """Run alternating pairs of one workload over ``sides``."""
     for seed in seeds:
-        order = SIDES if seed % 2 else SIDES[::-1]
+        order = sides if seed % 2 else sides[::-1]
         for side in order:
             out = _path(results, workload, trace, side, seed)
             with open(out, "w") as fh:
@@ -74,9 +95,13 @@ def _load(path: str):
 
 
 def summarize(results: str, workload: str, trace: int,
-              spec: Dict[str, Dict]) -> Dict:
-    """Per-side medians and quartiles, and pairs won, for one table."""
-    runs: Dict[str, Dict[int, Dict]] = {side: {} for side in SIDES}
+              spec: Dict[str, Dict], sides: Sequence[str] = SIDES,
+              only_seeds: Optional[Sequence[int]] = None) -> Dict:
+    """Per-side medians and quartiles, and pairs won, for one table.
+
+    A seed counts when every side in ``sides`` has a readable run of it
+    (and, given ``only_seeds``, when it is one of them)."""
+    runs: Dict[str, Dict[int, Dict]] = {side: {} for side in sides}
     prefix = f"{workload}-t{trace}-"
     for name in os.listdir(results):
         if not name.startswith(prefix) or not name.endswith(".json"):
@@ -85,30 +110,34 @@ def summarize(results: str, workload: str, trace: int,
         doc = _load(os.path.join(results, name))
         if side in runs and seed.isdigit() and doc is not None:
             runs[side][int(seed)] = doc
-    seeds = sorted(set(runs["parent"]) & set(runs["change"]))
+    seeds = sorted(set.intersection(*(set(runs[side]) for side in sides)))
+    if only_seeds is not None:
+        seeds = [s for s in seeds if s in only_seeds]
     table: Dict = {
         "seeds": seeds,
         "correct": {side: sum(bool(runs[side][s]["correct"]) for s in seeds)
-                    for side in SIDES},
+                    for side in sides},
+        "failed": {side: sum(runs[side][s].get("failed", 0) for s in seeds)
+                   for side in sides},
         "metrics": {},
     }
     if not seeds:
         return table
-    for name in sorted(runs["parent"][seeds[0]]["metrics"]):
+    first = runs[sides[0]][seeds[0]]["metrics"]
+    for name in sorted(first):
         per_side: Dict[str, List[float]] = {
             side: [runs[side][s]["metrics"][name]["value"] for s in seeds]
-            for side in SIDES
+            for side in sides
         }
-        entry: Dict = {"unit": runs["parent"][seeds[0]]["metrics"][name]
-                       ["unit"]}
-        for side in SIDES:
+        entry: Dict = {"unit": first[name]["unit"]}
+        for side in sides:
             values = per_side[side]
             quart = (statistics.quantiles(values, n=4) if len(values) > 1
                      else [values[0]] * 3)
             entry[side] = {"median": statistics.median(values),
                            "q1": quart[0], "q3": quart[2], "runs": values}
         better = spec.get(name, {}).get("better")
-        if better in ("higher", "lower"):
+        if better in ("higher", "lower") and len(sides) == 2:
             sign = 1.0 if better == "higher" else -1.0
             entry["change_won"] = sum(
                 sign * (c - p) > 0
@@ -119,12 +148,87 @@ def summarize(results: str, workload: str, trace: int,
     return table
 
 
+def newest_point(checkout: str) -> Optional[str]:
+    """The committed trajectory point with the largest ``<n>``."""
+    bench = os.path.join(checkout, "benchmarks")
+    if not os.path.isdir(bench):
+        return None
+    numbered = [(int(m.group(1)), name) for name in os.listdir(bench)
+                for m in [re.fullmatch(r"BENCH_(\d+)\.json", name)] if m]
+    return os.path.join(bench, max(numbered)[1]) if numbered else None
+
+
+def check(results: str, point_path: str) -> List[str]:
+    """Judge the ``change`` runs in ``results`` against a point.
+
+    Prints one line per judged workload; returns one line per failure
+    (an empty list passes)."""
+    with open(point_path) as fh:
+        point = json.load(fh)["workloads"]
+    name = os.path.basename(point_path)
+    problems: List[str] = []
+    for workload in WORKLOADS:
+        table = summarize(results, workload, 0, {}, sides=("change",),
+                          only_seeds=CHECK_SEEDS)
+        seeds = table["seeds"]
+        missing = [s for s in CHECK_SEEDS if s not in seeds]
+        if missing:
+            problems.append(f"{workload}: no readable run for seed(s) "
+                            + ", ".join(map(str, missing)))
+        wrong = len(seeds) - table["correct"]["change"]
+        failed = table["failed"]["change"]
+        if wrong or failed:
+            problems.append(f"{workload}: {wrong} run(s) with correct: "
+                            f"false, {failed} failed check(s)")
+        ref = (point.get(workload, {}).get("end_to_end", {})
+               .get("metrics", {}).get(CHECK_METRIC))
+        if ref is None:
+            problems.append(f"{workload}: {name} has no {CHECK_METRIC}")
+            continue
+        if not seeds:
+            continue
+        median = table["metrics"][CHECK_METRIC]["change"]["median"]
+        ratio = median / ref["change"]["median"]
+        print(f"{workload}: {CHECK_METRIC} median {median:.1f} = "
+              f"{ratio:.1%} of {ref['change']['median']:.1f} ({name}); "
+              f"{100 * (ratio - 1 + CHECK_TOLERANCE):+.1f} points over "
+              f"the {1 - CHECK_TOLERANCE:.0%} floor")
+        if ratio < 1.0 - CHECK_TOLERANCE:
+            problems.append(
+                f"{workload}: {CHECK_METRIC} median {median:.1f} is "
+                f"{1 - ratio:.1%} below {name}'s "
+                f"{ref['change']['median']:.1f}; the gate allows "
+                f"{CHECK_TOLERANCE:.0%}")
+    return problems
+
+
+def _check(args) -> int:
+    change = os.path.abspath(args.change)
+    point = newest_point(change)
+    if point is None:
+        print(f"no benchmarks/BENCH_<n>.json under {change}",
+              file=sys.stderr)
+        return 2
+    with open(point) as fh:
+        seconds = json.load(fh)["seconds"]
+    os.makedirs(args.results, exist_ok=True)
+    if not args.assemble_only:
+        for workload in WORKLOADS:
+            run_pairs({"change": change}, args.results, workload, 0,
+                      CHECK_SEEDS, seconds, sides=("change",))
+    problems = check(args.results, point)
+    for problem in problems:
+        print(f"REGRESSION: {problem}", file=sys.stderr)
+    if not problems:
+        print(f"perfbench gate passed against {os.path.basename(point)}")
+    return 1 if problems else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True,
-                        help="checkout of the parent commit")
-    parser.add_argument("--change", required=True,
-                        help="checkout of the change")
+    parser.add_argument("--parent", help="checkout of the parent commit")
+    parser.add_argument("--change", default=".",
+                        help="checkout of the change (default: .)")
     parser.add_argument("--results", default=".perfbench_pairs",
                         help="directory for the per-run outputs")
     parser.add_argument("--pairs", type=int, default=10)
@@ -133,8 +237,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--assemble-only", action="store_true")
-    parser.add_argument("--out", required=True)
+    parser.add_argument("--check", action="store_true",
+                        help="gate --change against the newest point")
+    parser.add_argument("--out")
     args = parser.parse_args(argv)
+    if args.check:
+        return _check(args)
+    if args.parent is None or args.out is None:
+        parser.error("--parent and --out are required without --check")
     dirs = {"parent": os.path.abspath(args.parent),
             "change": os.path.abspath(args.change)}
     workloads = args.workloads.split(",")

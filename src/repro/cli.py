@@ -31,9 +31,9 @@ Commands:
   driver: checkpoint → kill → restore → continue must match the
   uninterrupted run digest-for-digest (``--workers`` farms a seed
   sweep over processes).
-* ``bench`` — the benchmark harness: run the scenario matrix, write a
-  machine-readable ``BENCH_5.json`` and optionally gate against a
-  committed baseline (see docs/PERFORMANCE.md).
+
+The benchmark is ``perfbench/`` with its CI gate
+``benchmarks/perfbench_pairs.py --check`` (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -311,66 +311,6 @@ def _cmd_crash_equivalence(args) -> int:
     return _run_chaos_verb(
         "crash-equivalence", HOST_TOPOLOGY, configs, workers=args.workers
     )
-
-
-def _cmd_bench(args) -> int:
-    from repro.perf import (
-        BENCH_SEED,
-        DEFAULT_TOLERANCE,
-        PROFILE_DEFAULT_OUT,
-        check_regression,
-        format_report,
-        load_report,
-        run_bench,
-        run_profile,
-        write_profile,
-        write_report,
-    )
-
-    seed = BENCH_SEED if args.seed is None else args.seed
-
-    if args.profile:
-        out = args.out if args.out != "BENCH_5.json" else PROFILE_DEFAULT_OUT
-        steps = args.profile_steps
-        if args.quick:
-            steps = min(steps, 200)
-        print(f"profiling {steps} microbench ticks (seed {seed}) ...")
-        document = run_profile(seed=seed, steps=steps)
-        write_profile(document, out)
-        shown = document["functions"][:10]
-        for entry in shown:
-            print(f"  {entry['tick_share']:7.2%}  "
-                  f"{entry['file']}:{entry['line']} {entry['name']}")
-        print(f"profile written to {out} "
-              f"({len(document['functions'])} functions); check with "
-              f"'tmo-lint --flow --profile {out}'")
-        return 0
-
-    tolerance = (
-        DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    )
-    mode = "quick" if args.quick else "full"
-    print(f"running {mode} benchmark matrix (seed {seed}, "
-          f"workers {args.workers}) ...")
-    report = run_bench(seed=seed, quick=args.quick, workers=args.workers)
-    write_report(report, args.out)
-    print(format_report(report))
-    print(f"report written to {args.out}")
-    if args.check is not None:
-        try:
-            baseline = load_report(args.check)
-        except (OSError, ValueError) as exc:
-            print(f"cannot use baseline {args.check!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        problems = check_regression(report, baseline, tolerance=tolerance)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"regression gate passed vs {args.check} "
-              f"(tolerance {100 * tolerance:.0f}%)")
-    return 0
 
 
 def _cmd_chaos(args) -> int:
@@ -974,39 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--workers", type=int, default=1,
                     help="run a --seeds sweep across this many worker "
                          "processes (default 1: serial)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the benchmark matrix; write BENCH_5.json and "
-             "optionally gate against a baseline",
-    )
-    bench.add_argument("--out", default="BENCH_5.json",
-                       help="where the report is written "
-                            "(default BENCH_5.json)")
-    bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="compare against this baseline report and "
-                            "exit nonzero on regression")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       help="allowed relative drop of a normalized "
-                            "score vs. baseline (default 0.20)")
-    bench.add_argument("--quick", action="store_true",
-                       help="shrink every scenario (smoke runs; too "
-                            "noisy to commit as a baseline)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="scenario seed (default: the canonical "
-                            "bench seed)")
-    bench.add_argument("--workers", type=int, default=4,
-                       help="worker processes for the parallel fleet "
-                            "scenario (default 4)")
-    bench.add_argument("--profile", action="store_true",
-                       help="instead of the scenario matrix, run the "
-                            "tick microbench under cProfile and write "
-                            "the per-function tick-share profile "
-                            "(default out: BENCH_profile.json) for "
-                            "'tmo-lint --flow --profile'")
-    bench.add_argument("--profile-steps", type=int, default=2000,
-                       help="ticks to profile with --profile "
-                            "(default 2000)")
     return parser
 
 
@@ -1023,7 +930,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fleet": _cmd_fleet,
         "fleetd": _cmd_fleetd,
         "crash-equivalence": _cmd_crash_equivalence,
-        "bench": _cmd_bench,
     }
     return handlers[args.command](args)
 

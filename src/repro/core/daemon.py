@@ -96,7 +96,7 @@ class SenpaiDaemon:
         self._next_poll: Optional[float] = None
         # The managed cgroup set is fixed at construction, so every
         # control-file path is formatted exactly once here instead of
-        # on each poll of each cgroup (TMO018).
+        # on each poll of each cgroup, so poll does not allocate per tick.
         self._pressure_path = {
             c: f"{c}/memory.pressure" for c in config.cgroups
         }

@@ -94,8 +94,8 @@ class GSwapController:
         self.config = config
         self._states = {}
         self._next_poll: Optional[float] = None
-        # cgroup -> memoized metric-series name; formatting stays out
-        # of the per-cgroup poll loop (TMO018).
+        # cgroup -> metric-series name, built once at registration so
+        # the per-cgroup poll loop does not allocate a string each tick.
         self._metric_names = {}
 
     def _targets(self, host):

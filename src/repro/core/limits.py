@@ -55,8 +55,8 @@ class LimitSenpai:
         self.config = config
         self._states: Dict[str, _LimitState] = {}
         self._next_poll: Optional[float] = None
-        # cgroup -> memoized metric-series name; formatting stays out
-        # of the per-cgroup poll loop (TMO018).
+        # cgroup -> metric-series name, built once at registration so
+        # the per-cgroup poll loop does not allocate a string each tick.
         self._metric_names: Dict[str, str] = {}
 
     def _targets(self, host):

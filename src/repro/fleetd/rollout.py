@@ -405,8 +405,8 @@ def parse_rollout_result(doc: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate a RolloutResult envelope read back from disk.
 
     Returns the document as a plain dict; raises ``ValueError`` on a
-    missing/unknown schema version or kind — the same
-    validate-on-read discipline the BENCH_*.json artifacts follow.
+    missing/unknown schema version or kind, so a stale or foreign
+    file fails on read rather than deep inside a caller.
     """
     if not isinstance(doc, Mapping):
         raise ValueError("rollout result must be a JSON object")

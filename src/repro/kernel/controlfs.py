@@ -114,8 +114,8 @@ class ControlFs:
         self.mm = mm
         self.psi = psi
         self._triggers = {}
-        # (cgroup, file) -> "<cgroup>/<file>", formatted at trigger
-        # registration so poll() never builds strings per tick (TMO018).
+        # (cgroup, file) -> "<cgroup>/<file>", formatted once at trigger
+        # registration so poll() does not allocate strings each tick.
         self._trigger_paths = {}
         #: Telemetry-fault seam; healthy by default.
         self.faults = ControlFsFaultState()

@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tmo-lint",
         description=(
             "Determinism & unit-discipline static analysis for the TMO "
-            "reproduction (rules TMO001-TMO021; see docs/LINTING.md)."
+            "reproduction (rules TMO001-TMO015; see docs/LINTING.md)."
         ),
     )
     parser.add_argument(
@@ -70,16 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flow", action="store_true",
         help="also run the whole-program analyses: unit-flow and "
-             "determinism taint (TMO009-TMO012), state contracts "
-             "(TMO015) and hot-path performance "
-             "(TMO017-TMO021)",
-    )
-    parser.add_argument(
-        "--profile", type=Path, default=None, metavar="FILE",
-        help="tick-share profile written by 'python -m repro bench "
-             "--profile' (requires --flow): escalates findings in "
-             "measured-hot functions and fails on hot-but-unanalyzed "
-             "functions above the configured share threshold",
+             "determinism taint (TMO009-TMO012) and state contracts "
+             "(TMO015)",
     )
     parser.add_argument(
         "--changed", action="store_true",
@@ -188,7 +180,6 @@ def _write_stats(
                         flow_result.pass_wall_s.items()
                     )
                 },
-                "hot_unanalyzed": len(flow_result.hot_unanalyzed),
             }
             if flow_result is not None else None
         ),
@@ -233,17 +224,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
         if select is not None:
             select = [r for r in select if r not in disable]
 
-    profile = None
-    if args.profile is not None:
-        if not args.flow:
-            parser.error("--profile requires --flow")
-        from repro.lint.hotpath import ProfileError, load_profile
-        try:
-            profile = load_profile(args.profile)
-        except ProfileError as exc:
-            print(f"tmo-lint: error: {exc}", file=sys.stderr)
-            return 2
-
     changed: Optional[set] = None
     if args.changed:
         changed = {p.resolve() for p in _git_changed_files(parser)}
@@ -267,9 +247,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         )
         # The flow analysis always reads the full path set so cross-
         # module calls resolve; --changed only narrows what we report.
-        flow_result = analyze_flow(
-            paths, config, select, cache_path, profile=profile
-        )
+        flow_result = analyze_flow(paths, config, select, cache_path)
         flow_violations = flow_result.violations
         if changed is not None:
             flow_violations = [
@@ -301,43 +279,27 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.stats is not None:
         _write_stats(args.stats, violations, result, flow_result, stale)
 
-    hot_unanalyzed = (
-        flow_result.hot_unanalyzed if flow_result is not None else []
-    )
-
     if args.format == "json":
         print(json.dumps(
             {
                 "violations": [v.as_json() for v in violations],
                 "files_checked": result.files_checked,
                 "stale_baseline_entries": stale,
-                "hot_unanalyzed": hot_unanalyzed,
             },
             indent=2,
         ))
     else:
         for violation in violations:
             print(violation.format_text())
-        for entry in hot_unanalyzed:
-            print(
-                f"{entry['path']}:{entry['line']}: [hot-unanalyzed] "
-                f"{entry['key']} measured {entry['share']:.1%} of tick "
-                "time but is not reachable in the static hot region; "
-                "extend the TMO017 entrypoints or fix call resolution"
-            )
         if not args.quiet:
             noun = "violation" if len(violations) == 1 else "violations"
             print(
                 f"{len(violations)} {noun} in "
                 f"{result.files_checked} files"
                 + (f" ({stale} stale baseline entries)" if stale else "")
-                + (
-                    f" ({len(hot_unanalyzed)} hot-but-unanalyzed "
-                    "functions)" if hot_unanalyzed else ""
-                )
             )
 
-    return 1 if violations or hot_unanalyzed else 0
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,9 +25,7 @@ _ALL_RULES = frozenset(
     {"TMO001", "TMO002", "TMO003", "TMO004",
      "TMO005", "TMO006", "TMO007", "TMO008",
      "TMO009", "TMO010", "TMO011", "TMO012",
-     "TMO013", "TMO015",
-     "TMO017", "TMO018", "TMO019", "TMO020",
-     "TMO021"}
+     "TMO013", "TMO015"}
 )
 
 #: Rules enforced outside the simulator core: seed discipline and
@@ -36,13 +34,10 @@ _ALL_RULES = frozenset(
 #: (TMO013), which target ``src/repro``.
 #: The whole-program flow rules (TMO009-TMO012) apply everywhere:
 #: unit bugs in benchmarks corrupt results just as surely as unit
-#: bugs in the simulator. So do the hot-path rules (TMO017-TMO021):
-#: a benchmark driving the simulator through a scalar fallback
-#: measures the wrong thing.
+#: bugs in the simulator.
 _HARNESS_RULES = frozenset(
     {"TMO001", "TMO002", "TMO003", "TMO005", "TMO007", "TMO008",
-     "TMO009", "TMO010", "TMO011", "TMO012",
-     "TMO017", "TMO018", "TMO019", "TMO020", "TMO021"}
+     "TMO009", "TMO010", "TMO011", "TMO012"}
 )
 
 #: Tests probe components with hand-built RNGs and error paths, so only
@@ -133,38 +128,6 @@ def default_config() -> LintConfig:
                     "repro.core.fleetres.run_host_attempt",
                     "repro.core.fleetres._worker_main",
                 ),
-            },
-            # Hot-path performance rules (LINTING.md "Hot paths").
-            # All five share this option block; it lives under TMO017
-            # so the flow-cache digest folds it in exactly once.
-            "TMO017": {
-                # Tick-loop entrypoints the hot region grows from.
-                "entrypoints": (
-                    "repro.sim.host.Host.step",
-                    "repro.kernel.mm.MemoryManager.touch_batch",
-                    "repro.kernel.page.PageTable.hit",
-                    "repro.kernel.page.PageTable.pop_tail",
-                    "repro.kernel.mm.MemoryManager.kswapd",
-                    "repro.kernel.reclaim.Reclaimer.reclaim",
-                    "repro.kernel.idle.IdlePageTracker.scan",
-                    "repro.kernel.idle.IdlePageTracker.cold_bytes",
-                ),
-                # Packages whose functions can join the hot region
-                # (and be reported). Excludes repro.lint / repro.perf /
-                # repro.faults / repro.analysis / repro.checkpoint:
-                # tooling and cold paths by construction.
-                "hot_roots": (
-                    "repro.sim.",
-                    "repro.kernel.",
-                    "repro.psi.",
-                    "repro.workloads.",
-                    "repro.backends.",
-                    "repro.core.",
-                ),
-                # --profile: escalate findings in (and require static
-                # reachability of) functions at or above this share of
-                # measured tick time.
-                "profile_share_threshold": 0.05,
             },
         },
     )

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.lint import hotpath as _hotpath
 from repro.lint import statecontract as _statecontract
 from repro.lint import taint as _taint
 from repro.lint import unitflow as _unitflow
@@ -48,7 +47,7 @@ from repro.lint.ignores import collect_ignores, is_suppressed
 from repro.lint.registry import RULES
 from repro.lint.violations import Violation
 
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 DEFAULT_CACHE = ".tmo-lint-cache.json"
 
 
@@ -65,16 +64,12 @@ class FlowResult:
     cache_hits: int = 0
     cache_misses: int = 0
     #: wall seconds per flow pass (phase A collection + phase B check),
-    #: keyed "unitflow"/"taint"/"state"/"hotpath" — surfaced by --stats.
+    #: keyed "unitflow"/"taint"/"state" — surfaced by --stats.
     pass_wall_s: Dict[str, float] = field(default_factory=dict)
-    #: profile cross-check results (``tmo-lint --flow --profile``):
-    #: functions measured hot but outside the static hot region, each
-    #: ``{"key", "share", "path", "line"}``.
-    hot_unanalyzed: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.violations and not self.hot_unanalyzed
+        return not self.violations
 
 
 @dataclass
@@ -170,16 +165,12 @@ def analyze_flow(
     config: Optional[LintConfig] = None,
     select: Optional[Iterable[str]] = None,
     cache_path: Optional[Path] = None,
-    profile: Optional[Dict[str, Any]] = None,
 ) -> FlowResult:
     """Run the interprocedural passes over ``paths``.
 
     ``select`` restricts reported rules (same contract as the engine's
     ``--select``); the analysis itself always runs in full so the
-    cache stays coherent regardless of rule selection. ``profile`` is
-    a loaded tick-share document (:func:`repro.lint.hotpath.
-    load_profile`): findings in measured-hot functions are escalated
-    and ``FlowResult.hot_unanalyzed`` is populated.
+    cache stays coherent regardless of rule selection.
     """
     config = config or default_config()
     result = FlowResult()
@@ -235,12 +226,7 @@ def analyze_flow(
     # -- pass 3: (re-)collect facts where needed ----------------------
     sink_options = config.options_for("TMO012")
     state_options = {"TMO015": config.options_for("TMO015")}
-    hot_options = {
-        rule_id: config.options_for(rule_id)
-        for rule_id in ("TMO017", "TMO018", "TMO019", "TMO020", "TMO021")
-    }
-    pass_wall = {"unitflow": 0.0, "taint": 0.0, "state": 0.0,
-                 "hotpath": 0.0}
+    pass_wall = {"unitflow": 0.0, "taint": 0.0, "state": 0.0}
 
     def _timed(pass_name: str, thunk):
         start = time.perf_counter()  # lint: ignore[TMO002]
@@ -281,9 +267,6 @@ def analyze_flow(
             "state": _timed("state", lambda: _statecontract.collect_module(
                 module, index, source
             )),
-            "hot": _timed("hotpath", lambda: _hotpath.collect_module(
-                module, index, source, hot_options
-            )),
         }
         ignores, skip_file = collect_ignores(state.source)
         state.ignores = ignores
@@ -313,9 +296,6 @@ def analyze_flow(
     raw.extend(_timed("state", lambda: list(
         _statecontract.check(facts_by_path, state_options)
     )))
-    raw.extend(_timed("hotpath", lambda: list(
-        _hotpath.check(facts_by_path, hot_options, profile=profile)
-    )))
     for violation in raw:
         state = ignore_map.get(violation.path)
         if state is None or state.skip_file:
@@ -333,10 +313,6 @@ def analyze_flow(
 
     findings.sort(key=Violation.sort_key)
     result.violations = findings
-    if profile is not None:
-        result.hot_unanalyzed = _timed("hotpath", lambda: (
-            _hotpath.hot_unanalyzed(facts_by_path, hot_options, profile)
-        ))
     result.pass_wall_s = dict(pass_wall)
 
     _save_cache(cache_path, states, interface_digest)

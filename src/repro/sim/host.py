@@ -545,7 +545,7 @@ class Host:
 
         Out-of-line from :meth:`_record`'s per-workload loop so the
         string formatting happens once per workload lifetime, not once
-        per tick (TMO018 keeps it out of the hot loop).
+        per tick, and recording allocates no names in the tick loop.
         """
         names = tuple(
             f"{name}/{suffix}" for suffix in (

@@ -1,8 +1,8 @@
 """The declared metric-name registry, enforced by the recorder.
 
-Metric names feed :func:`repro.sim.metrics.metrics_digest`, the bench
-regression gate, the chaos verdicts and the fleetd health gates and
-rollups, so they are interface, not incidental strings. Every
+Metric names feed :func:`repro.sim.metrics.metrics_digest`, the
+benchmark's status reads, the chaos verdicts and the fleetd health
+gates and rollups, so they are interface, not incidental strings. Every
 ``/``-namespaced name must be declared here before it is recorded or
 read: :meth:`~repro.sim.metrics.MetricsRecorder.record` runs
 :func:`check_metric_name` when it creates a series, and the read

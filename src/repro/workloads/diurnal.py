@@ -109,6 +109,20 @@ class DiurnalWorkload(Workload):
             self._pages = self._pages[~doomed]
             self._intervals = self._intervals[~doomed]
 
+    def restart(self, now: float) -> None:
+        """Restart from the base population; the swing pool starts
+        empty and regrows with the phase on later ticks.
+
+        The swing pages leave the population before the base restart
+        sizes the rebuild, so the swing is not folded into the new
+        base footprint, and no released page id stays in the pool.
+        """
+        swing = np.isin(self._pages, self._swing_pages)
+        self._pages = self._pages[~swing]
+        self._intervals = self._intervals[~swing]
+        self._swing_pages = np.empty(0, dtype=np.int64)
+        super().restart(now)
+
     def tick(self, now: float, dt: float) -> TickResult:
         self._current_intensity = self.intensity(now)
         tick = super().tick(now, dt)

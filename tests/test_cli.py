@@ -83,31 +83,6 @@ def test_run_ab_unknown_app(capsys):
     assert code == 2
 
 
-def test_bench_quick_writes_report_and_self_checks(tmp_path, capsys):
-    out_path = str(tmp_path / "BENCH_5.json")
-    assert main([
-        "bench", "--quick", "--workers", "2", "--out", out_path,
-    ]) == 0
-    assert "report written to" in capsys.readouterr().out
-    # Gate the same machine's quick run against itself: must pass.
-    again = str(tmp_path / "BENCH_again.json")
-    assert main([
-        "bench", "--quick", "--workers", "2", "--out", again,
-        "--check", out_path, "--tolerance", "0.9",
-    ]) == 0
-    assert "regression gate passed" in capsys.readouterr().out
-
-
-def test_bench_check_rejects_missing_baseline(tmp_path, capsys):
-    out_path = str(tmp_path / "BENCH_5.json")
-    code = main([
-        "bench", "--quick", "--workers", "2", "--out", out_path,
-        "--check", str(tmp_path / "nope.json"),
-    ])
-    assert code == 2
-    assert "cannot use baseline" in capsys.readouterr().err
-
-
 def test_crash_equivalence_parallel_seed_sweep(capsys):
     """The crash-equivalence proof must keep passing when the seed
     sweep fans out over worker processes. The verb judges the whole

@@ -60,7 +60,6 @@ def test_registry_covers_exactly_the_documented_rules():
     assert flow_rule_ids() == {
         "TMO009", "TMO010", "TMO011", "TMO012",
         "TMO015",
-        "TMO017", "TMO018", "TMO019", "TMO020", "TMO021",
     }
 
 

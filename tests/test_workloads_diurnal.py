@@ -1,11 +1,12 @@
 """Unit tests for diurnal load cycling."""
 
+import numpy as np
 import pytest
 
 from repro.core.senpai import Senpai, SenpaiConfig
 from repro.kernel.page import PageState
 from repro.workloads.access import HeatBands
-from repro.workloads.apps import AppProfile
+from repro.workloads.apps import APP_CATALOG, AppProfile
 from repro.workloads.diurnal import DiurnalWorkload
 
 from tests.helpers import make_mm, small_host
@@ -87,6 +88,34 @@ def test_released_pages_uncharge():
         assert mm.cgroup("app").resident_bytes == (
             resident * mm.page_size_bytes
         )
+
+
+def test_restart_rebuilds_the_swing_pool_from_live_pages():
+    """A restart clears the swing pool and scales from the base
+    population: the rebuild is no larger than the base population,
+    every later swing id is a live page of the cgroup, and the next
+    trough after the swing regrows releases pages."""
+    host = small_host(ram_gb=1.0)
+    w = host.add_workload(
+        DiurnalWorkload, APP_CATALOG["Feed"], name="feed",
+        size_scale=0.01, period_s=200.0, footprint_swing=0.3,
+    )
+    for _ in range(50):  # t = 50 s: the peak, the swing pool is full
+        host.step()
+    assert len(w._swing_pages) > 0
+    base = w.npages_total - len(w._swing_pages)
+    host.restart_workload("feed")
+    assert len(w._swing_pages) == 0
+    assert w.npages_total <= base
+    index = host.mm.cgroup("feed").index
+    sizes = []
+    for _ in range(300):  # through t = 150 (trough), 250 (peak), 350
+        host.step()
+        swing = w._swing_pages
+        assert (host.mm.table.cgroup[swing] == index).all()
+        assert np.isin(swing, w.pages).all()
+        sizes.append(w.npages_total)
+    assert sizes[-1] < max(sizes[150:])
 
 
 def test_peak_touches_more_than_trough():
