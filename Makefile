@@ -60,10 +60,10 @@ lint:
 		echo "== mypy not installed, skipping (pip install -e .[lint])"; \
 	fi
 	@echo "== repro.lint"
-	$(PYTHON) -m repro.lint --flow --stats lint-stats.json
+	$(PYTHON) -m repro.lint
 
 # The perfbench throughput gate (docs/PERFORMANCE.md): run every
-# workload for seeds 1-3 and fail on a >20% drop of the median
+# workload for seeds 1-5 and fail on a >20% drop of the median
 # calibrated host_ticks_per_s below the newest benchmarks/BENCH_<n>.json,
 # or on any failed correctness check.
 bench:

@@ -19,11 +19,13 @@ of the host, restored in place on a host rebuilt from that config.
 Entry points: ``Host.snapshot()`` / ``Host.restore()`` wrap
 :func:`snapshot_host` / :func:`restore_host`; :func:`save_snapshot` /
 :func:`load_snapshot` add the file layer used by
-``python -m repro run --checkpoint-every N --resume PATH``.
+``python -m repro run --checkpoint-every N --resume PATH`` and by the
+fleet spool (:func:`repro.core.fleetres.spool_snapshot`).
 """
 
 from __future__ import annotations
 
+import os
 from typing import Any, Dict
 
 from repro.checkpoint.snapshot import (
@@ -87,10 +89,20 @@ def restore_host(envelope: Any):
 
 
 def save_snapshot(host, path: str) -> str:
-    """Snapshot ``host`` to ``path``; returns the payload digest."""
-    envelope = snapshot_host(host)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_envelope(envelope))
+    """Atomically snapshot ``host`` to ``path``; returns the payload digest.
+
+    The document is encoded and dumped first, written to
+    ``path + ".tmp"`` and only then renamed over ``path``, so a run
+    that fails or is killed mid-write leaves the previous snapshot (or
+    its absence) intact. There is no fsync: this guards against process
+    death, not power loss.
+    """
+    envelope = host.snapshot()
+    text = dump_envelope(envelope)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
     return envelope["digest"]
 
 

@@ -53,8 +53,10 @@ from dataclasses import dataclass, replace
 from math import ceil, isfinite
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.checkpoint import SnapshotError
-from repro.checkpoint.snapshot import dump_envelope, parse_document
+from repro.checkpoint import SnapshotError, save_snapshot
+# dump_envelope is no longer called here; it stays a module attribute
+# because perfbench's layer table wraps fleetres.dump_envelope.
+from repro.checkpoint.snapshot import dump_envelope, parse_document  # noqa: F401
 from repro.faults.plan import FaultEvent
 from repro.sim.host import Host
 from repro.sim.rng import derive_seed
@@ -219,15 +221,12 @@ def _fire_tick(event: FaultEvent, tick_s: float) -> int:
 def spool_snapshot(host: Host, path: str) -> None:
     """Atomically write ``host``'s snapshot envelope to ``path``.
 
-    Written to ``path + ".tmp"`` then renamed, so a worker dying
+    The spool seam over :func:`repro.checkpoint.save_snapshot`, which
+    writes to ``path + ".tmp"`` then renames, so a worker dying
     mid-write can never leave a torn spool file: the previous valid
     snapshot (or absence of one) survives.
     """
-    text = dump_envelope(host.snapshot())
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    save_snapshot(host, path)
 
 
 def load_spooled_snapshot(path: str) -> Optional[Host]:

@@ -25,6 +25,7 @@ import os
 import socket
 import threading
 import time
+import traceback
 from typing import Any, Dict, Optional
 
 from repro.fleetd.engine import FleetdEngine, FleetdError
@@ -53,6 +54,9 @@ class FleetdServer:
         self._stop = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._threads: list = []
+        self._tick_thread: Optional[threading.Thread] = None
+        #: Why the tick loop stopped, once ``engine.tick`` has raised.
+        self._tick_error: Optional[Dict[str, str]] = None
 
     # ------------------------------------------------------------------
 
@@ -70,6 +74,7 @@ class FleetdServer:
             thread = threading.Thread(target=target, daemon=True)
             thread.start()
             self._threads.append(thread)
+        self._tick_thread = self._threads[0]
 
     def stop(self) -> None:
         """Stop both loops and remove the socket."""
@@ -102,9 +107,27 @@ class FleetdServer:
 
     def _tick_loop(self) -> None:
         while not self._stop.is_set():
-            with self._lock:
-                self.engine.tick()
+            try:
+                with self._lock:
+                    self.engine.tick()
+            except Exception as exc:
+                # Stop ticking a fleet in an unknown state, but say so:
+                # ping and status report the failure instead of a
+                # silently frozen tick counter.
+                self._tick_error = {
+                    "error": repr(exc),
+                    "traceback": traceback.format_exc(limit=-3),
+                }
+                return
             time.sleep(self.tick_interval_s)
+
+    def _tick_thread_status(self) -> Dict[str, Any]:
+        """Whether the tick loop runs, and why it stopped if it has."""
+        thread = self._tick_thread
+        return {
+            "alive": thread is not None and thread.is_alive(),
+            "error": self._tick_error,
+        }
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
@@ -142,6 +165,12 @@ class FleetdServer:
             response = self._dispatch(request)
         except (ValueError, KeyError, TypeError) as exc:
             response = {"ok": False, "error": str(exc)}
+        except Exception as exc:
+            # Any other failure is a bug in a handler or the engine; it
+            # must not end the accept loop, or the kill switch becomes
+            # unreachable. The traceback goes to the daemon's stderr.
+            traceback.print_exc()
+            response = {"ok": False, "error": f"request failed: {exc!r}"}
         try:
             # NaN-free wire discipline: the bare ``NaN`` token is
             # invalid JSON; a response carrying one is a server bug
@@ -176,10 +205,17 @@ class FleetdServer:
     # -- command handlers (called with the engine lock held) -----------
 
     def _cmd_ping(self, request) -> Dict[str, Any]:
-        return {"pong": True, "tick": self.engine.tick_index}
+        return {
+            "pong": True,
+            "tick": self.engine.tick_index,
+            "tick_thread": self._tick_thread_status(),
+        }
 
     def _cmd_status(self, request) -> Dict[str, Any]:
-        return {"status": self.engine.status()}
+        return {"status": {
+            **self.engine.status(),
+            "tick_thread": self._tick_thread_status(),
+        }}
 
     def _cmd_register(self, request) -> Dict[str, Any]:
         spec = None

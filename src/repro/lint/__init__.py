@@ -11,39 +11,40 @@ disciplines that protect the invariant:
 * no wall-clock reads inside the simulator (TMO002);
 * no iteration order leaks from hash-randomised sets (TMO003);
 * quantities carry unit suffixes and are never mixed (TMO004);
-* assorted correctness hygiene (TMO005, TMO006, TMO008).
+* assorted correctness hygiene (TMO005, TMO006, TMO008);
+* simulator state is serialised only through the declared codec
+  (TMO013).
 
-On top of the per-file rules, ``tmo-lint --flow`` runs a whole-program
-pass (:mod:`repro.lint.flow`) that builds the project call graph and
-tracks units and determinism taint *across* function and module
+The same run also applies the whole-program rules: it builds the
+project call graph over the files it parsed and tracks units,
+determinism taint and module state *across* function and module
 boundaries:
 
 * unit mismatches in arithmetic, call arguments and assignments
   that only materialise interprocedurally (TMO009-TMO011);
 * wall-clock / unseeded-RNG / environment taint reaching the metrics
-  and CSV-export sinks (TMO012).
+  and CSV-export sinks (TMO012);
+* worker-reachable code touching mutable module-level state
+  (TMO015).
 
 Run it with ``python -m repro.lint`` or the ``tmo-lint`` console
-script; see docs/LINTING.md for the full rule catalogue, the
-``# lint: ignore[RULE]`` comment syntax and the baseline mechanism.
+script; see docs/LINTING.md for the full rule catalogue, the per-
+directory scopes and the ``# lint: ignore[RULE]`` comment syntax.
 """
 
 from repro.lint.config import LintConfig, default_config
-from repro.lint.engine import LintResult, lint_file, lint_paths
-from repro.lint.flow import FlowResult, analyze_flow
-from repro.lint.registry import RULES, LintRule, all_rule_ids
+from repro.lint.engine import LintResult, lint_paths
+from repro.lint.registry import RULES, LintRule, all_rule_ids, flow_rule_ids
 from repro.lint.violations import Violation
 
 __all__ = [
-    "FlowResult",
     "LintConfig",
     "LintResult",
     "LintRule",
     "RULES",
     "Violation",
     "all_rule_ids",
-    "analyze_flow",
     "default_config",
-    "lint_file",
+    "flow_rule_ids",
     "lint_paths",
 ]

@@ -192,62 +192,6 @@ def index_module(name: str, path: str, tree: ast.Module) -> ModuleInfo:
     return info
 
 
-def module_to_json(info: ModuleInfo) -> Dict[str, object]:
-    """Serialise a module's *interface* (no AST) for the flow cache."""
-    return {
-        "name": info.name,
-        "path": info.path,
-        "functions": {
-            name: {
-                "key": f.key, "params": f.params,
-                "lineno": f.lineno, "is_method": f.is_method,
-            }
-            for name, f in info.functions.items()
-        },
-        "classes": {
-            name: {
-                "key": c.key,
-                "methods": {
-                    m: {
-                        "key": f.key, "params": f.params,
-                        "lineno": f.lineno, "is_method": True,
-                    }
-                    for m, f in c.methods.items()
-                },
-                "fields": [[n, u] for n, u in c.fields],
-                "is_dataclass": c.is_dataclass,
-                "bases": c.base_names,
-            }
-            for name, c in info.classes.items()
-        },
-        "imports": {k: list(v) for k, v in info.imports.items()},
-    }
-
-
-def module_from_json(data: Dict) -> ModuleInfo:
-    """Rebuild a cached module interface (``tree`` stays ``None``)."""
-    info = ModuleInfo(name=data["name"], path=data["path"])
-    for name, f in data["functions"].items():
-        info.functions[name] = FunctionInfo(
-            key=f["key"], name=name, params=list(f["params"]),
-            lineno=f["lineno"], is_method=f["is_method"],
-        )
-    for name, c in data["classes"].items():
-        cls = ClassInfo(key=c["key"], name=name)
-        for m, f in c["methods"].items():
-            cls.methods[m] = FunctionInfo(
-                key=f["key"], name=m, params=list(f["params"]),
-                lineno=f["lineno"], is_method=True,
-            )
-        cls.fields = [(n, u) for n, u in c["fields"]]
-        cls.is_dataclass = c["is_dataclass"]
-        cls.base_names = list(c["bases"])
-        info.classes[name] = cls
-    for local, pair in data["imports"].items():
-        info.imports[local] = (pair[0], pair[1])
-    return info
-
-
 class ProjectIndex:
     """All modules under the analysed roots, keyed by dotted name."""
 

@@ -9,7 +9,7 @@ rule object per file; rules receive a :class:`FileContext` and yield
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterator, List, Optional, Type
+from typing import Any, Dict, Iterator, List, Optional, Set, Type
 
 from repro.lint.astutil import ImportMap
 from repro.lint.violations import Violation
@@ -31,12 +31,20 @@ class FileContext:
         self.lines: List[str] = source.splitlines()
         self.options = options or {}
         self._imports: Optional[ImportMap] = None
+        self._nodes: Optional[List[ast.AST]] = None
 
     @property
     def imports(self) -> ImportMap:
         if self._imports is None:
             self._imports = ImportMap(self.tree)
         return self._imports
+
+    @property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in :func:`ast.walk` order, walked once."""
+        if self._nodes is None:
+            self._nodes = list(ast.walk(self.tree))
+        return self._nodes
 
     def path_exempt(self) -> bool:
         """Whether this file is on the rule's exempt list."""
@@ -56,8 +64,8 @@ class LintRule:
     rule_id: str = ""
     name: str = ""
     summary: str = ""
-    #: True for whole-program rules driven by the flow analyzer
-    #: (``tmo-lint --flow``) rather than the per-file engine.
+    #: True for whole-program rules, whose findings come from the flow
+    #: passes' phase B rather than from :meth:`check`.
     flow: bool = False
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:  # pragma: no cover
@@ -93,3 +101,7 @@ def register(cls: Type[LintRule]) -> Type[LintRule]:
 
 def all_rule_ids() -> List[str]:
     return sorted(RULES)
+
+
+def flow_rule_ids() -> Set[str]:
+    return {rule_id for rule_id, cls in RULES.items() if cls.flow}

@@ -43,7 +43,7 @@ class GlobalRngRule(LintRule):
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.path_exempt():
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.imports.resolve_call(node)
@@ -108,7 +108,7 @@ class WallClockRule(LintRule):
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.path_exempt():
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.imports.resolve_call(node)
@@ -388,7 +388,7 @@ class UnitDisciplineRule(LintRule):
     # -- part B: mixed-unit arithmetic
 
     def _check_mixing(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             pairs: List[Tuple[ast.AST, ast.AST]] = []
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Add, ast.Sub)
@@ -454,7 +454,7 @@ class MutableDefaultRule(LintRule):
         return False
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             defaults = list(node.args.defaults) + [
@@ -503,7 +503,7 @@ class FloatTimeEqualityRule(LintRule):
     summary = "==/!= comparison on accumulated simulation time"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -654,7 +654,7 @@ class ExceptionSwallowRule(LintRule):
         return True
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
@@ -711,7 +711,7 @@ class OpaqueSerializationRule(LintRule):
         )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]

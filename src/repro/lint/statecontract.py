@@ -5,11 +5,10 @@ that, before this pass, was only enforced dynamically: fleet worker
 processes must share no mutable module-level state, or parallel runs
 diverge from serial ones on *some* seed.
 
-This pass proves it statically, on every ``tmo-lint --flow`` run,
-using the same two-phase scheme as :mod:`repro.lint.unitflow`: phase
-A (:func:`collect_module`) records JSON-serialisable facts per file
-(cached on disk by the flow driver), phase B (:func:`check`)
-evaluates them whole-program.
+This pass proves it statically, on every ``tmo-lint`` run, using the
+same two-phase scheme as :mod:`repro.lint.unitflow`: phase A
+(:func:`collect_module`) records JSON-serialisable facts per file,
+phase B (:func:`check`) evaluates them whole-program.
 
 **TMO015 process-unsafe-global.** Phase A records each module's
 mutable module-level globals and, per function, every read or

@@ -28,7 +28,7 @@ literals (``count``), and arithmetic:
 * ``/`` of equal units is a ``ratio``; an amount over a time is a
   rate; division by ``count``/``ratio`` keeps the unit.
 
-Propagation is two-phase so results are cacheable per file: phase A
+Propagation is two-phase so facts are collected per file: phase A
 (:func:`collect`) walks one module and records *symbolic* unit
 expressions — JSON-serialisable trees whose leaves are constants,
 parameters, or calls into other project functions. Phase B
@@ -60,7 +60,7 @@ from repro.lint.callgraph import (
     ProjectIndex,
     collect_self_attr_classes,
 )
-from repro.lint.registry import FileContext, LintRule, register
+from repro.lint.registry import LintRule, register
 from repro.lint.violations import Violation
 
 # ----------------------------------------------------------------------
@@ -830,16 +830,14 @@ def check(
 
 
 # ----------------------------------------------------------------------
-# rule registrations (flow rules run via `tmo-lint --flow`)
+# rule registrations
 
 
 class FlowRule(LintRule):
-    """Base for whole-program rules; inert in the per-file engine."""
+    """Base for whole-program rules: the engine never calls ``check``;
+    their findings come from phase B."""
 
     flow = True
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        return iter(())
 
 
 @register

@@ -16,8 +16,7 @@ class Violation:
         col: 0-based column offset.
         rule_id: the ``TMOxxx`` identifier of the rule that fired.
         message: human-readable description with the suggested fix.
-        snippet: the stripped source line, used by the baseline
-            mechanism so entries survive line-number drift.
+        snippet: the stripped source line.
     """
 
     path: str

@@ -16,6 +16,7 @@ import copy
 
 import pytest
 
+import repro.checkpoint as checkpoint
 from repro.checkpoint import (
     SCHEMA_VERSION,
     SnapshotError,
@@ -109,6 +110,24 @@ def test_save_and_load_snapshot_file(tmp_path):
     assert metrics_digest(restored.metrics) == metrics_digest(
         host.metrics
     )
+
+
+def test_failed_save_keeps_the_previous_snapshot(tmp_path, monkeypatch):
+    host = small_host()
+    host.run(60.0)
+    path = tmp_path / "host.json"
+    digest = save_snapshot(host, str(path))
+    host.run(30.0)
+
+    def broken_dump(envelope):
+        raise OSError("killed mid-write")
+
+    monkeypatch.setattr(checkpoint, "dump_envelope", broken_dump)
+    with pytest.raises(OSError):
+        save_snapshot(host, str(path))
+    restored = load_snapshot(str(path))
+    assert restored.clock.now == 60.0
+    assert restored.snapshot()["digest"] == digest
 
 
 # ----------------------------------------------------------------------

@@ -66,6 +66,53 @@ def test_run_host_web(capsys):
     assert code == 0
 
 
+#: A small checkpointed host for the ``run`` verb.
+RUN_ARGS = [
+    "run", "--app", "Feed", "--ram-gb", "1", "--ncpu", "4",
+    "--size-scale", "0.02", "--seed", "7",
+]
+
+
+def _run_to_checkpoint(path, duration="60"):
+    return main([
+        *RUN_ARGS, "--duration", duration, "--checkpoint-every", "60",
+        "--checkpoint-path", str(path),
+    ])
+
+
+def _done_digest(out):
+    line = next(l for l in out.splitlines() if l.startswith("done at"))
+    return line.rsplit(" ", 1)[-1]
+
+
+def test_run_resume_matches_an_uninterrupted_run(tmp_path, capsys):
+    assert main([*RUN_ARGS, "--duration", "120"]) == 0
+    straight = _done_digest(capsys.readouterr().out)
+
+    ckpt = tmp_path / "ckpt.json"
+    assert _run_to_checkpoint(ckpt) == 0
+    assert "checkpoint at t=60s" in capsys.readouterr().out
+    assert main(["run", "--resume", str(ckpt), "--duration", "120"]) == 0
+    out = capsys.readouterr().out
+    assert "resumed from" in out and "at t=60s" in out
+    assert _done_digest(out) == straight
+
+
+def test_run_resume_refuses_finished_or_corrupt_snapshots(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    assert _run_to_checkpoint(ckpt) == 0
+    capsys.readouterr()
+    for duration in ("60", "30"):  # at, then past, the snapshot's time
+        assert main(["run", "--resume", str(ckpt),
+                     "--duration", duration]) == 2
+        assert "nothing to do" in capsys.readouterr().err
+
+    text = ckpt.read_text(encoding="utf-8")
+    ckpt.write_text(text[: len(text) // 2], encoding="utf-8")
+    assert main(["run", "--resume", str(ckpt), "--duration", "120"]) == 2
+    assert "refusing snapshot" in capsys.readouterr().err
+
+
 def test_run_ab_quick(capsys):
     code = main([
         "run-ab", "--app", "Feed", "--control", "none",

@@ -6,6 +6,7 @@ tests never depend on the wall-paced tick thread's progress.
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -18,9 +19,8 @@ from repro.sim.host import HostConfig
 MB = 1 << 20
 
 
-@pytest.fixture()
-def daemon(tmp_path):
-    engine = FleetdEngine(FleetdConfig(
+def _engine(tmp_path):
+    return FleetdEngine(FleetdConfig(
         seed=11,
         base_config=HostConfig(
             ram_gb=0.25, page_size_bytes=1 * MB, ncpu=4,
@@ -32,6 +32,11 @@ def daemon(tmp_path):
         checkpoint_every_s=15.0,
         spool_dir=str(tmp_path / "spool"),
     ))
+
+
+@pytest.fixture()
+def daemon(tmp_path):
+    engine = _engine(tmp_path)
     # A slow tick interval: the wall thread barely advances during the
     # test; the `run` verb does the driving.
     server = FleetdServer(
@@ -47,10 +52,13 @@ def daemon(tmp_path):
 
 def test_ping_and_status(daemon):
     server, client = daemon
-    assert client.ping()["pong"] is True
+    ping = client.ping()
+    assert ping["pong"] is True
+    assert ping["tick_thread"] == {"alive": True, "error": None}
     status = client.status()
     assert status["hosts"] == []
     assert status["frozen"] is False
+    assert status["tick_thread"] == {"alive": True, "error": None}
 
 
 def test_register_rollout_and_kill_switch_over_the_socket(daemon):
@@ -144,6 +152,48 @@ def test_malformed_request_gets_a_json_error_not_a_crash(daemon):
     assert response["ok"] is False
     # The daemon survived: the next request still works.
     assert client.ping()["pong"] is True
+
+
+def test_raising_handler_leaves_the_daemon_serving(daemon, monkeypatch):
+    server, client = daemon
+
+    def broken_run_ticks(ticks):
+        raise OSError("spool dir gone")
+
+    monkeypatch.setattr(server.engine, "run_ticks", broken_run_ticks)
+    with pytest.raises(FleetdClientError, match="spool dir gone"):
+        client.run_ticks(1)
+    # The accept loop survived: the next requests, the kill switch
+    # among them, are still served.
+    assert client.ping()["pong"] is True
+    assert client.kill_switch() == 0
+
+
+def test_raising_tick_is_reported_not_silent(tmp_path, monkeypatch):
+    engine = _engine(tmp_path)
+
+    def broken_tick():
+        raise RuntimeError("tick exploded")
+
+    monkeypatch.setattr(engine, "tick", broken_tick)
+    server = FleetdServer(
+        engine, str(tmp_path / "fleetd.sock"), tick_interval_s=0.01,
+    )
+    server.start()
+    try:
+        client = FleetdClient(server.socket_path)
+        deadline = time.monotonic() + 10.0
+        while client.ping()["tick_thread"]["alive"]:
+            assert time.monotonic() < deadline, "tick thread never died"
+            time.sleep(0.01)
+        tick_thread = client.status()["tick_thread"]
+        assert tick_thread["alive"] is False
+        assert "tick exploded" in tick_thread["error"]["error"]
+        assert "broken_tick" in tick_thread["error"]["traceback"]
+        assert client.kill_switch() == 0
+    finally:
+        server.stop()
+        engine.close()
 
 
 def test_stop_verb_shuts_the_daemon_down(daemon):

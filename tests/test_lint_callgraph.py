@@ -8,9 +8,7 @@ from repro.lint.callgraph import (
     ModuleResolver,
     build_call_graph,
     build_project_index,
-    module_from_json,
     module_name_for,
-    module_to_json,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -134,14 +132,3 @@ def test_resolver_walks_dotted_names():
         "a.Recorder.record",
     )
     assert resolver.resolve_name("numpy.random") is None
-
-
-def test_module_interface_roundtrips_through_json():
-    index = _index(a=A)
-    original = index.modules["a"]
-    rebuilt = module_from_json(module_to_json(original))
-    assert rebuilt.tree is None
-    assert module_to_json(rebuilt) == module_to_json(original)
-    assert rebuilt.classes["Recorder"].constructor_params() == [
-        "capacity_bytes"
-    ]

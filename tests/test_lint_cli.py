@@ -1,13 +1,11 @@
-"""Tests of the tmo-lint command line: exit codes, formats, baseline."""
+"""Tests of the tmo-lint command line: exit codes and formats."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.cli import main
-from repro.lint import lint_file
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -16,13 +14,13 @@ GOOD = str(FIXTURES / "tmo001_good.py")
 
 
 def test_exit_zero_on_clean_file(capsys):
-    assert main(["--no-baseline", "--select", "TMO001", GOOD]) == 0
+    assert main(["--select", "TMO001", GOOD]) == 0
     out = capsys.readouterr().out
     assert "0 violations" in out
 
 
 def test_exit_one_on_violations(capsys):
-    assert main(["--no-baseline", "--select", "TMO001", BAD]) == 1
+    assert main(["--select", "TMO001", BAD]) == 1
     out = capsys.readouterr().out
     assert "TMO001" in out
     assert f"{BAD}:9:" in out  # path:line:col prefix
@@ -36,13 +34,13 @@ def test_exit_two_on_unknown_rule():
 
 def test_exit_two_on_missing_paths():
     with pytest.raises(SystemExit) as excinfo:
-        main(["--no-baseline", "no/such/dir"])
+        main(["no/such/dir"])
     assert excinfo.value.code == 2
 
 
 def test_json_format(capsys):
     assert main(
-        ["--no-baseline", "--select", "TMO001", "--format", "json", BAD]
+        ["--select", "TMO001", "--format", "json", BAD]
     ) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 1
@@ -56,7 +54,7 @@ def test_json_format(capsys):
 
 def test_disable_switches_rule_off(capsys):
     assert main(
-        ["--no-baseline", "--select", "TMO001", "--disable", "TMO001", BAD]
+        ["--select", "TMO001", "--disable", "TMO001", BAD]
     ) == 0
     capsys.readouterr()
 
@@ -66,66 +64,3 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("TMO001", "TMO008", "TMO000"):
         assert rule_id in out
-
-
-# ----------------------------------------------------------------------
-# baseline
-
-
-def test_write_then_apply_baseline(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert main(
-        ["--select", "TMO001", "--baseline", str(baseline),
-         "--write-baseline", BAD]
-    ) == 0
-    capsys.readouterr()
-    assert baseline.exists()
-
-    # With the baseline applied the same findings are suppressed.
-    assert main(
-        ["--select", "TMO001", "--baseline", str(baseline), BAD]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "0 violations" in out
-
-    # --no-baseline brings them back.
-    assert main(
-        ["--select", "TMO001", "--baseline", str(baseline),
-         "--no-baseline", BAD]
-    ) == 1
-    capsys.readouterr()
-
-
-def test_baseline_reports_stale_entries(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    violations = lint_file(Path(BAD), select=["TMO001"])
-    # Poison the baseline with an entry no current violation matches.
-    count = write_baseline(baseline, violations)
-    data = json.loads(baseline.read_text())
-    data["entries"].append(
-        {"path": "gone.py", "rule": "TMO001", "text": "x = 1", "count": 1}
-    )
-    baseline.write_text(json.dumps(data))
-    assert count == len(violations)
-
-    assert main(
-        ["--select", "TMO001", "--baseline", str(baseline), BAD]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "stale" in out
-
-
-def test_corrupt_baseline_is_a_usage_error(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("{not json")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--baseline", str(baseline), GOOD])
-    assert excinfo.value.code == 2
-
-
-def test_baseline_roundtrip_preserves_counts(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    violations = lint_file(Path(BAD), select=["TMO001"])
-    write_baseline(baseline, violations)
-    entries = load_baseline(baseline)
-    assert sum(entries.values()) == len(violations)

@@ -5,19 +5,18 @@ a function or module boundary so no per-file rule could see it; the
 assertions pin exact rule ids and line numbers.
 """
 
-import subprocess
+import ast
 from pathlib import Path
 from textwrap import dedent
 
-from repro.lint import cli
-from repro.lint.flow import analyze_flow, flow_rule_ids
+from repro.lint import cli, engine, flow_rule_ids, lint_paths, unitflow
 
 FLOWPKG = Path("tests/lint_fixtures/flowpkg")
 FLOW_RULES = sorted(flow_rule_ids())
 
 
-def _findings(paths, select=FLOW_RULES, cache_path=None):
-    result = analyze_flow(paths, select=select, cache_path=cache_path)
+def _findings(paths, select=FLOW_RULES):
+    result = lint_paths(paths, select=select)
     return [
         (v.rule_id, v.path.rpartition("/")[2], v.line)
         for v in result.violations
@@ -39,7 +38,7 @@ def test_fixture_package_findings_exact():
 
 
 def test_fixture_messages_name_the_units_and_sources():
-    result = analyze_flow([FLOWPKG], select=FLOW_RULES)
+    result = lint_paths([FLOWPKG], select=FLOW_RULES)
     by_rule = {v.rule_id: v.message for v in result.violations}
     assert "'pages'" in by_rule["TMO009"] and "'s'" in by_rule["TMO009"]
     assert "'limit_bytes'" in by_rule["TMO010"]
@@ -90,24 +89,25 @@ def test_skip_file_suppresses_flow_findings(tmp_path):
 def test_unparseable_file_reports_tmo000(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def oops(:\n")
-    result = analyze_flow([bad], select=FLOW_RULES)
+    result = lint_paths([bad], select=FLOW_RULES)
     assert [v.rule_id for v in result.violations] == ["TMO000"]
 
 
 # ----------------------------------------------------------------------
-# the on-disk cache
+# one run: one parse per file, flow facts only where a flow rule runs
 
 
-def _write_pkg(tmp_path):
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    (pkg / "a.py").write_text(dedent("""\
+def _write_tree(tmp_path):
+    """A src module with a cross-module unit bug and a tests module."""
+    src = tmp_path / "src"
+    (src / "pkg").mkdir(parents=True)
+    (src / "pkg" / "__init__.py").write_text("")
+    (src / "pkg" / "a.py").write_text(dedent("""\
         def dram_bytes():
             total_bytes = 4096
             return total_bytes
     """))
-    (pkg / "b.py").write_text(dedent("""\
+    (src / "pkg" / "b.py").write_text(dedent("""\
         from pkg.a import dram_bytes
 
 
@@ -115,122 +115,88 @@ def _write_pkg(tmp_path):
             cap_pages = dram_bytes()
             return cap_pages
     """))
-    return pkg
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text("def test_a():\n    assert True\n")
+    return src, tests
 
 
-def test_cache_hits_and_body_edit_invalidation(tmp_path):
-    pkg = _write_pkg(tmp_path)
-    cache = tmp_path / "cache.json"
+def test_each_file_is_parsed_and_scanned_once(tmp_path, monkeypatch):
+    src, tests = _write_tree(tmp_path)
+    parsed, scanned = [], []
+    real_parse, real_scan = ast.parse, engine.collect_ignores
 
-    first = analyze_flow([pkg], select=FLOW_RULES, cache_path=cache)
-    assert (first.cache_hits, first.cache_misses) == (0, 3)
-    assert [(v.rule_id, v.line) for v in first.violations] == [("TMO011", 5)]
+    def parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
 
-    second = analyze_flow([pkg], select=FLOW_RULES, cache_path=cache)
-    assert (second.cache_hits, second.cache_misses) == (3, 0)
-    assert [(v.rule_id, v.line) for v in second.violations] == [
+    def scan(source):
+        scanned.append(source)
+        return real_scan(source)
+
+    monkeypatch.setattr(engine.ast, "parse", parse)
+    monkeypatch.setattr(engine, "collect_ignores", scan)
+    result = lint_paths([src, tests])
+    assert result.files_checked == 4
+    assert len(parsed) == len(set(parsed)) == 4
+    assert len(scanned) == 4
+    assert [(v.rule_id, v.line) for v in result.violations] == [
         ("TMO011", 5)
     ]
 
-    # Fixing b's body re-analyses only b: the interface is unchanged,
-    # so a.py and __init__.py stay cached.
-    (pkg / "b.py").write_text(dedent("""\
-        from pkg.a import dram_bytes
 
+def test_flow_facts_only_where_a_flow_rule_is_enabled(tmp_path, monkeypatch):
+    src, tests = _write_tree(tmp_path)
+    collected = []
+    real_collect = unitflow.collect_module
 
-        def use():
-            cap_bytes = dram_bytes()
-            return cap_bytes
-    """))
-    third = analyze_flow([pkg], select=FLOW_RULES, cache_path=cache)
-    assert (third.cache_hits, third.cache_misses) == (2, 1)
-    assert third.violations == []
+    def collect(module, index, source):
+        collected.append(Path(module.path).name)
+        return real_collect(module, index, source)
 
-
-def test_cache_interface_change_reanalyses_everything(tmp_path):
-    pkg = _write_pkg(tmp_path)
-    cache = tmp_path / "cache.json"
-    analyze_flow([pkg], select=FLOW_RULES, cache_path=cache)
-
-    # Renaming a function changes the project interface: every cached
-    # summary may hold stale callee keys, so all files re-analyse.
-    (pkg / "a.py").write_text(dedent("""\
-        def dram_total_bytes():
-            total_bytes = 4096
-            return total_bytes
-    """))
-    rerun = analyze_flow([pkg], select=FLOW_RULES, cache_path=cache)
-    assert rerun.cache_hits == 0
-    assert rerun.cache_misses == 3
+    monkeypatch.setattr(unitflow, "collect_module", collect)
+    # No flow rule is enabled for tests/, so its file gets no facts.
+    lint_paths([src, tests])
+    assert sorted(collected) == ["__init__.py", "a.py", "b.py"]
+    # --select switches flow rules on everywhere it is given.
+    collected.clear()
+    lint_paths([tests], select=["TMO011"])
+    assert collected == ["test_a.py"]
+    collected.clear()
+    lint_paths([src, tests], select=["TMO001"])
+    assert collected == []
 
 
 # ----------------------------------------------------------------------
 # CLI integration
 
 
-def _git(repo, *args):
-    subprocess.run(
-        ["git", "-c", "user.email=t@example.com", "-c", "user.name=t",
-         *args],
-        cwd=repo, check=True, capture_output=True,
-    )
-
-
-def test_cli_changed_limits_reporting(tmp_path, monkeypatch, capsys):
-    repo = tmp_path / "repo"
-    src = repo / "src"
-    src.mkdir(parents=True)
-    committed = src / "committed.py"
-    committed.write_text(
-        "import time\n\n\ndef t():\n    return time.time()\n"
-    )
-    _git(repo, "init", "-q")
-    _git(repo, "add", ".")
-    _git(repo, "commit", "-q", "-m", "seed")
-    monkeypatch.chdir(repo)
-
-    # Nothing changed: trivially clean, the committed finding is not
-    # re-litigated.
-    assert cli.main(["--changed", "src"]) == 0
-    capsys.readouterr()
-
-    fresh = src / "fresh.py"
-    fresh.write_text(
-        "import time\n\n\ndef u():\n    return time.time()\n"
-    )
-    code = cli.main(["--flow", "--no-cache", "--changed", "src"])
+def test_cli_runs_flow_rules_without_a_flag(capsys):
+    code = cli.main(["--select", "TMO011", str(FLOWPKG)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "fresh.py" in out
-    assert "committed.py" not in out
-
-
-def test_cli_flow_writes_cache(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    code = cli.main([
-        "--flow", "--cache", str(cache), "--quiet",
-        str(FLOWPKG / "convert.py"),
-    ])
+    assert f"{FLOWPKG.as_posix()}/consume.py:22:" in out
+    # Under the tests/ scope no flow rule is enabled.
+    assert cli.main(["--quiet", str(FLOWPKG)]) == 0
     capsys.readouterr()
-    assert code == 0  # convert.py alone is clean
-    assert cache.exists()
 
 
 # ----------------------------------------------------------------------
-# the repo's own tree must be clean under the flow pass
+# the repo's own tree must be clean under the flow rules
 
 
 def test_repo_tree_is_flow_clean():
-    result = analyze_flow(
-        [Path("src"), Path("benchmarks"), Path("examples")]
+    result = lint_paths(
+        [Path("src"), Path("benchmarks"), Path("examples")],
+        select=FLOW_RULES,
     )
     assert [v.format_text() for v in result.violations] == []
 
 
-def test_cli_flow_on_repo_tree_exits_zero(tmp_path, capsys):
+def test_cli_flow_on_repo_tree_exits_zero(capsys):
     code = cli.main([
-        "--flow", "--cache", str(tmp_path / "cache.json"), "--quiet",
+        "--select", ",".join(FLOW_RULES), "--quiet",
         "src", "benchmarks", "examples",
     ])
-    capsys.readouterr()
-    assert code == 0
+    out = capsys.readouterr().out
+    assert code == 0, out

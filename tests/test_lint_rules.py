@@ -5,13 +5,14 @@ number, so a rule that drifts (fires on a different node, or stops
 firing) fails loudly rather than silently changing coverage.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rule_ids, default_config, lint_file, lint_paths
+from repro.lint import all_rule_ids, default_config, flow_rule_ids, lint_paths
+from repro.lint.cli import main
 from repro.lint.engine import PARSE_ERROR_RULE
-from repro.lint.flow import flow_rule_ids
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -29,6 +30,10 @@ EXPECTED_BAD_LINES = {
     "TMO008": [7, 14],
     "TMO013": [3, 4, 5, 6],
 }
+
+
+def lint_file(path, select=None):
+    return lint_paths([path], select=select).violations
 
 
 def fixture(name: str) -> Path:
@@ -122,10 +127,11 @@ def test_lint_paths_skips_fixture_directory():
     assert not any("lint_fixtures" in p for p in touched)
 
 
-def test_repo_tree_is_clean():
-    # The gate CI enforces: default scopes over the real tree.
-    result = lint_paths(
-        [Path("src"), Path("benchmarks"), Path("examples"), Path("tests")]
-    )
-    assert result.violations == []
-    assert result.files_checked > 100
+def test_repo_tree_is_clean(capsys):
+    # The gate CI enforces: `python -m repro.lint` with no flags runs
+    # every rule, per-file and flow, under the default scopes over
+    # src, benchmarks, examples and tests.
+    assert main(["--format", "json"]) == 0, capsys.readouterr().out
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["violations"] == []
+    assert payload["files_checked"] > 100

@@ -4,6 +4,7 @@ perfbench run happens here."""
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,9 @@ _SPEC.loader.exec_module(pairs)
 
 POINT_RATES = {"host_large": 1000.0, "fleetd_soak": 1100.0,
                "fleetd_serve": 1200.0}
+#: Synthetic runs spread 1% per seed around the gate's middle seed, so
+#: the gate's median is the nominal rate.
+MID_SEED = statistics.median(pairs.CHECK_SEEDS)
 
 
 def write_point(path: Path, rates=POINT_RATES) -> Path:
@@ -39,7 +43,7 @@ def write_runs(results: Path, rates, correct=True, failed=0,
         for seed in seeds:
             doc = {"correct": correct, "attempted": 5, "failed": failed,
                    "metrics": {"host_ticks_per_s": {
-                       "value": rate * (1 + 0.01 * (seed - 2)),
+                       "value": rate * (1 + 0.01 * (seed - MID_SEED)),
                        "unit": "1/s"}}}
             (results / f"{workload}-t0-change-{seed}.json").write_text(
                 "perfbench: log line\n" + json.dumps(doc) + "\n")
@@ -80,7 +84,8 @@ def test_gate_fails_a_missing_workload(tmp_path, point):
     del rates["fleetd_serve"]
     write_runs(tmp_path / "runs", rates)
     problems = pairs.check(str(tmp_path / "runs"), str(point))
-    assert problems == ["fleetd_serve: no readable run for seed(s) 1, 2, 3"]
+    seeds = ", ".join(str(s) for s in pairs.CHECK_SEEDS)
+    assert problems == [f"fleetd_serve: no readable run for seed(s) {seeds}"]
 
     partial = write_point(tmp_path / "partial.json", rates)
     write_runs(tmp_path / "all", POINT_RATES)
@@ -89,10 +94,11 @@ def test_gate_fails_a_missing_workload(tmp_path, point):
 
 
 def test_gate_fails_a_missing_seed(tmp_path, point):
-    write_runs(tmp_path / "runs", POINT_RATES, seeds=(1, 3))
+    write_runs(tmp_path / "runs", POINT_RATES,
+               seeds=[s for s in pairs.CHECK_SEEDS if s != 2])
     problems = pairs.check(str(tmp_path / "runs"), str(point))
     assert len(problems) == 3
-    assert all("seed(s) 2" in p for p in problems)
+    assert all(p.endswith("no readable run for seed(s) 2") for p in problems)
 
 
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 2)])
@@ -112,7 +118,9 @@ def test_gate_reads_only_its_own_seeds(tmp_path, point):
     """Runs of other seeds (a pairs run sharing the directory) do not
     move the gate's median."""
     write_runs(tmp_path / "runs", POINT_RATES)
-    write_runs(tmp_path / "runs", scaled(0.1), seeds=(4, 5, 6, 7))
+    last = max(pairs.CHECK_SEEDS)
+    write_runs(tmp_path / "runs", scaled(0.1),
+               seeds=range(last + 1, last + 5))
     assert pairs.check(str(tmp_path / "runs"), str(point)) == []
 
 
