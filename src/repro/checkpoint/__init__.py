@@ -107,7 +107,18 @@ def save_snapshot(host, path: str) -> str:
 
 
 def load_snapshot(path: str):
-    """Read, validate and restore a snapshot file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read, validate and restore a snapshot file.
+
+    Raises ``OSError`` when the file cannot be read and
+    :class:`SnapshotError` for any content that is not a valid
+    snapshot, bytes that do not decode as UTF-8 included.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(
+            f"snapshot is not UTF-8 text: {exc.reason}", offset=exc.start
+        ) from exc
     return restore_host(parse_document(text))

@@ -5,10 +5,10 @@ Commands:
 * ``list-apps`` — the application catalog with its published
   characteristics.
 * ``list-ssds`` — the Figure 5 device catalog.
-* ``run-host`` — simulate one host under Senpai and report savings.
-* ``run`` — a checkpointed long run: ``--checkpoint-every N`` snapshots
-  periodically, ``--resume PATH`` continues a killed run bit-identically
-  (see docs/RESILIENCE.md, "Recovery").
+* ``run`` — simulate one host under Senpai and report savings;
+  ``--checkpoint-every N`` snapshots periodically, ``--resume PATH``
+  continues a killed run bit-identically (see docs/RESILIENCE.md,
+  "Recovery").
 * ``cost-table`` — the Figure 1 hardware cost trends.
 * ``chaos`` — seeded fault storms through the one chaos driver (see
   docs/RESILIENCE.md, "Chaos"): a chaos host by default, a parallel
@@ -45,13 +45,11 @@ from typing import List, Optional
 from repro.analysis.costs import cost_table
 from repro.analysis.reporting import format_table
 from repro.backends.ssd import SSD_CATALOG
-from repro.core.fleet import cgroup_memory_savings
+from repro.core.fleet import build_app_host, cgroup_memory_savings
 from repro.core.senpai import Senpai, SenpaiConfig
 from repro.psi.types import Resource
 from repro.sim.host import Host, HostConfig
 from repro.workloads.apps import APP_CATALOG
-from repro.workloads.base import Workload
-from repro.workloads.web import WebWorkload
 
 MB = 1 << 20
 
@@ -110,63 +108,41 @@ def _cmd_cost_table(_args) -> int:
     return 0
 
 
-def _cmd_run_host(args) -> int:
-    host = _build_single_app_host(args)
-    if host is None:
-        return 2
-    backend = args.backend or APP_CATALOG[args.app].preferred_backend
-    print(f"simulating {args.duration:.0f}s of {args.app!r} on a "
-          f"{args.ram_gb:.0f} GB host with backend {backend!r} ...")
-    host.run(args.duration)
+def _known_app(app: str) -> bool:
+    if app in APP_CATALOG:
+        return True
+    print(f"unknown app {app!r}; see `list-apps`", file=sys.stderr)
+    return False
 
-    cg = host.mm.cgroup("app")
-    stats = cgroup_memory_savings(host.mm, "app")
-    group = host.psi.group("app")
-    mem = group.sample(Resource.MEMORY, host.clock.now)
-    rows = [
-        ("resident (MB)", f"{cg.resident_bytes / MB:.1f}"),
-        ("offloaded (MB)", f"{cg.offloaded_bytes() / MB:.1f}"),
-        ("file evicted (MB)", f"{stats['saved_file_bytes'] / MB:.1f}"),
-        ("net savings %", f"{100 * stats['savings_frac']:.1f}"),
-        ("PSI memory some avg300 %", f"{100 * mem.some_avg300:.4f}"),
-        ("swap-ins", str(cg.vmstat.pswpin)),
-        ("refaults", str(cg.vmstat.workingset_refault)),
-    ]
-    print(format_table(["metric", "value"], rows, title="results"))
-    return 0
+
+def _single_app_host(args, backend: str) -> Host:
+    """The ``run``/``run-ab`` host: the fleet recipe without tax
+    sidecars, under Senpai unless ``backend`` is ``"none"``."""
+    offloading = backend != "none"
+    config = HostConfig(
+        ram_gb=args.ram_gb,
+        ncpu=args.ncpu,
+        page_size_bytes=args.page_mb * MB,
+        backend=backend if offloading else None,
+        seed=args.seed,
+    )
+    return build_app_host(
+        config, args.app, args.size_scale, include_tax=False,
+        controller=Senpai(SenpaiConfig()) if offloading else None,
+    )
 
 
 def _cmd_run_ab(args) -> int:
     from repro.sim.ab import ABTest
 
-    if args.app not in APP_CATALOG:
-        print(f"unknown app {args.app!r}; see `list-apps`",
-              file=sys.stderr)
+    if not _known_app(args.app):
         return 2
-    profile = APP_CATALOG[args.app]
-
-    def build(backend):
-        host = Host(HostConfig(
-            ram_gb=args.ram_gb, ncpu=args.ncpu,
-            page_size_bytes=args.page_mb * MB,
-            backend=None if backend == "none" else backend,
-            seed=args.seed,
-        ))
-        if args.app == "Web":
-            host.add_workload(WebWorkload, name="app",
-                              size_scale=args.size_scale)
-        else:
-            host.add_workload(Workload, profile=profile, name="app",
-                              size_scale=args.size_scale)
-        if backend != "none":
-            host.add_controller(Senpai(SenpaiConfig()))
-        return host
 
     print(f"A/B: {args.app!r} — control={args.control!r} vs "
           f"treatment={args.treatment!r}, {args.duration:.0f}s ...")
     report = ABTest(
-        control=lambda: build(args.control),
-        treatment=lambda: build(args.treatment),
+        control=lambda: _single_app_host(args, args.control),
+        treatment=lambda: _single_app_host(args, args.treatment),
     ).run(args.duration)
 
     window = (args.duration / 2, args.duration)
@@ -188,36 +164,31 @@ def _cmd_run_ab(args) -> int:
     return 0
 
 
-def _build_single_app_host(args) -> Optional[Host]:
-    """The shared host recipe of ``run-host`` and ``run``."""
-    if args.app not in APP_CATALOG:
-        print(f"unknown app {args.app!r}; see `list-apps`",
-              file=sys.stderr)
-        return None
-    profile = APP_CATALOG[args.app]
-    backend = args.backend or profile.preferred_backend
-    host = Host(HostConfig(
-        ram_gb=args.ram_gb,
-        ncpu=args.ncpu,
-        page_size_bytes=args.page_mb * MB,
-        backend=None if backend == "none" else backend,
-        seed=args.seed,
-    ))
-    if args.app == "Web":
-        host.add_workload(WebWorkload, name="app",
-                          size_scale=args.size_scale)
-    else:
-        host.add_workload(Workload, profile=profile, name="app",
-                          size_scale=args.size_scale)
-    if backend != "none":
-        host.add_controller(Senpai(SenpaiConfig()))
-    return host
+def _print_results(host: Host) -> None:
+    """The app container's savings and pressure, as one table."""
+    cg = host.mm.cgroup("app")
+    stats = cgroup_memory_savings(host.mm, "app")
+    mem = host.psi.group("app").sample(Resource.MEMORY, host.clock.now)
+    rows = [
+        ("resident (MB)", f"{cg.resident_bytes / MB:.1f}"),
+        ("offloaded (MB)", f"{cg.offloaded_bytes() / MB:.1f}"),
+        ("file evicted (MB)", f"{stats['saved_file_bytes'] / MB:.1f}"),
+        ("net savings %", f"{100 * stats['savings_frac']:.1f}"),
+        ("PSI memory some avg300 %", f"{100 * mem.some_avg300:.4f}"),
+        ("swap-ins", str(cg.vmstat.pswpin)),
+        ("refaults", str(cg.vmstat.workingset_refault)),
+    ]
+    print(format_table(["metric", "value"], rows, title="results"))
 
 
 def _cmd_run(args) -> int:
     from repro.checkpoint import SnapshotError, load_snapshot, save_snapshot
     from repro.sim.metrics import metrics_digest
 
+    if args.checkpoint_every is not None and not args.checkpoint_every > 0:
+        print(f"--checkpoint-every must be positive, got "
+              f"{args.checkpoint_every:g}", file=sys.stderr)
+        return 2
     if args.resume is not None:
         try:
             host = load_snapshot(args.resume)
@@ -230,9 +201,10 @@ def _cmd_run(args) -> int:
             return 2
         print(f"resumed from {args.resume} at t={host.clock.now:.0f}s")
     else:
-        host = _build_single_app_host(args)
-        if host is None:
+        if not _known_app(args.app):
             return 2
+        backend = args.backend or APP_CATALOG[args.app].preferred_backend
+        host = _single_app_host(args, backend)
     end_s = args.duration
     if host.clock.now >= end_s:
         print(f"nothing to do: snapshot is already at "
@@ -249,8 +221,9 @@ def _cmd_run(args) -> int:
             digest = save_snapshot(host, args.checkpoint_path)
             print(f"checkpoint at t={host.clock.now:.0f}s -> "
                   f"{args.checkpoint_path} (digest {digest[:16]})")
-    print(f"done at t={host.clock.now:.0f}s; metrics digest "
-          f"{metrics_digest(host.metrics)}")
+    digest = metrics_digest(host.metrics)
+    _print_results(host)
+    print(f"done at t={host.clock.now:.0f}s; metrics digest {digest}")
     return 0
 
 
@@ -568,7 +541,6 @@ def _cmd_fleetd_start(args) -> int:
     """``repro fleetd start``: run the daemon on a Unix socket."""
     from repro.core.supervisor import SupervisorConfig
     from repro.fleetd.engine import FleetdConfig, FleetdEngine
-    from repro.fleetd.health import HealthGateConfig
     from repro.fleetd.rollout import RolloutConfig
     from repro.fleetd.server import FleetdServer
 
@@ -578,7 +550,6 @@ def _cmd_fleetd_start(args) -> int:
             wave_frac=args.wave_frac,
             baseline_s=args.baseline_s,
             soak_s=args.soak_s,
-            gate=HealthGateConfig(),
         )
     except ValueError as exc:
         print(f"bad rollout knobs: {exc}", file=sys.stderr)
@@ -621,39 +592,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-ssds", help="show the SSD device catalog")
     sub.add_parser("cost-table", help="show Figure 1's cost trends")
 
-    run = sub.add_parser("run-host",
-                         help="simulate one host under Senpai")
-    run.add_argument("--app", default="Feed",
-                     help="application name (see list-apps)")
-    run.add_argument("--backend", default=None,
-                     choices=["zswap", "ssd", "tiered", "none"],
-                     help="offload backend (default: app's preference)")
-    run.add_argument("--duration", type=float, default=1800.0,
-                     help="simulated seconds (default 1800)")
-    run.add_argument("--ram-gb", type=float, default=4.0)
-    run.add_argument("--ncpu", type=int, default=16)
-    run.add_argument("--page-mb", type=int, default=1,
-                     help="simulated page granularity in MiB")
-    run.add_argument("--size-scale", type=float, default=0.05,
-                     help="fraction of the production footprint")
-    run.add_argument("--seed", type=int, default=1234)
-
     ckpt = sub.add_parser(
         "run",
-        help="checkpointed long run: snapshot periodically, resume "
-             "a killed run bit-identically",
+        help="simulate one host under Senpai and report savings; "
+             "optionally snapshot periodically and resume a killed run "
+             "bit-identically",
     )
     ckpt.add_argument("--app", default="Feed",
-                      help="application name (ignored with --resume)")
+                      help="application name (see list-apps; ignored "
+                           "with --resume)")
     ckpt.add_argument("--backend", default=None,
-                      choices=["zswap", "ssd", "tiered", "none"])
+                      choices=["zswap", "ssd", "tiered", "none"],
+                      help="offload backend (default: app's preference)")
     ckpt.add_argument("--duration", type=float, default=1800.0,
                       help="total simulated seconds, including any "
-                           "already covered by a resumed snapshot")
+                           "already covered by a resumed snapshot "
+                           "(default 1800)")
     ckpt.add_argument("--ram-gb", type=float, default=4.0)
     ckpt.add_argument("--ncpu", type=int, default=16)
-    ckpt.add_argument("--page-mb", type=int, default=1)
-    ckpt.add_argument("--size-scale", type=float, default=0.05)
+    ckpt.add_argument("--page-mb", type=int, default=1,
+                      help="simulated page granularity in MiB")
+    ckpt.add_argument("--size-scale", type=float, default=0.05,
+                      help="fraction of the production footprint")
     ckpt.add_argument("--seed", type=int, default=1234)
     ckpt.add_argument("--checkpoint-every", type=float, default=None,
                       metavar="N",
@@ -923,7 +883,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "list-apps": _cmd_list_apps,
         "list-ssds": _cmd_list_ssds,
         "cost-table": _cmd_cost_table,
-        "run-host": _cmd_run_host,
         "run": _cmd_run,
         "run-ab": _cmd_run_ab,
         "chaos": _cmd_chaos,

@@ -26,10 +26,10 @@ from repro.core.fleetres import (
 from repro.core.senpai import Senpai, SenpaiConfig
 from repro.faults.plan import FaultPlan
 from repro.kernel.mm import MemoryManager
-from repro.sim.host import Host, HostConfig
+from repro.sim.host import Controller, Host, HostConfig
 from repro.sim.metrics import metrics_digest
 from repro.sim.rng import derive_seed
-from repro.workloads.apps import APP_CATALOG, AppProfile
+from repro.workloads.apps import APP_CATALOG
 from repro.workloads.base import Workload
 from repro.workloads.tax import TAX_PROFILES, TaxWorkload
 from repro.workloads.web import WebWorkload
@@ -241,6 +241,47 @@ class FleetResult:
         )
 
 
+#: Tax sidecar kind -> its container name on every recipe host.
+_TAX_SLUGS: Dict[str, str] = {
+    kind: kind.lower().replace(" ", "-") for kind in TAX_PROFILES
+}
+
+
+def build_app_host(
+    config: HostConfig,
+    app: str,
+    size_scale: float,
+    include_tax: bool,
+    controller: Optional[Controller],
+) -> Host:
+    """The host recipe: one application container, sidecars, controller.
+
+    ``config`` is final (the caller has chosen its seed and backend).
+    The host gets the ``app`` container (:class:`WebWorkload` for Web,
+    the catalog :class:`Workload` otherwise), the datacenter and
+    microservice tax sidecars when ``include_tax`` (their profiles are
+    sized per 64 GB host, so they are rescaled to this host's RAM) and
+    ``controller`` when one is given.
+    """
+    profile = APP_CATALOG[app]
+    host = Host(config)
+    if profile.name == "Web":
+        host.add_workload(WebWorkload, name="app", size_scale=size_scale)
+    else:
+        host.add_workload(
+            Workload, profile=profile, name="app", size_scale=size_scale,
+        )
+    if include_tax:
+        tax_scale = config.ram_bytes / (64.0 * _GB)
+        for kind, slug in _TAX_SLUGS.items():
+            host.add_workload(
+                TaxWorkload, name=slug, kind=kind, size_scale=tax_scale,
+            )
+    if controller is not None:
+        host.add_controller(controller)
+    return host
+
+
 def build_fleet_host(
     base_config: HostConfig, fleet_seed: int, plan: HostPlan, index: int
 ) -> Host:
@@ -249,36 +290,15 @@ def build_fleet_host(
     Module-level (not a :class:`Fleet` method) so worker processes can
     rebuild hosts from nothing but the picklable plan dataclasses.
     """
-    profile = APP_CATALOG[plan.app]
-    backend = plan.backend or profile.preferred_backend
     config = replace(
         base_config,
-        backend=backend,
+        backend=plan.backend or APP_CATALOG[plan.app].preferred_backend,
         seed=derive_seed(fleet_seed, f"host:{plan.app}:{index}"),
     )
-    host = Host(config)
-    if profile.name == "Web":
-        host.add_workload(
-            WebWorkload, name="app", size_scale=plan.size_scale
-        )
-    else:
-        host.add_workload(
-            Workload, profile=profile, name="app",
-            size_scale=plan.size_scale,
-        )
-    if plan.include_tax:
-        # Tax profiles are sized per 64 GB host; rescale to this host.
-        tax_scale = (
-            config.ram_bytes / (64.0 * _GB)
-        )
-        for kind in TAX_PROFILES:
-            slug = kind.lower().replace(" ", "-")
-            host.add_workload(
-                TaxWorkload, name=slug, kind=kind,
-                size_scale=tax_scale,
-            )
-    host.add_controller(Senpai(plan.senpai))
-    return host
+    return build_app_host(
+        config, plan.app, plan.size_scale, plan.include_tax,
+        Senpai(plan.senpai),
+    )
 
 
 def measure_fleet_host(
@@ -295,8 +315,7 @@ def measure_fleet_host(
     app_stats = cgroup_memory_savings(host.mm, "app")
     tax_saved = 0.0
     if plan.include_tax:
-        for kind in TAX_PROFILES:
-            slug = kind.lower().replace(" ", "-")
+        for slug in _TAX_SLUGS.values():
             tax_saved += cgroup_memory_savings(
                 host.mm, slug
             )["saved_bytes"]
@@ -325,11 +344,6 @@ class Fleet:
     ) -> None:
         self.base_config = base_config
         self.seed = seed
-
-    def _build_host(
-        self, plan: HostPlan, profile: AppProfile, index: int
-    ) -> Host:
-        return build_fleet_host(self.base_config, self.seed, plan, index)
 
     def _tasks(
         self, plans: Sequence[HostPlan]

@@ -53,10 +53,10 @@ from dataclasses import dataclass, replace
 from math import ceil, isfinite
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.checkpoint import SnapshotError, save_snapshot
+from repro.checkpoint import SnapshotError, load_snapshot, save_snapshot
 # dump_envelope is no longer called here; it stays a module attribute
 # because perfbench's layer table wraps fleetres.dump_envelope.
-from repro.checkpoint.snapshot import dump_envelope, parse_document  # noqa: F401
+from repro.checkpoint.snapshot import dump_envelope  # noqa: F401
 from repro.faults.plan import FaultEvent
 from repro.sim.host import Host
 from repro.sim.rng import derive_seed
@@ -199,15 +199,6 @@ class WorkerFailure:
     hung: bool = False
 
 
-def _ticks_for(duration_s: float, tick_s: float) -> int:
-    """Integer tick count for a duration — :meth:`Host.run`'s formula."""
-    ratio = duration_s / tick_s
-    nticks = int(ratio)
-    if ratio - nticks > 1e-9 * max(1.0, ratio):
-        nticks += 1
-    return nticks
-
-
 def _fire_tick(event: FaultEvent, tick_s: float) -> int:
     """The 1-based tick after which ``event`` fires.
 
@@ -232,18 +223,14 @@ def spool_snapshot(host: Host, path: str) -> None:
 def load_spooled_snapshot(path: str) -> Optional[Host]:
     """Restore a host from its spool file, or ``None`` if impossible.
 
-    Any failure — missing file, torn write, digest mismatch, schema
-    refusal — degrades to ``None``: the caller falls back to a
-    from-scratch rerun, which is always correct, just slower.
+    Any failure — missing file, torn write, bytes that are not text,
+    digest mismatch, schema refusal — degrades to ``None``: the caller
+    falls back to a from-scratch rerun, which is always correct, just
+    slower.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError:
-        return None
-    try:
-        return Host.restore(parse_document(text))
-    except SnapshotError:
+        return load_snapshot(path)
+    except (OSError, SnapshotError):
         return None
 
 
@@ -285,7 +272,7 @@ def _run_with_spool(host: Host, unit: HostUnit, in_process: bool) -> None:
     crash therefore never makes it into the snapshot that outlives it).
     """
     tick_s = host.config.tick_s
-    total_ticks = _ticks_for(unit.duration_s, tick_s)
+    total_ticks = Host.ticks_for(unit.duration_s, tick_s)
     if isfinite(unit.checkpoint_every_s):
         ckpt_ticks = max(1, int(round(unit.checkpoint_every_s / tick_s)))
     else:

@@ -17,14 +17,17 @@ This package is that production shape for the reproduction:
   baseline, with automatic rollback of the canary hosts' controller
   state (via the :mod:`repro.checkpoint` codec) when a gate trips, and
   a fleet-wide kill switch;
-* :mod:`repro.fleetd.health` — streaming per-host metric rollups (PSI,
-  refaults, OOM kills, breaker state, supervisor quarantine) and the
-  gate evaluation;
-* :mod:`repro.fleetd.rollup` — the read-only query surface: fixed-size
-  mergeable host → region → fleet signal summaries behind the
-  ``metrics``/``top`` verbs, built entirely on non-registering metric
-  reads so querying a live fleet never perturbs its digests
-  (query-twice == query-never, asserted by ``chaos --fleetd``);
+* :mod:`repro.fleetd.rollup` — the one window read of a host
+  (:func:`~repro.fleetd.rollup.sample_host`: PSI, refaults, offload
+  sizes, OOM kills, breaker state, supervisor quarantine, reduced to
+  fixed-size mergeable summaries) and the read-only query surface
+  built on it: host → region → fleet rollups behind the
+  ``metrics``/``top`` verbs. Every read is non-registering, so
+  querying a live fleet never perturbs its digests (query-twice ==
+  query-never, asserted by ``chaos --fleetd``);
+* :mod:`repro.fleetd.health` — the rollout health gate: a wave host's
+  soak-window rollup judged against its pre-rollout baseline rollup,
+  with limits anchored to Senpai's pressure target;
 * :mod:`repro.fleetd.server` / :mod:`repro.fleetd.client` — the socket
   control surface (newline-delimited JSON over a Unix domain socket)
   and its client, driven by the ``repro fleetd`` CLI verbs;
@@ -38,29 +41,29 @@ See docs/RESILIENCE.md, "Control plane".
 """
 
 from repro.fleetd.engine import FleetdConfig, FleetdEngine
-from repro.fleetd.health import HealthGateConfig, HealthSample
+from repro.fleetd.health import GateVerdict, evaluate_gate
 from repro.fleetd.policy import PolicySpec, build_controller
 from repro.fleetd.rollout import RolloutConfig, RolloutResult
 from repro.fleetd.rollup import (
     FleetRollup,
     HostRollup,
     RegionRollup,
-    RollupEngine,
     SignalSummary,
+    sample_host,
 )
 
 __all__ = [
     "FleetdConfig",
     "FleetdEngine",
     "FleetRollup",
-    "HealthGateConfig",
-    "HealthSample",
+    "GateVerdict",
     "HostRollup",
     "PolicySpec",
     "build_controller",
+    "evaluate_gate",
     "RegionRollup",
     "RolloutConfig",
     "RolloutResult",
-    "RollupEngine",
     "SignalSummary",
+    "sample_host",
 ]

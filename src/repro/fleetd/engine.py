@@ -40,7 +40,7 @@ from repro.fleetd.registry import (
     build_fleetd_host,
 )
 from repro.fleetd.rollout import Rollout, RolloutConfig, RolloutResult
-from repro.fleetd.rollup import FleetRollup, RollupEngine
+from repro.fleetd.rollup import FleetRollup, fleet_rollup, top_hosts
 from repro.sim.host import HostConfig
 from repro.sim.metrics import metrics_digest
 
@@ -414,13 +414,13 @@ class FleetdEngine:
         recorder's non-registering path, so calling this N times
         leaves :meth:`fleet_digest` byte-identical to never calling it.
         """
-        return RollupEngine(self).fleet_rollup(window_s)
+        return fleet_rollup(self, window_s)
 
     def top_hosts(
         self, signal: str, n: int = 5, window_s: float = 60.0
     ) -> Dict[str, Any]:
         """Rank hosts by a rollup signal (``top`` verb); read-only."""
-        return RollupEngine(self).top(signal, n=n, window_s=window_s)
+        return top_hosts(self, signal, n, window_s)
 
     def fleet_digest(self) -> str:
         """SHA-256 over every host's metric digest, order-independent."""

@@ -1,8 +1,8 @@
 """The control plane's host registry.
 
 Each registered host is a full simulated server (one app container plus
-the datacenter-tax sidecars, exactly the :mod:`repro.core.fleet` host
-recipe) whose offloading controller runs under a
+the datacenter-tax sidecars: the :mod:`repro.core.fleet` host recipe)
+whose offloading controller runs under a
 :class:`~repro.core.supervisor.Supervisor` so the control plane can
 swap, restart and un-quarantine it live. The registry is pure
 bookkeeping — the :class:`~repro.fleetd.engine.FleetdEngine` owns the
@@ -19,16 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
+from repro.core.fleet import build_app_host
 from repro.core.supervisor import Supervisor, SupervisorConfig
 from repro.fleetd.policy import PolicySpec, build_controller
 from repro.sim.host import Host, HostConfig
 from repro.sim.rng import derive_seed
 from repro.workloads.apps import APP_CATALOG
-from repro.workloads.base import Workload
-from repro.workloads.tax import TAX_PROFILES, TaxWorkload
-from repro.workloads.web import WebWorkload
-
-_GB = 1 << 30
 
 
 class RegistryError(ValueError):
@@ -120,39 +116,24 @@ def build_fleetd_host(
 ) -> Host:
     """Construct one registered host with its derived seed.
 
-    The :func:`repro.core.fleet.build_fleet_host` recipe (app container
-    named ``app``, per-64GB-rescaled tax sidecars), except the
-    controller comes from a :class:`~repro.fleetd.policy.PolicySpec`
-    and runs supervised so the control plane can swap it live.
+    The :func:`repro.core.fleet.build_app_host` recipe, with the seed
+    derived from the host id and the controller built from a
+    :class:`~repro.fleetd.policy.PolicySpec`, supervised so the control
+    plane can swap it live.
     """
     if app not in APP_CATALOG:
         raise RegistryError(
             f"unknown app {app!r}; have {sorted(APP_CATALOG)}"
         )
-    profile = APP_CATALOG[app]
     config = replace(
         base_config,
-        backend=base_config.backend or profile.preferred_backend,
+        backend=base_config.backend or APP_CATALOG[app].preferred_backend,
         seed=derive_seed(fleet_seed, f"fleetd:{host_id}"),
     )
-    host = Host(config)
-    if profile.name == "Web":
-        host.add_workload(WebWorkload, name="app", size_scale=size_scale)
-    else:
-        host.add_workload(
-            Workload, profile=profile, name="app", size_scale=size_scale
-        )
-    if include_tax:
-        tax_scale = config.ram_bytes / (64.0 * _GB)
-        for kind in TAX_PROFILES:
-            slug = kind.lower().replace(" ", "-")
-            host.add_workload(
-                TaxWorkload, name=slug, kind=kind, size_scale=tax_scale
-            )
-    host.add_controller(
-        Supervisor(build_controller(spec), supervisor_config)
+    return build_app_host(
+        config, app, size_scale, include_tax,
+        Supervisor(build_controller(spec), supervisor_config),
     )
-    return host
 
 
 @dataclass

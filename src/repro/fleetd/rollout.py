@@ -30,22 +30,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.checkpoint.state import decode_state, encode_state
-from repro.fleetd.health import (
-    GateVerdict,
-    HealthGateConfig,
-    HealthSample,
-    evaluate_gate,
-    sample_host,
-)
+from repro.fleetd.health import GateVerdict, evaluate_gate
 from repro.fleetd.policy import PolicySpec, build_controller
 from repro.fleetd.registry import HostRegistry
+from repro.fleetd.rollup import HostRollup, sample_host
 
-#: Schema version of the RolloutResult JSON envelope.
-ROLLOUT_SCHEMA_VERSION = 1
-
-#: The cgroup whose health the gate watches (the fleet host recipe
-#: names the application container ``app``).
-_APP_CGROUP = "app"
+#: Schema version of the RolloutResult JSON envelope. v2: each gate
+#: verdict's ``baseline``/``observed`` is the host's rollup
+#: (:meth:`~repro.fleetd.rollup.HostRollup.to_json`, the ``metrics``
+#: verb's host entry) instead of v1's separate health-sample fields.
+ROLLOUT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -58,15 +52,14 @@ class RolloutConfig:
         wave_frac: fraction of *remaining* hosts admitted per
             subsequent wave (at least one host per wave).
         baseline_s: how much pre-rollout history the baselines roll up.
-        soak_s: simulated time a wave runs before its gate is judged.
-        gate: the health-gate thresholds.
+        soak_s: simulated time a wave runs before its gate is judged
+            (:mod:`repro.fleetd.health` holds the gate's limits).
     """
 
     canary_frac: float = 0.25
     wave_frac: float = 0.5
     baseline_s: float = 60.0
     soak_s: float = 60.0
-    gate: HealthGateConfig = field(default_factory=HealthGateConfig)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.canary_frac <= 1.0:
@@ -248,7 +241,7 @@ class Rollout:
         )
         self._waves: List[List[str]] = []
         self._wave_index = 0
-        self._baselines: Dict[str, HealthSample] = {}
+        self._baselines: Dict[str, HostRollup] = {}
         self._saved: Dict[str, _SavedController] = {}
 
     @property
@@ -268,10 +261,9 @@ class Rollout:
             # Host metric series run on the host's own clock (zero at
             # registration); shift the engine-time window into it.
             self._baselines[host_id] = sample_host(
-                entry.host, _APP_CGROUP,
+                entry,
                 max(0.0, t0 - entry.epoch_s),
                 max(0.0, now - entry.epoch_s),
-                quarantined_now=entry.supervisor.quarantined,
             )
         self._waves = plan_waves(
             tuple(self.host_ids),
@@ -325,21 +317,18 @@ class Rollout:
             return
         wave.gated_at_s = now
         for host_id in wave.host_ids:
-            if host_id not in registry:
+            # A host deregistered since its wave applied is forgotten;
+            # a namesake registered after it never ran the candidate.
+            baseline = self._baselines.get(host_id)
+            if baseline is None:
                 continue
             entry = registry.get(host_id)
             observed = sample_host(
-                entry.host, _APP_CGROUP,
+                entry,
                 max(0.0, wave.applied_at_s - entry.epoch_s),
                 max(0.0, now - entry.epoch_s),
-                quarantined_now=entry.supervisor.quarantined,
             )
-            wave.verdicts.append(evaluate_gate(
-                host_id,
-                self._baselines.get(host_id, HealthSample()),
-                observed,
-                self.config.gate,
-            ))
+            wave.verdicts.append(evaluate_gate(host_id, baseline, observed))
         failed = [v for v in wave.verdicts if not v.passed]
         wave.passed = not failed
         if failed:

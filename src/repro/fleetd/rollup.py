@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 #: Schema version of the rollup/top JSON envelopes.
 ROLLUP_SCHEMA_VERSION = 1
 
-#: The cgroup whose signals the rollups watch (the fleet host recipe
-#: names the application container ``app``).
+#: The cgroup whose signals the rollups and the rollout gate watch (the
+#: fleet host recipe names the application container ``app``).
 _APP_CGROUP = "app"
 
 #: Query-surface signal name -> per-cgroup metric suffix (all declared
@@ -269,141 +269,145 @@ class FleetRollup:
         }
 
 
-class RollupEngine:
-    """Aggregates a live :class:`~repro.fleetd.engine.FleetdEngine`.
+def sample_host(entry, t0: float, t1: float) -> HostRollup:
+    """Reduce one registered host's signals over ``[t0, t1)``.
+
+    The one window read of a host: the rollout gate's baseline and soak
+    windows and the ``metrics``/``top`` trailing windows all come from
+    here. ``t0``/``t1`` are host-local: a host's series run on its own
+    clock, zero at registration (engine time minus ``entry.epoch_s``).
 
     Pure reader: every lookup is a non-registering window read, so
-    rolling a fleet up N times leaves every host's metrics digest
-    byte-identical to never rolling it up. The engine lock (held by the
-    server around each command) serializes reads against ticks; the
-    rollup itself mutates nothing.
+    sampling a host N times leaves its metrics digest byte-identical to
+    never sampling it. ``quarantined`` also folds in the live
+    supervisor state, so a host whose controller died before the window
+    still reads as quarantined.
     """
+    metrics = entry.host.metrics
+    signals = {
+        signal: SignalSummary.of(metrics.read_window(
+            f"{_APP_CGROUP}/{suffix}", t0, t1
+        ))
+        for signal, suffix in ROLLUP_SIGNALS.items()
+    }
+    oom = metrics.read_window(f"{_APP_CGROUP}/oom", t0, t1)
+    degraded = metrics.read_window("senpai/degraded", t0, t1)
+    quarantine_edges = metrics.read_window(
+        "supervisor/quarantined", t0, t1
+    )
+    return HostRollup(
+        host_id=entry.host_id,
+        region=entry.region,
+        app=entry.app,
+        window_s=t1 - t0,
+        signals=signals,
+        oom_kills=int(sum(oom.values)),
+        breaker_open=bool(len(degraded) and degraded.max() > 0.0),
+        quarantined=(
+            bool(len(quarantine_edges)) or entry.supervisor.quarantined
+        ),
+        alive=entry.supervisor.alive,
+        generation=entry.generation,
+    )
 
-    def __init__(self, engine) -> None:
-        self.engine = engine
 
-    def host_rollup(
-        self, host_id: str, window_s: float = 60.0
-    ) -> HostRollup:
-        """Reduce one host's trailing ``window_s`` of signals."""
-        if not window_s > 0.0:
-            raise RollupError("window_s must be positive")
-        entry = self.engine.registry.get(host_id)
-        metrics = entry.host.metrics
-        # Host series run on the host's own clock (zero at
-        # registration): window against it, not engine time.
-        t1 = entry.host.clock.now
-        t0 = max(0.0, t1 - window_s)
-        signals = {
-            signal: SignalSummary.of(metrics.read_window(
-                f"{_APP_CGROUP}/{suffix}", t0, t1
-            ))
-            for signal, suffix in ROLLUP_SIGNALS.items()
-        }
-        oom = metrics.read_window(f"{_APP_CGROUP}/oom", t0, t1)
-        degraded = metrics.read_window("senpai/degraded", t0, t1)
-        quarantine_edges = metrics.read_window(
-            "supervisor/quarantined", t0, t1
-        )
-        return HostRollup(
-            host_id=entry.host_id,
-            region=entry.region,
-            app=entry.app,
-            window_s=window_s,
-            signals=signals,
-            oom_kills=int(sum(oom.values)),
-            breaker_open=bool(len(degraded) and degraded.max() > 0.0),
-            quarantined=(
-                bool(len(quarantine_edges))
-                or entry.supervisor.quarantined
-            ),
-            alive=entry.supervisor.alive,
-            generation=entry.generation,
-        )
+def host_rollup(entry, window_s: float) -> HostRollup:
+    """One host's trailing ``window_s``, up to its own clock's now.
 
-    def fleet_rollup(self, window_s: float = 60.0) -> FleetRollup:
-        """Reduce every registered host, folded by region and fleet."""
-        host_rollups = tuple(
-            self.host_rollup(host_id, window_s)
-            for host_id in self.engine.registry.ids()
-        )
-        regions: Dict[str, RegionRollup] = {}
-        for rollup in host_rollups:
-            piece = RegionRollup.of_host(rollup)
-            if rollup.region in regions:
-                regions[rollup.region] = (
-                    regions[rollup.region].merge(piece)
-                )
-            else:
-                regions[rollup.region] = piece
-        fleet_signals: Dict[str, SignalSummary] = {
-            name: SignalSummary() for name in ROLLUP_SIGNALS
-        }
-        for region_rollup in regions.values():
-            fleet_signals = _merge_signals(
-                fleet_signals, region_rollup.signals
-            )
-        return FleetRollup(
-            now_s=self.engine.now,
-            tick=self.engine.tick_index,
-            window_s=window_s,
-            hosts=host_rollups,
-            regions=regions,
-            signals=fleet_signals,
-            oom_kills=sum(r.oom_kills for r in regions.values()),
-            breaker_open_hosts=sum(
-                r.breaker_open_hosts for r in regions.values()
-            ),
-            quarantined_hosts=sum(
-                r.quarantined_hosts for r in regions.values()
-            ),
-        )
+    A host younger than the window is read from its zero; the rollup
+    still reports the requested ``window_s``.
+    """
+    if not window_s > 0.0:
+        raise RollupError("window_s must be positive")
+    t1 = entry.host.clock.now
+    return replace(
+        sample_host(entry, max(0.0, t1 - window_s), t1), window_s=window_s
+    )
 
-    def top(
-        self, signal: str, n: int = 5, window_s: float = 60.0
-    ) -> Dict[str, Any]:
-        """Rank hosts by a signal's window mean; returns an envelope.
 
-        Unknown signals are refused loudly — a typo must not rank a
-        fleet by a silently-empty series. Hosts whose window holds no
-        samples rank last (their mean is ``null``, not a fabricated 0).
-        """
-        if signal not in ROLLUP_SIGNALS:
-            raise RollupError(
-                f"unknown signal {signal!r}; have {sorted(ROLLUP_SIGNALS)}"
-            )
-        if n < 1:
-            raise RollupError("n must be at least 1")
-        rollups = [
-            self.host_rollup(host_id, window_s)
-            for host_id in self.engine.registry.ids()
-        ]
-        ranked = sorted(
-            rollups,
-            key=lambda rollup: (
-                rollup.signals[signal].mean is None,
-                -(rollup.signals[signal].mean or 0.0),
-                rollup.host_id,
-            ),
+def fleet_rollup(engine, window_s: float) -> FleetRollup:
+    """Reduce every registered host of a live
+    :class:`~repro.fleetd.engine.FleetdEngine`, folded by region and
+    fleet. The engine lock (held by the server around each command)
+    serializes this read against ticks."""
+    host_rollups = tuple(
+        host_rollup(entry, window_s) for entry in engine.registry.values()
+    )
+    regions: Dict[str, RegionRollup] = {}
+    for rollup in host_rollups:
+        piece = RegionRollup.of_host(rollup)
+        if rollup.region in regions:
+            regions[rollup.region] = regions[rollup.region].merge(piece)
+        else:
+            regions[rollup.region] = piece
+    fleet_signals: Dict[str, SignalSummary] = {
+        name: SignalSummary() for name in ROLLUP_SIGNALS
+    }
+    for region_rollup in regions.values():
+        fleet_signals = _merge_signals(
+            fleet_signals, region_rollup.signals
         )
-        return {
-            "schema_version": ROLLUP_SCHEMA_VERSION,
-            "kind": "fleetd-top",
-            "signal": signal,
-            "n": n,
-            "window_s": window_s,
-            "now_s": self.engine.now,
-            "tick": self.engine.tick_index,
-            "hosts": [
-                {
-                    "host_id": rollup.host_id,
-                    "region": rollup.region,
-                    "app": rollup.app,
-                    **rollup.signals[signal].to_json(),
-                }
-                for rollup in ranked[:n]
-            ],
-        }
+    return FleetRollup(
+        now_s=engine.now,
+        tick=engine.tick_index,
+        window_s=window_s,
+        hosts=host_rollups,
+        regions=regions,
+        signals=fleet_signals,
+        oom_kills=sum(r.oom_kills for r in regions.values()),
+        breaker_open_hosts=sum(
+            r.breaker_open_hosts for r in regions.values()
+        ),
+        quarantined_hosts=sum(
+            r.quarantined_hosts for r in regions.values()
+        ),
+    )
+
+
+def top_hosts(
+    engine, signal: str, n: int, window_s: float
+) -> Dict[str, Any]:
+    """Rank hosts by a signal's window mean; returns an envelope.
+
+    Unknown signals are refused loudly — a typo must not rank a fleet
+    by a silently-empty series. Hosts whose window holds no samples
+    rank last (their mean is ``null``, not a fabricated 0).
+    """
+    if signal not in ROLLUP_SIGNALS:
+        raise RollupError(
+            f"unknown signal {signal!r}; have {sorted(ROLLUP_SIGNALS)}"
+        )
+    if n < 1:
+        raise RollupError("n must be at least 1")
+    rollups = [
+        host_rollup(entry, window_s) for entry in engine.registry.values()
+    ]
+    ranked = sorted(
+        rollups,
+        key=lambda rollup: (
+            rollup.signals[signal].mean is None,
+            -(rollup.signals[signal].mean or 0.0),
+            rollup.host_id,
+        ),
+    )
+    return {
+        "schema_version": ROLLUP_SCHEMA_VERSION,
+        "kind": "fleetd-top",
+        "signal": signal,
+        "n": n,
+        "window_s": window_s,
+        "now_s": engine.now,
+        "tick": engine.tick_index,
+        "hosts": [
+            {
+                "host_id": rollup.host_id,
+                "region": rollup.region,
+                "app": rollup.app,
+                **rollup.signals[signal].to_json(),
+            }
+            for rollup in ranked[:n]
+        ],
+    }
 
 
 # ----------------------------------------------------------------------

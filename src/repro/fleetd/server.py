@@ -12,10 +12,6 @@ JSON response back (``{"ok": true, ...}`` or ``{"ok": false, "error":
 ...}``). Requests carry ``{"cmd": ..., **params}``; see ``_COMMANDS``
 for the verbs. JSON, not pickle: the socket is an operator surface and
 must never execute its inputs.
-
-This module legitimately reads the wall clock and sleeps — it paces a
-*real* daemon around the simulation, like :mod:`repro.core.fleetres`
-(the TMO002 lint exemption in ``repro.lint.config`` records this).
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import json
 import os
 import socket
 import threading
-import time
 import traceback
 from typing import Any, Dict, Optional
 
@@ -119,7 +114,9 @@ class FleetdServer:
                     "traceback": traceback.format_exc(limit=-3),
                 }
                 return
-            time.sleep(self.tick_interval_s)
+            # Paced on the stop event, so stop() never waits out a
+            # whole interval.
+            self._stop.wait(self.tick_interval_s)
 
     def _tick_thread_status(self) -> Dict[str, Any]:
         """Whether the tick loop runs, and why it stopped if it has."""
@@ -262,7 +259,7 @@ class FleetdServer:
         }
 
     def _cmd_metrics(self, request) -> Dict[str, Any]:
-        # Read-only: the rollup engine only touches non-registering
+        # Read-only: the rollups only touch non-registering
         # metric reads, so serving this verb never changes the fleet
         # digest a concurrent chaos/crash-equivalence check computes.
         window_s = float(request.get("window_s", 60.0))

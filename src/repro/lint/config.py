@@ -101,13 +101,9 @@ def default_config() -> LintConfig:
             # processes around the simulation (deadline kills, retry
             # backoff), so its wall-clock reads and sleeps are the
             # product, not a determinism leak.
-            # The fleetd server is the daemon shell around the pure
-            # engine: its tick pacing (sleep) is likewise real-world
-            # orchestration, never simulation input.
             "TMO002": {"exempt_path_suffixes": (
                 "repro/sim/clock.py",
                 "repro/core/fleetres.py",
-                "repro/fleetd/server.py",
             )},
             "TMO004": {"allowed_names": frozenset()},
             # Determinism-taint sinks: anything feeding the metrics

@@ -444,15 +444,23 @@ class Host:
         representable) the sum drifts, and an epsilon compare
         eventually executes one tick too many or too few on long runs.
         """
-        dt = self.config.tick_s
-        ratio = duration_s / dt
+        for _ in range(self.ticks_for(duration_s, self.config.tick_s)):
+            self.step()
+
+    @staticmethod
+    def ticks_for(duration_s: float, tick_s: float) -> int:
+        """The integer tick count :meth:`run` executes for a duration.
+
+        A genuine fractional remainder gets one more (partial-period)
+        tick; division noise does not. The fleet runtime counts a
+        resumed host's remaining ticks with this same formula, so a
+        recovered run executes exactly the uninterrupted run's ticks.
+        """
+        ratio = duration_s / tick_s
         nticks = int(ratio)
-        # A genuine fractional remainder gets one more (partial-period)
-        # tick, exactly like the old loop; division noise does not.
         if ratio - nticks > 1e-9 * max(1.0, ratio):
             nticks += 1
-        for _ in range(nticks):
-            self.step()
+        return nticks
 
     @property
     def tick_count(self) -> int:

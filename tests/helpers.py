@@ -59,3 +59,31 @@ def small_host(
         **kwargs,
     )
     return Host(config)
+
+
+def gate_rollup(counts=5, psi_mem_some=0.0, **fields):
+    """A hand-built host rollup for judging by the rollout gate.
+
+    ``counts`` is the sample count of every gated signal, or a dict of
+    per-signal counts; memory pressure averages ``psi_mem_some`` and
+    the other signals 0.0. ``fields`` override the flag fields
+    (``oom_kills``, ``breaker_open``, ``quarantined``).
+    """
+    from repro.fleetd.rollup import ROLLUP_SIGNALS, HostRollup, SignalSummary
+
+    if not isinstance(counts, dict):
+        counts = dict.fromkeys(
+            ("psi_mem_some", "psi_io_some", "refault_rate"), counts
+        )
+    means = {"psi_mem_some": psi_mem_some}
+    signals = {
+        name: SignalSummary(
+            count=counts.get(name, 0),
+            total=means.get(name, 0.0) * counts.get(name, 0),
+        )
+        for name in ROLLUP_SIGNALS
+    }
+    return HostRollup(
+        host_id="h", region="default", app="Feed", window_s=30.0,
+        signals=signals, **fields,
+    )

@@ -149,6 +149,15 @@ def test_truncated_snapshot_names_the_byte_offset(tmp_path):
     assert "offset" in str(excinfo.value)
 
 
+def test_non_utf8_snapshot_names_the_byte_offset(tmp_path):
+    path = tmp_path / "host.json"
+    path.write_bytes(b'{"schema_version": \xff\xfe}')
+    with pytest.raises(SnapshotError) as excinfo:
+        load_snapshot(str(path))
+    assert excinfo.value.offset == 19
+    assert "UTF-8" in str(excinfo.value)
+
+
 def test_schema_version_mismatch_names_the_field():
     host = small_host()
     host.run(60.0)

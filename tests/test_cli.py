@@ -28,23 +28,25 @@ def test_cost_table(capsys):
 
 def test_run_host_quick(capsys):
     code = main([
-        "run-host", "--app", "Feed", "--duration", "120",
+        "run", "--app", "Feed", "--duration", "120",
         "--size-scale", "0.02",
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "net savings %" in out
     assert "PSI memory" in out
+    # The results table comes first, then the digest line.
+    assert out.index("net savings %") < out.index("done at t=120s")
 
 
 def test_run_host_unknown_app(capsys):
-    assert main(["run-host", "--app", "Nope", "--duration", "1"]) == 2
+    assert main(["run", "--app", "Nope", "--duration", "1"]) == 2
     assert "unknown app" in capsys.readouterr().err
 
 
 def test_run_host_backend_none(capsys):
     code = main([
-        "run-host", "--app", "Feed", "--backend", "none",
+        "run", "--app", "Feed", "--backend", "none",
         "--duration", "60", "--size-scale", "0.02",
     ])
     assert code == 0
@@ -60,7 +62,7 @@ def test_parser_requires_command():
 
 def test_run_host_web(capsys):
     code = main([
-        "run-host", "--app", "Web", "--backend", "zswap",
+        "run", "--app", "Web", "--backend", "zswap",
         "--duration", "60", "--size-scale", "0.02",
     ])
     assert code == 0
@@ -111,6 +113,22 @@ def test_run_resume_refuses_finished_or_corrupt_snapshots(tmp_path, capsys):
     ckpt.write_text(text[: len(text) // 2], encoding="utf-8")
     assert main(["run", "--resume", str(ckpt), "--duration", "120"]) == 2
     assert "refusing snapshot" in capsys.readouterr().err
+
+    ckpt.write_bytes(b"\xff\xfe")
+    assert main(["run", "--resume", str(ckpt), "--duration", "120"]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_run_refuses_a_non_positive_checkpoint_interval(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    for every in ("0", "-5"):
+        assert main([
+            *RUN_ARGS, "--duration", "60", "--checkpoint-every", every,
+            "--checkpoint-path", str(ckpt),
+        ]) == 2
+        assert "--checkpoint-every must be positive" \
+            in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_run_ab_quick(capsys):
@@ -252,6 +270,34 @@ def test_parse_policy_args_decodes_values_as_json():
     assert _parse_policy_args("senpai", None)["params"] == {}
     with pytest.raises(ValueError, match="key=value"):
         _parse_policy_args("senpai", ["no-equals-sign"])
+
+
+def test_fleetd_start_serves_until_stopped(tmp_path, capsys):
+    import threading
+    import time
+
+    from repro.fleetd.client import FleetdClient, FleetdClientError
+
+    sock = str(tmp_path / "fleetd.sock")
+    codes = []
+    daemon = threading.Thread(target=lambda: codes.append(main([
+        "fleetd", "start", "--socket", sock, "--tick-interval", "60",
+        "--spool-dir", str(tmp_path / "spool"),
+    ])), daemon=True)
+    daemon.start()
+    deadline = time.monotonic() + 30.0
+    while True:
+        try:
+            FleetdClient(sock).ping()
+            break
+        except FleetdClientError:
+            assert time.monotonic() < deadline, "daemon never came up"
+            time.sleep(0.05)
+    assert main(["fleetd", "stop", "--socket", sock]) == 0
+    daemon.join(timeout=10.0)
+    assert not daemon.is_alive()
+    assert codes == [0]
+    assert "fleetd stopped" in capsys.readouterr().out
 
 
 def test_fleetd_cli_round_trip(tmp_path, capsys):

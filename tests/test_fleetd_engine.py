@@ -113,6 +113,17 @@ def test_crash_without_spool_rebuilds_from_scratch():
         assert engine.registry.get("h1").host.tick_count == 10
 
 
+def test_crash_with_a_non_utf8_spool_rebuilds_from_scratch():
+    with make_engine() as engine:
+        register_small_fleet(engine, 2)
+        engine.run_ticks(20)
+        entry = engine.registry.get("h0")
+        with open(entry.spool_path, "wb") as fh:
+            fh.write(b"\xff\xfe")
+        assert engine.crash_host("h0") is False
+        assert engine.registry.get("h0").host.tick_count == 20
+
+
 def test_crash_recovery_is_digest_equivalent():
     """A crashed-and-recovered fleet matches the uninterrupted one."""
     def run(crash: bool) -> str:

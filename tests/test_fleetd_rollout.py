@@ -11,11 +11,7 @@ import pytest
 
 from repro.fleetd.chaos import BAD_POLICY
 from repro.fleetd.engine import FleetdConfig, FleetdEngine
-from repro.fleetd.health import (
-    HealthGateConfig,
-    HealthSample,
-    evaluate_gate,
-)
+from repro.fleetd.health import evaluate_gate
 from repro.fleetd.policy import PolicySpec
 from repro.fleetd.rollout import (
     ROLLOUT_SCHEMA_VERSION,
@@ -24,6 +20,7 @@ from repro.fleetd.rollout import (
     plan_waves,
 )
 from repro.sim.host import HostConfig
+from tests.helpers import gate_rollup
 
 MB = 1 << 20
 
@@ -78,46 +75,36 @@ def test_rollout_config_validation():
 
 
 def test_gate_trips_on_empty_soak_window():
-    verdict = evaluate_gate(
-        "h0", HealthSample(samples=9),
-        HealthSample(samples=0), HealthGateConfig(),
-    )
+    verdict = evaluate_gate("h0", gate_rollup(9), gate_rollup(0))
     assert not verdict.passed
     assert "no metric samples" in verdict.reasons[0]
 
 
 def test_gate_applies_floor_for_quiet_baselines():
-    config = HealthGateConfig(psi_mult=3.0, psi_floor=0.001)
-    quiet = HealthSample(psi_mem_some=0.0, samples=5)
-    ok = HealthSample(psi_mem_some=0.0009, samples=5)
-    bad = HealthSample(psi_mem_some=0.002, samples=5)
-    assert evaluate_gate("h", quiet, ok, config).passed
-    verdict = evaluate_gate("h", quiet, bad, config)
+    quiet = gate_rollup(psi_mem_some=0.0)
+    ok = gate_rollup(psi_mem_some=0.0009)
+    bad = gate_rollup(psi_mem_some=0.002)
+    assert evaluate_gate("h", quiet, ok).passed
+    verdict = evaluate_gate("h", quiet, bad)
     assert not verdict.passed
     assert "psi_mem_some" in verdict.reasons[0]
 
 
 def test_gate_applies_multiplier_for_loaded_baselines():
-    config = HealthGateConfig(psi_mult=3.0, psi_floor=0.001)
-    loaded = HealthSample(psi_mem_some=0.01, samples=5)
-    within = HealthSample(psi_mem_some=0.02, samples=5)
-    beyond = HealthSample(psi_mem_some=0.04, samples=5)
-    assert evaluate_gate("h", loaded, within, config).passed
-    assert not evaluate_gate("h", loaded, beyond, config).passed
+    loaded = gate_rollup(psi_mem_some=0.01)
+    within = gate_rollup(psi_mem_some=0.02)
+    beyond = gate_rollup(psi_mem_some=0.04)
+    assert evaluate_gate("h", loaded, within).passed
+    assert not evaluate_gate("h", loaded, beyond).passed
 
 
 def test_gate_trips_on_ooms_breaker_and_quarantine():
-    config = HealthGateConfig()
-    base = HealthSample(samples=5)
+    base = gate_rollup()
+    assert not evaluate_gate("h", base, gate_rollup(oom_kills=1)).passed
     assert not evaluate_gate(
-        "h", base, HealthSample(samples=5, oom_kills=1), config
+        "h", base, gate_rollup(breaker_open=True)
     ).passed
-    assert not evaluate_gate(
-        "h", base, HealthSample(samples=5, breaker_open=True), config
-    ).passed
-    verdict = evaluate_gate(
-        "h", base, HealthSample(samples=5, quarantined=True), config
-    )
+    verdict = evaluate_gate("h", base, gate_rollup(quarantined=True))
     assert not verdict.passed
     assert "quarantined" in verdict.reasons[0]
 
@@ -228,6 +215,26 @@ def test_deregistered_host_is_forgotten_mid_rollout():
         assert "h1" not in applied
 
 
+def test_reregistered_namesake_is_not_judged_by_the_old_wave():
+    """A canary deregistered mid-soak is forgotten by the rollout; a
+    new host registered under its id never ran the candidate, so the
+    canary's gate must not judge it (it has no baseline)."""
+    with make_engine() as engine:
+        engine.run_ticks(25)
+        engine.begin_rollout(PolicySpec.make("autotune"))
+        engine.run_ticks(2)  # canary [h0] applied, soak in progress
+        engine.deregister("h0")
+        engine.register("h0", "Feed", size_scale=0.003)
+        engine.run_ticks(60)
+        result = engine.rollout_result(1)
+        assert result.status == "succeeded"
+        assert all(
+            verdict.host_id != "h0"
+            for wave in result.waves for verdict in wave.verdicts
+        )
+        assert engine.registry.get("h0").generation == 0
+
+
 def test_gate_samples_late_registered_hosts_in_their_own_epoch():
     """Host metric series start at the host's own zero. A fleet
     registered long after the daemon booted must still produce soak
@@ -246,8 +253,8 @@ def test_gate_samples_late_registered_hosts_in_their_own_epoch():
         assert result.status == "succeeded"
         for wave in result.waves:
             for verdict in wave.verdicts:
-                assert verdict.observed.samples > 0
-                assert verdict.baseline.samples > 0
+                for rollup in (verdict.observed, verdict.baseline):
+                    assert rollup.signals["psi_mem_some"].count > 0
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +271,12 @@ def test_rollout_result_envelope_round_trips():
         assert parsed["schema_version"] == ROLLOUT_SCHEMA_VERSION
         assert parsed["status"] == "succeeded"
         assert parsed["policy"] == {"kind": "autotune", "params": {}}
-        assert parsed["waves"][0]["verdicts"][0]["passed"] is True
+        verdict = parsed["waves"][0]["verdicts"][0]
+        assert verdict["passed"] is True
+        # v2: the gate's windows are the host's rollup documents.
+        assert verdict["observed"]["host_id"] == verdict["host_id"]
+        assert verdict["observed"]["signals"]["psi_mem_some"]["samples"] > 0
+        assert set(verdict["baseline"]) == set(verdict["observed"])
 
 
 def test_parse_rollout_result_rejects_foreign_documents():
@@ -272,6 +284,10 @@ def test_parse_rollout_result_rejects_foreign_documents():
         parse_rollout_result("nope")
     with pytest.raises(ValueError, match="schema_version"):
         parse_rollout_result({"schema_version": 99})
+    with pytest.raises(ValueError, match="schema_version 1"):
+        parse_rollout_result({
+            "schema_version": 1, "kind": "fleetd-rollout", "waves": [],
+        })
     with pytest.raises(ValueError, match="kind"):
         parse_rollout_result({
             "schema_version": ROLLOUT_SCHEMA_VERSION, "kind": "bench",

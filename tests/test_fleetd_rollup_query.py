@@ -20,12 +20,7 @@ import json
 import pytest
 
 from repro.fleetd.engine import FleetdConfig, FleetdEngine
-from repro.fleetd.health import (
-    HealthGateConfig,
-    HealthSample,
-    evaluate_gate,
-    sample_host,
-)
+from repro.fleetd.health import evaluate_gate
 from repro.fleetd.rollout import RolloutConfig, plan_waves
 from repro.fleetd.rollup import (
     ROLLUP_SCHEMA_VERSION,
@@ -35,9 +30,11 @@ from repro.fleetd.rollup import (
     encode_envelope,
     parse_fleet_rollup,
     parse_top_report,
+    sample_host,
 )
 from repro.sim.host import HostConfig
 from repro.sim.metrics import Series, metrics_digest
+from tests.helpers import gate_rollup
 
 MB = 1 << 20
 
@@ -168,8 +165,7 @@ def test_sampling_health_twice_keeps_digest_identical():
         untouched.run_ticks(30)
         entry = sampled.registry.get("h0")
         for _ in range(2):
-            sample_host(entry.host, "app", 0.0, 30.0,
-                        quarantined_now=False)
+            sample_host(entry, 0.0, 30.0)
         assert (
             metrics_digest(entry.host.metrics)
             == metrics_digest(untouched.registry.get("h0").host.metrics)
@@ -341,12 +337,11 @@ def test_region_aware_rollout_keeps_east_partially_on_incumbent():
 
 
 def test_gate_names_the_signal_with_no_data():
-    base = HealthSample(samples=5)
-    observed = HealthSample(
-        samples=3, psi_mem_samples=0, psi_io_samples=2,
-        refault_samples=1,
+    base = gate_rollup()
+    observed = gate_rollup(
+        {"psi_mem_some": 0, "psi_io_some": 2, "refault_rate": 1}
     )
-    verdict = evaluate_gate("h0", base, observed, HealthGateConfig())
+    verdict = evaluate_gate("h0", base, observed)
     assert not verdict.passed
     assert any(
         "no psi_mem_some samples" in r for r in verdict.reasons
@@ -356,24 +351,19 @@ def test_gate_names_the_signal_with_no_data():
     )
 
 
-def test_gate_skips_per_signal_check_when_counts_untracked():
-    """Hand-built samples (counts default to None) keep the legacy
-    pooled-count behaviour: no fabricated starvation reasons."""
-    base = HealthSample(samples=5)
-    observed = HealthSample(samples=5)
-    assert evaluate_gate(
-        "h0", base, observed, HealthGateConfig()
-    ).passed
-
-
 def test_live_sample_host_tracks_per_signal_counts():
     with make_engine() as engine:
         engine.run_ticks(30)
         entry = engine.registry.get("h0")
-        sample = sample_host(entry.host, "app", 0.0, 30.0)
-        assert sample.psi_mem_samples is not None
-        assert sample.psi_mem_samples > 0
-        assert sample.samples == (
-            sample.psi_mem_samples + sample.psi_io_samples
-            + sample.refault_samples
-        )
+        rollup = sample_host(entry, 0.0, 30.0)
+        assert rollup.window_s == 30.0
+        for signal in ("psi_mem_some", "psi_io_some", "refault_rate"):
+            count = rollup.signals[signal].count
+            assert count == len(entry.host.metrics.read_window(
+                f"app/{ROLLUP_SIGNALS[signal]}", 0.0, 30.0
+            ))
+            assert count > 0
+        # The metrics verb's host entry is the same read, reported
+        # against the requested trailing window.
+        served = engine.fleet_rollup(window_s=30.0).hosts[0]
+        assert served.signals == rollup.signals

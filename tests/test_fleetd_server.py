@@ -202,6 +202,24 @@ def test_stop_verb_shuts_the_daemon_down(daemon):
     assert server.stopped
 
 
+def test_stop_does_not_wait_out_the_tick_interval(tmp_path):
+    engine = _engine(tmp_path)
+    server = FleetdServer(
+        engine, str(tmp_path / "fleetd.sock"), tick_interval_s=60.0,
+    )
+    server.start()
+    tick_thread = server._tick_thread
+    try:
+        FleetdClient(server.socket_path).ping()  # both loops are up
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < 1.0
+        assert not tick_thread.is_alive()
+    finally:
+        server.stop()
+        engine.close()
+
+
 def test_client_reports_unreachable_daemon(tmp_path):
     client = FleetdClient(str(tmp_path / "nothing.sock"))
     with pytest.raises(FleetdClientError, match="cannot reach"):

@@ -17,13 +17,12 @@ from repro.core.fleetres import (
     SimulatedWorkerHang,
     WorkerFailure,
     _fire,
-    _ticks_for,
     load_spooled_snapshot,
     run_host_attempt,
     spool_snapshot,
 )
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.sim.host import HostConfig
+from repro.sim.host import Host, HostConfig
 from repro.sim.rng import derive_seed
 
 MB = 1 << 20
@@ -82,11 +81,14 @@ def test_backoff_doubles_and_caps():
 
 
 def test_ticks_for_matches_host_run():
-    # Same formula as Host.run: exact divisions get no extra tick,
-    # genuine remainders get one.
-    assert _ticks_for(30.0, 1.0) == 30
-    assert _ticks_for(30.5, 1.0) == 31
-    assert _ticks_for(0.3, 0.1) == 3  # division noise is not a tick
+    # The one formula Host.run and the fleet runtime share: exact
+    # divisions get no extra tick, genuine remainders get one.
+    assert Host.ticks_for(30.0, 1.0) == 30
+    assert Host.ticks_for(30.5, 1.0) == 31
+    assert Host.ticks_for(0.3, 0.1) == 3  # division noise is not a tick
+    host = build_fleet_host(BASE, 11, PLAN, 0)
+    host.run(2.5)
+    assert host.tick_count == Host.ticks_for(2.5, BASE.tick_s)
 
 
 def test_host_seed_is_the_fleet_derivation():
@@ -123,6 +125,18 @@ def test_spool_missing_and_corrupt_degrade_to_none(tmp_path):
     text = good.read_text()
     good.write_text(text.replace('"payload"', '"PAYLOAD"', 1))
     assert load_spooled_snapshot(str(good)) is None
+
+
+def test_non_utf8_spool_degrades_to_none_and_rebuilds(tmp_path):
+    unit = make_unit(tmp_path, attempt=2)
+    with open(unit.spool_path, "wb") as fh:
+        fh.write(b"\xff\xfe")
+    assert load_spooled_snapshot(unit.spool_path) is None
+    # The retry rebuilds from scratch instead of failing on every
+    # attempt until the host is quarantined.
+    report = run_host_attempt(unit, in_process=True)
+    assert not isinstance(report, WorkerFailure), report
+    assert report.recovered is False
 
 
 # ----------------------------------------------------------------------

@@ -68,8 +68,8 @@ def test_worker_path_global_fails_lint_with_tmo015(tmp_path):
     fleet = src / "repro" / "core" / "fleet.py"
     text = fleet.read_text()
     mutated = text.replace(
-        "    profile = APP_CATALOG[plan.app]\n    backend = plan.backend",
-        "    profile = _profile_cached(plan.app)\n    backend = plan.backend",
+        "    profile = APP_CATALOG[app]\n    host = Host(config)",
+        "    profile = _profile_cached(app)\n    host = Host(config)",
     )
     assert mutated != text
     mutated += (
