@@ -50,38 +50,6 @@ class _GswapState:
     seen: bool = False
 
 
-def profile_target_rate(
-    host,
-    cgroup: str,
-    duration_s: float = 600.0,
-    cold_age_s: float = 300.0,
-    acceptable_fault_share: float = 0.10,
-) -> float:
-    """The offline-profiling step a g-swap deployment needs.
-
-    Scans the container's idle-page ages (the cold-age-histogram
-    methodology of [18]) and derives a static promotion-rate target:
-    the rate at which re-touches of the cold band are expected to fault,
-    scaled by the profiler's acceptable-fault budget.
-
-    This is exactly the fragile part the paper criticises — the target
-    is computed **once**, against whatever device and workload phase the
-    profiling run happened to observe.
-    """
-    from repro.kernel.idle import IdlePageTracker
-
-    host.run(duration_s)
-    now = host.clock.now
-    tracker = IdlePageTracker(host.mm)
-    cold_pages = tracker.cold_bytes(
-        cgroup, now, age_threshold_s=cold_age_s
-    ) / host.mm.page_size_bytes
-    # Expected re-touch rate of the cold band if fully offloaded:
-    # roughly one touch per cold page per its age scale.
-    expected_rate = cold_pages / max(1.0, cold_age_s)
-    return max(0.01, expected_rate * acceptable_fault_share)
-
-
 class GSwapController:
     """Static-promotion-rate-target controller (the paper's comparator)."""
 

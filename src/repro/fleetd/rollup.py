@@ -311,14 +311,19 @@ def sample_host(entry, t0: float, t1: float) -> HostRollup:
     )
 
 
-def host_rollup(entry, window_s: float) -> HostRollup:
+def _check_window(window_s: float) -> None:
+    """Refuse a non-positive (or NaN) query window, hosts or none."""
+    if not window_s > 0.0:
+        raise RollupError("window_s must be positive")
+
+
+def _host_rollup(entry, window_s: float) -> HostRollup:
     """One host's trailing ``window_s``, up to its own clock's now.
 
     A host younger than the window is read from its zero; the rollup
-    still reports the requested ``window_s``.
+    still reports the requested ``window_s``. The caller has checked
+    ``window_s``.
     """
-    if not window_s > 0.0:
-        raise RollupError("window_s must be positive")
     t1 = entry.host.clock.now
     return replace(
         sample_host(entry, max(0.0, t1 - window_s), t1), window_s=window_s
@@ -330,8 +335,9 @@ def fleet_rollup(engine, window_s: float) -> FleetRollup:
     :class:`~repro.fleetd.engine.FleetdEngine`, folded by region and
     fleet. The engine lock (held by the server around each command)
     serializes this read against ticks."""
+    _check_window(window_s)
     host_rollups = tuple(
-        host_rollup(entry, window_s) for entry in engine.registry.values()
+        _host_rollup(entry, window_s) for entry in engine.registry.values()
     )
     regions: Dict[str, RegionRollup] = {}
     for rollup in host_rollups:
@@ -379,8 +385,9 @@ def top_hosts(
         )
     if n < 1:
         raise RollupError("n must be at least 1")
+    _check_window(window_s)
     rollups = [
-        host_rollup(entry, window_s) for entry in engine.registry.values()
+        _host_rollup(entry, window_s) for entry in engine.registry.values()
     ]
     ranked = sorted(
         rollups,

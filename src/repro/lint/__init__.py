@@ -15,17 +15,11 @@ disciplines that protect the invariant:
 * simulator state is serialised only through the declared codec
   (TMO013).
 
-The same run also applies the whole-program rules: it builds the
-project call graph over the files it parsed and tracks units,
-determinism taint and module state *across* function and module
-boundaries:
-
-* unit mismatches in arithmetic, call arguments and assignments
-  that only materialise interprocedurally (TMO009-TMO011);
-* wall-clock / unseeded-RNG / environment taint reaching the metrics
-  and CSV-export sinks (TMO012);
-* worker-reachable code touching mutable module-level state
-  (TMO015).
+Each rule sees one file at a time. Defects that only show across
+functions or processes (unit mix-ups between modules, hash-seeded
+values, per-process module state) are left to the runtime contracts:
+run-twice determinism across interpreters, parallel == serial fleet
+digests, crash-equivalence and ``TMO_CHECK_INVARIANTS``.
 
 Run it with ``python -m repro.lint`` or the ``tmo-lint`` console
 script; see docs/LINTING.md for the full rule catalogue, the per-
@@ -34,7 +28,7 @@ directory scopes and the ``# lint: ignore[RULE]`` comment syntax.
 
 from repro.lint.config import LintConfig, default_config
 from repro.lint.engine import LintResult, lint_paths
-from repro.lint.registry import RULES, LintRule, all_rule_ids, flow_rule_ids
+from repro.lint.registry import RULES, LintRule, all_rule_ids
 from repro.lint.violations import Violation
 
 __all__ = [
@@ -45,6 +39,5 @@ __all__ = [
     "Violation",
     "all_rule_ids",
     "default_config",
-    "flow_rule_ids",
     "lint_paths",
 ]

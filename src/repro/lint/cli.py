@@ -1,6 +1,6 @@
 """The ``tmo-lint`` / ``python -m repro.lint`` command line.
 
-One run checks every enabled rule, per-file and whole-program alike.
+One run checks every rule its directory's scope enables, file by file.
 Exit codes: 0 = clean, 1 = violations found, 2 = usage error.
 """
 
@@ -25,9 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tmo-lint",
         description=(
             "Determinism & unit-discipline static analysis for the TMO "
-            "reproduction. One run checks the per-file rules and the "
-            "whole-program flow rules (TMO001-TMO015) wherever their "
-            "directory's scope enables them; see docs/LINTING.md."
+            "reproduction. One run checks the per-file rules "
+            "(TMO001-TMO008, TMO013) wherever their directory's scope "
+            "enables them; see docs/LINTING.md."
         ),
     )
     parser.add_argument(

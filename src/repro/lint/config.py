@@ -24,20 +24,15 @@ SCOPE_OTHER = "other"
 _ALL_RULES = frozenset(
     {"TMO001", "TMO002", "TMO003", "TMO004",
      "TMO005", "TMO006", "TMO007", "TMO008",
-     "TMO009", "TMO010", "TMO011", "TMO012",
-     "TMO013", "TMO015"}
+     "TMO013"}
 )
 
 #: Rules enforced outside the simulator core: seed discipline and
 #: hygiene, but not the public-API unit conventions (TMO004), the
 #: sim-time comparison rule (TMO006) or the serialization-format rule
 #: (TMO013), which target ``src/repro``.
-#: The whole-program flow rules (TMO009-TMO012) apply everywhere:
-#: unit bugs in benchmarks corrupt results just as surely as unit
-#: bugs in the simulator.
 _HARNESS_RULES = frozenset(
-    {"TMO001", "TMO002", "TMO003", "TMO005", "TMO007", "TMO008",
-     "TMO009", "TMO010", "TMO011", "TMO012"}
+    {"TMO001", "TMO002", "TMO003", "TMO005", "TMO007", "TMO008"}
 )
 
 #: Tests probe components with hand-built RNGs and error paths, so only
@@ -106,24 +101,5 @@ def default_config() -> LintConfig:
                 "repro/core/fleetres.py",
             )},
             "TMO004": {"allowed_names": frozenset()},
-            # Determinism-taint sinks: anything feeding the metrics
-            # pipeline or the CSV exports must be reproducible.
-            "TMO012": {
-                "sink_call_suffixes": (
-                    "repro.sim.metrics.MetricsRecorder.record",
-                    "repro.sim.metrics.Series.record",
-                    "repro.analysis.export.to_csv_long",
-                    "repro.analysis.export.to_csv_wide",
-                ),
-                "sink_method_names": ("record",),
-            },
-            # State contracts (LINTING.md "State contracts" section).
-            "TMO015": {
-                # Functions executed inside worker processes.
-                "worker_entrypoints": (
-                    "repro.core.fleetres.run_host_attempt",
-                    "repro.core.fleetres._worker_main",
-                ),
-            },
         },
     )

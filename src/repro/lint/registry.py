@@ -9,7 +9,7 @@ rule object per file; rules receive a :class:`FileContext` and yield
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterator, List, Optional, Set, Type
+from typing import Any, Dict, Iterator, List, Optional, Type
 
 from repro.lint.astutil import ImportMap
 from repro.lint.violations import Violation
@@ -64,9 +64,6 @@ class LintRule:
     rule_id: str = ""
     name: str = ""
     summary: str = ""
-    #: True for whole-program rules, whose findings come from the flow
-    #: passes' phase B rather than from :meth:`check`.
-    flow: bool = False
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:  # pragma: no cover
         raise NotImplementedError
@@ -101,7 +98,3 @@ def register(cls: Type[LintRule]) -> Type[LintRule]:
 
 def all_rule_ids() -> List[str]:
     return sorted(RULES)
-
-
-def flow_rule_ids() -> Set[str]:
-    return {rule_id for rule_id, cls in RULES.items() if cls.flow}

@@ -77,3 +77,20 @@ def test_step_adapts_multiplicatively():
 def test_zero_interval_metrics_recorded():
     host, _ = run(GSwapConfig(), duration=60.0)
     assert "app/gswap_reclaim" in host.metrics
+
+
+def test_reclaim_step_is_a_fraction_of_the_container_bytes():
+    # Each period reclaims step_frac of the container's bytes (rounded
+    # up to whole pages); a bytes/pages slip in the request would
+    # shrink every step to the one-page minimum.
+    config = GSwapConfig(
+        target_promotion_rate=1000.0,  # never reached: always reclaims
+        initial_step_frac=0.01,
+        max_step_frac=0.01,
+    )
+    host, _ = run(config, duration=20.0)
+    steps = host.metrics.series("app/gswap_reclaim").values
+    container_bytes = profile().size_gb * _GB
+    assert len(steps) == 3
+    assert min(steps) >= 0.5 * config.max_step_frac * container_bytes
+    assert min(steps) > host.mm.page_size_bytes

@@ -7,6 +7,11 @@ series for float-exact equality — then show a different seed actually
 changes the numbers (so the first assertion is not vacuous).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.core.senpai import Senpai, SenpaiConfig
 from repro.workloads.access import HeatBands
 from repro.workloads.apps import AppProfile
@@ -103,3 +108,43 @@ def test_fleet_digests_are_worker_count_invariant():
     for seed in (1234, 4321):
         assert digests(seed, None) == digests(seed, 2)
     assert digests(1234, 2) != digests(4321, 2)
+
+
+#: One Feed host with tax sidecars under Senpai, run in a fresh
+#: interpreter; prints its metrics digest.
+_DIGEST_SCRIPT = """
+from repro.core.fleet import build_app_host
+from repro.core.senpai import Senpai, SenpaiConfig
+from repro.sim.host import HostConfig
+from repro.sim.metrics import metrics_digest
+
+config = HostConfig(ram_gb=0.25, page_size_bytes=1 << 20, seed=1234)
+host = build_app_host(config, "Feed", 0.003, True, Senpai(SenpaiConfig()))
+host.run(60.0)
+print(metrics_digest(host.metrics))
+"""
+
+
+def _digest_under_hash_seed(hash_seed: str) -> str:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout.strip()
+
+
+def test_digest_is_independent_of_the_interpreter_hash_seed():
+    """Same seed, bit-identical run, across interpreters too.
+
+    Forked workers inherit the parent's hash secret, so the in-process
+    and parallel == serial checks cannot see a value that depends on
+    ``hash()`` of a str, or on the iteration order of a set of str.
+    Two fresh interpreters with different ``PYTHONHASHSEED`` can."""
+    first = _digest_under_hash_seed("1")
+    assert len(first) == 64
+    assert first == _digest_under_hash_seed("2")

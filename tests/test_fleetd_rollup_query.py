@@ -194,6 +194,18 @@ def test_rollup_window_must_be_positive():
             engine.fleet_rollup(window_s=0.0)
 
 
+@pytest.mark.parametrize("window_s", [-5.0, 0.0, float("nan")])
+def test_empty_fleet_refuses_a_non_positive_window(window_s):
+    # With no host registered there is no per-host read to reject the
+    # window, so the fleet-level queries must refuse it themselves
+    # rather than stamp it on an empty envelope.
+    with FleetdEngine() as engine:
+        with pytest.raises(RollupError, match="window_s"):
+            engine.fleet_rollup(window_s)
+        with pytest.raises(RollupError, match="window_s"):
+            engine.top_hosts("psi_mem_some", 5, window_s)
+
+
 # ----------------------------------------------------------------------
 # envelopes: encode / validate-on-read
 

@@ -209,3 +209,31 @@ def test_swap_in_frees_backend_space():
     swapped = pages[mm.table.state[pages] == PageState.SWAPPED]
     mm.touch(swapped[0], now=2.0)
     assert mm.swap_backend.stored_bytes == stored_before - PAGE
+
+
+def test_refault_distance_is_measured_in_resident_pages():
+    # Section 3.4's shadow-entry rule: a fault on an evicted file page
+    # is a refault when its reuse distance (file evictions since its
+    # own) is within the cgroup's resident memory *in pages*. With
+    # 256 KiB pages a bytes-for-pages slip would call every distance
+    # a refault, so the far page below must read cold.
+    mm = make_mm()
+    mm.create_cgroup("app")
+    cg = mm.cgroup("app")
+    pages, _ = mm.register_file("app", 40, now=0.0, resident=True)
+    mm.memory_reclaim("app", 30 * PAGE, now=1.0)
+    evicted = pages[mm.table.state[pages] == PageState.EVICTED]
+    far = max(evicted, key=cg.shadow.reuse_distance)
+    assert cg.shadow.reuse_distance(far) > cg.resident_pages
+    assert cg.shadow.reuse_distance(far) <= cg.resident_bytes
+    result = mm.touch(far, now=2.0)
+    assert result.event == "file_read"
+    assert cg.vmstat.workingset_refault == 0
+    # One more eviction, faulted straight back: distance 1, within the
+    # resident set, so this one is a refault.
+    mm.memory_reclaim("app", PAGE, now=3.0)
+    near = pages[mm.table.state[pages] == PageState.EVICTED]
+    near = min(near, key=cg.shadow.reuse_distance)
+    assert cg.shadow.reuse_distance(near) <= cg.resident_pages
+    assert mm.touch(near, now=4.0).event == "refault"
+    assert cg.vmstat.workingset_refault == 1

@@ -5,12 +5,14 @@ number, so a rule that drifts (fires on a different node, or stops
 firing) fails loudly rather than silently changing coverage.
 """
 
+import ast
 import json
 from pathlib import Path
+from textwrap import dedent
 
 import pytest
 
-from repro.lint import all_rule_ids, default_config, flow_rule_ids, lint_paths
+from repro.lint import all_rule_ids, default_config, engine, lint_paths
 from repro.lint.cli import main
 from repro.lint.engine import PARSE_ERROR_RULE
 
@@ -57,15 +59,15 @@ def test_good_fixture_is_clean_under_every_rule(rule_id):
 
 
 def test_registry_covers_exactly_the_documented_rules():
-    # Per-file rules each have a bad fixture here; the whole-program
-    # flow rules are exercised against the flowpkg fixture package in
-    # test_lint_flow.py.
-    per_file = sorted(set(ALL_RULES) - flow_rule_ids())
-    assert per_file == sorted(EXPECTED_BAD_LINES)
-    assert flow_rule_ids() == {
-        "TMO009", "TMO010", "TMO011", "TMO012",
-        "TMO015",
-    }
+    # Every rule is a per-file rule with a bad fixture here; TMO000 is
+    # the always-on parse error, not a registered rule.
+    assert ALL_RULES == sorted(EXPECTED_BAD_LINES) == [
+        "TMO001", "TMO002", "TMO003", "TMO004",
+        "TMO005", "TMO006", "TMO007", "TMO008",
+        "TMO013",
+    ]
+    assert PARSE_ERROR_RULE == "TMO000"
+    assert PARSE_ERROR_RULE not in ALL_RULES
 
 
 def test_violations_carry_snippets_and_columns():
@@ -127,10 +129,54 @@ def test_lint_paths_skips_fixture_directory():
     assert not any("lint_fixtures" in p for p in touched)
 
 
+# ----------------------------------------------------------------------
+# one run: one parse and one comment scan per file
+
+
+def test_each_file_is_parsed_and_scanned_once(tmp_path, monkeypatch):
+    src = tmp_path / "src" / "pkg"
+    src.mkdir(parents=True)
+    (src / "__init__.py").write_text("")
+    (src / "a.py").write_text(dedent("""\
+        import random
+
+
+        def pick():
+            return random.random()
+    """))
+    (src / "b.py").write_text(dedent("""\
+        def ok(items=None):
+            return items or []
+    """))
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text("def test_a():\n    assert True\n")
+    parsed, scanned = [], []
+    real_parse, real_scan = ast.parse, engine.collect_ignores
+
+    def parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    def scan(source):
+        scanned.append(source)
+        return real_scan(source)
+
+    monkeypatch.setattr(engine.ast, "parse", parse)
+    monkeypatch.setattr(engine, "collect_ignores", scan)
+    result = lint_paths([tmp_path / "src", tests])
+    assert result.files_checked == 4
+    assert len(parsed) == len(set(parsed)) == 4
+    assert len(scanned) == 4
+    assert [(v.rule_id, v.line) for v in result.violations] == [
+        ("TMO001", 5)
+    ]
+
+
 def test_repo_tree_is_clean(capsys):
     # The gate CI enforces: `python -m repro.lint` with no flags runs
-    # every rule, per-file and flow, under the default scopes over
-    # src, benchmarks, examples and tests.
+    # every rule under the default scopes over src, benchmarks,
+    # examples and tests.
     assert main(["--format", "json"]) == 0, capsys.readouterr().out
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"] == []
