@@ -90,11 +90,16 @@ class LatencyReservoir:
 
     def __snapshot__(self) -> list:
         """Snapshot state: the filled part of the buffer, not all of it."""
-        return [self.capacity_entries, self._buf[: self._count].tolist(),
-                self._next]
+        from repro.checkpoint.state import encode_array
+
+        return [self.capacity_entries,
+                encode_array(self._buf[: self._count]), self._next]
 
     def __restore__(self, state: list) -> None:
-        self.capacity_entries, samples, self._next = state
+        from repro.checkpoint.state import decode_array
+
+        self.capacity_entries, doc, self._next = state
+        samples = decode_array(doc)
         n = len(samples)
         if n > self.capacity_entries:
             raise ValueError(

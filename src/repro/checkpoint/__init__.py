@@ -32,7 +32,7 @@ from repro.checkpoint.snapshot import (
     PAYLOAD_KIND,
     SCHEMA_VERSION,
     SnapshotError,
-    dump_envelope,
+    dump_payload,
     parse_document,
     payload_digest,
     validate_envelope,
@@ -58,11 +58,15 @@ def snapshot_host(host) -> Dict[str, Any]:
     any object on the host declares no state or carries an undeclared
     attribute (a trace workload, an unknown controller type).
     """
-    return wrap_payload({
+    return wrap_payload(_encode_payload(host))
+
+
+def _encode_payload(host) -> Dict[str, Any]:
+    return {
         "kind": PAYLOAD_KIND,
         "config": encode_state(host.config, type(host.config)),
         "host": encode_state(host, type(host)),
-    })
+    }
 
 
 def restore_host(envelope: Any):
@@ -91,19 +95,20 @@ def restore_host(envelope: Any):
 def save_snapshot(host, path: str) -> str:
     """Atomically snapshot ``host`` to ``path``; returns the payload digest.
 
-    The document is encoded and dumped first, written to
-    ``path + ".tmp"`` and only then renamed over ``path``, so a run
-    that fails or is killed mid-write leaves the previous snapshot (or
-    its absence) intact. There is no fsync: this guards against process
-    death, not power loss.
+    The file is ``dump_envelope(host.snapshot())``, but the payload is
+    serialized once (:func:`dump_payload`), not once to hash it and
+    again to write it. The document is encoded and dumped first,
+    written to ``path + ".tmp"`` and only then renamed over ``path``,
+    so a run that fails or is killed mid-write leaves the previous
+    snapshot (or its absence) intact. There is no fsync: this guards
+    against process death, not power loss.
     """
-    envelope = host.snapshot()
-    text = dump_envelope(envelope)
+    digest, document = dump_payload(_encode_payload(host))
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(document)
     os.replace(tmp, path)
-    return envelope["digest"]
+    return digest
 
 
 def load_snapshot(path: str):

@@ -2,7 +2,7 @@
 
 A snapshot is a canonical-JSON document in a three-field envelope::
 
-    {"schema_version": 4, "digest": "<sha256>", "payload": {...}}
+    {"schema_version": 5, "digest": "<sha256>", "payload": {...}}
 
 ``digest`` is the SHA-256 of the *canonical* payload encoding
 (``json.dumps(payload, sort_keys=True, separators=(",", ":"))``), so a
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 #: Current snapshot schema version. Bump on any change to the payload
 #: layout; old versions are refused, never silently migrated (the
@@ -36,7 +36,13 @@ from typing import Any, Dict, Optional
 #: attribute (integer and bool columns as packed bytes), in place of
 #: per-page rows and per-cgroup LRU lists; workloads hold page-id
 #: arrays. A v3 payload has no page table to read.
-SCHEMA_VERSION = 4
+#: v5: float64 arrays are packed bytes like the integer ones (page
+#: table float columns, latency reservoirs, metric samples), and the
+#: metrics recorder writes each distinct time column once, with each
+#: series as ``[name, column index, values]``. JSON float lists made
+#: snapshot encode and spool writes most of a fleetd host-tick; a v4
+#: payload holds those lists, which this build no longer reads.
+SCHEMA_VERSION = 5
 
 #: Payload marker distinguishing host snapshots from other documents.
 PAYLOAD_KIND = "tmo-host-snapshot"
@@ -135,6 +141,23 @@ def validate_envelope(envelope: Any) -> Dict[str, Any]:
 def dump_envelope(envelope: Dict[str, Any]) -> str:
     """Serialize a full envelope (canonical form, trailing newline)."""
     return canonical_json(envelope) + "\n"
+
+
+def dump_payload(payload: Dict[str, Any]) -> Tuple[str, str]:
+    """``(digest, document)`` for a payload, serializing it only once.
+
+    The document is ``dump_envelope(wrap_payload(payload))`` byte for
+    byte: sorted keys put ``digest`` before ``payload`` before
+    ``schema_version``, so the canonical payload text is hashed and
+    then spliced into the envelope as it is.
+    """
+    text = canonical_json(payload)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    document = (
+        f'{{"digest":"{digest}","payload":{text},'
+        f'"schema_version":{SCHEMA_VERSION}}}\n'
+    )
+    return digest, document
 
 
 def parse_document(text: str) -> Any:

@@ -7,19 +7,18 @@ Every stateful class declares its state once:
   ``__transient__`` tuple of the attributes deliberately left out —
   settings and back-references fixed at construction, memo caches,
   scratch buffers. Subclasses add to their bases' tuples;
-* a buffer-backed class (``Series``, ``LatencyReservoir``) by a
-  two-method hook: ``__snapshot__()`` returns its state as a JSON
-  list and ``__restore__(state)`` loads it back.
+* a buffer-backed class (``MetricsRecorder``, ``LatencyReservoir``,
+  ``PageTable``) by a two-method hook: ``__snapshot__()`` returns its
+  state as a JSON list and ``__restore__(state)`` loads it back.
 
 The class annotations give each declared attribute its type, and the
 walker encodes by type: JSON scalars as themselves; enums by value;
 lists, tuples and sets (sorted) as lists; every dict as ordered
-``[key, value]`` pairs; float64 ndarrays as lists and integer and bool
-ndarrays as packed bytes (:func:`encode_array`); NumPy generators by
-their bit-generator state; declared objects as a positional row in
-declaration order. An attribute annotated ``Any``, or not at all, must
-already hold JSON (a scalar, or a document such as a persisted
-controller).
+``[key, value]`` pairs; float64, integer and bool ndarrays as packed
+bytes (:func:`encode_array`); NumPy generators by their bit-generator
+state; declared objects as a positional row in declaration order. An
+attribute annotated ``Any``, or not at all, must already hold JSON (a
+scalar, or a document such as a persisted controller).
 
 Objects are written once. A class with a ``__key__`` attribute name is
 *shared*: after its first occurrence it is written as its key (a page
@@ -325,12 +324,14 @@ _INT_WIDTHS = tuple(np.dtype(t) for t in ("<i1", "<i2", "<i4", "<i8"))
 def encode_array(value: np.ndarray) -> Any:
     """A 1-d float64, integer or bool array as JSON.
 
-    Floats are a list of numbers. Integers are the little-endian bytes
-    of the narrowest width that holds them, base64-encoded; bools are
-    bits, packed eight to a byte.
+    Floats are their little-endian IEEE bytes, so every bit survives
+    (NaN payloads, ``-0.0``, subnormals). Integers are the little-endian
+    bytes of the narrowest width that holds them. Bools are bits, packed
+    eight to a byte. All three are base64-encoded.
     """
     if value.dtype == np.float64:
-        return value.tolist()
+        data = np.ascontiguousarray(value, dtype="<f8").tobytes()
+        return {"float": "<f8", "data": base64.b64encode(data).decode()}
     if value.dtype == np.bool_:
         bits = np.packbits(value)
         return {"bool": len(value), "bits": base64.b64encode(bits).decode()}
@@ -349,15 +350,16 @@ def encode_array(value: np.ndarray) -> Any:
 
 
 def decode_array(doc: Any) -> np.ndarray:
-    """Rebuild an array :func:`encode_array` wrote."""
-    if isinstance(doc, list):
-        return np.array(doc, dtype=np.float64)
+    """Rebuild (a writable copy of) an array :func:`encode_array` wrote."""
     if not isinstance(doc, dict):
         raise SnapshotError(f"malformed array {doc!r:.80}")
     try:
         if "bool" in doc:
             bits = np.frombuffer(base64.b64decode(doc["bits"]), np.uint8)
             return np.unpackbits(bits, count=doc["bool"]).astype(np.bool_)
+        if "float" in doc:
+            raw = np.frombuffer(base64.b64decode(doc["data"]), doc["float"])
+            return raw.astype(np.float64)
         raw = np.frombuffer(base64.b64decode(doc["data"]), doc["as"])
         return raw.astype(doc["int"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -512,11 +514,9 @@ def _object_codec(hint: type) -> Tuple[Encoder, Decoder]:
         obj = cls.__new__(cls) if fresh else template
         if plan.key is None:
             ctx.objects.append(obj)
-        elif not plan.hook:
+        else:
             ctx.keyed[cls][doc[plan.key_index]] = obj
         plan.restore(obj, doc, ctx, fresh)
-        if plan.key is not None and plan.hook:
-            ctx.keyed[cls][getattr(obj, plan.key)] = obj
         return obj
 
     return enc, dec

@@ -35,7 +35,7 @@ from repro.faults.chaos import Gate, Run, Topology
 from repro.faults.plan import CONTROLLER_KINDS, FaultPlan
 from repro.fleetd.engine import FleetdConfig, FleetdEngine, FleetdError
 from repro.fleetd.policy import PolicySpec
-from repro.fleetd.rollout import RolloutConfig
+from repro.fleetd.rollout import RolloutConfig, RolloutResult
 from repro.fleetd.rollup import (
     encode_envelope,
     parse_fleet_rollup,
@@ -275,7 +275,7 @@ def _run_storm(
             r.status for r in engine.results
         ]
         outcome["rollout_results"] = [
-            r.to_json() for r in engine.results
+            _decisions(r) for r in engine.results
         ]
         outcome["active_terminal"] = engine.active is None
         outcome["queue_empty"] = not engine.queue
@@ -298,6 +298,25 @@ def _run_storm(
     finally:
         engine.close()
     return outcome
+
+
+def _decisions(result: RolloutResult) -> Dict[str, Any]:
+    """What a rollout decided, free of its envelope's format.
+
+    Status, generation, rollback reason and every gate verdict's host,
+    pass/fail and reasons: a change to how a rollout is written out
+    (``RolloutResult.to_json``) must not read as a change in what the
+    fleet did.
+    """
+    return {
+        "status": result.status,
+        "generation": result.generation,
+        "rollback_reason": result.rollback_reason,
+        "verdicts": [
+            [v.host_id, v.passed, list(v.reasons)]
+            for wave in result.waves for v in wave.verdicts
+        ],
+    }
 
 
 def _outcome_digest(outcome: Dict[str, Any]) -> str:

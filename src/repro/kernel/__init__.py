@@ -10,7 +10,6 @@ balanced rewrite that was upstreamed.
 
 from repro.kernel.cgroup import Cgroup
 from repro.kernel.controlfs import ControlFileError, ControlFs, parse_bytes
-from repro.kernel.idle import AgeHistogram, IdlePageTracker
 from repro.kernel.mm import FaultResult, MemoryManager, OutOfMemoryError
 from repro.kernel.page import PageKind, PageState, PageTable
 from repro.kernel.reclaim import (
@@ -23,11 +22,9 @@ from repro.kernel.shadow import ShadowMap
 from repro.kernel.vmstat import VmStat
 
 __all__ = [
-    "AgeHistogram",
     "Cgroup",
     "ControlFileError",
     "ControlFs",
-    "IdlePageTracker",
     "parse_bytes",
     "FaultResult",
     "LegacyReclaimPolicy",

@@ -182,8 +182,8 @@ class MemoryManager:
     def pages(self, cgroup_name: Optional[str] = None) -> np.ndarray:
         """Ids of all live pages, optionally of one cgroup, ascending.
 
-        Used by profiling tools (idle-page tracking, coldness
-        histograms); the fault path never iterates this.
+        Used by profiling tools (coldness histograms); the fault path
+        never iterates this.
         """
         owners = self.table.cgroup[:self.table.npages]
         if cgroup_name is None:

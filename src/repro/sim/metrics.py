@@ -27,23 +27,19 @@ class Series:
     :meth:`record` call is an array store instead of two list appends
     and :meth:`as_arrays` hands out views without converting. The
     ``times``/``values`` properties still present plain Python lists
-    for the callers (tests, CSV export, checkpoints) that want them.
+    for the callers (tests, CSV export) that want them. A series is
+    snapshotted by the recorder that holds it.
     """
 
     __slots__ = ("name", "_t_buf", "_v_buf", "_n")
-    #: Shared by name in snapshots (repro.checkpoint.state), which hold
-    #: a series as ``[name, times, values]``, not its buffers.
-    __key__ = "name"
 
     def __init__(
         self,
         name: str,
-        times: Optional[Sequence[float]] = None,
-        values: Optional[Sequence[float]] = None,
+        times: Sequence[float] = (),
+        values: Sequence[float] = (),
     ) -> None:
         self.name = name
-        times = [] if times is None else list(times)
-        values = [] if values is None else list(values)
         if len(times) != len(values):
             raise ValueError(
                 f"series {name!r}: {len(times)} times vs "
@@ -59,13 +55,6 @@ class Series:
         self._t_buf[:n] = times
         self._v_buf[:n] = values
         self._n = n
-
-    def __snapshot__(self) -> list:
-        return [self.name, self.times, self.values]
-
-    def __restore__(self, state: list) -> None:
-        self.name, times, values = state
-        self._load(times, values)
 
     @property
     def times(self) -> List[float]:
@@ -157,13 +146,42 @@ class MetricsRecorder:
     querying a host leaves :func:`metrics_digest` byte-identical
     (query-twice == query-never), and it refuses an undeclared name
     with the same ``KeyError``.
+
+    A snapshot (:meth:`__snapshot__`) writes each distinct time column
+    once: ``Host._record`` stamps most series with the same times.
     """
 
-    __state__ = ("_series",)
-    _series: Dict[str, Series]
-
     def __init__(self) -> None:
-        self._series = {}
+        self._series: Dict[str, Series] = {}
+
+    def __snapshot__(self) -> list:
+        """``[time columns, [[name, column index, values], ...]]``, the
+        columns packed by :func:`repro.checkpoint.state.encode_array`."""
+        from repro.checkpoint.state import encode_array
+
+        axes: Dict[bytes, int] = {}
+        columns: List[object] = []
+        rows = []
+        for name, series in self._series.items():
+            times, values = series.as_arrays()
+            key = times.tobytes()
+            index = axes.get(key)
+            if index is None:
+                index = axes[key] = len(columns)
+                columns.append(encode_array(times))
+            rows.append([name, index, encode_array(values)])
+        return [columns, rows]
+
+    def __restore__(self, state: list) -> None:
+        from repro.checkpoint.state import decode_array
+
+        columns, rows = state
+        axes = [decode_array(doc) for doc in columns]
+        # Series copy what they are given, so no two share a buffer.
+        self._series = {
+            name: Series(name, axes[index], decode_array(values))
+            for name, index, values in rows
+        }
 
     def record(self, name: str, t: float, value: float) -> None:
         """Record one sample on the series called ``name``."""

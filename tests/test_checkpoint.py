@@ -14,6 +14,7 @@ Three families of guarantees, per docs/RESILIENCE.md "Recovery":
 
 import copy
 
+import numpy as np
 import pytest
 
 import repro.checkpoint as checkpoint
@@ -26,6 +27,7 @@ from repro.checkpoint import (
     snapshot_host,
 )
 from repro.checkpoint.snapshot import (
+    canonical_json,
     dump_envelope,
     parse_document,
     payload_digest,
@@ -34,7 +36,7 @@ from repro.checkpoint.state import decode_state, encode_state
 from repro.core.senpai import Senpai, SenpaiConfig, _CgroupState
 from repro.faults.chaos import ChaosConfig, build_chaos_host
 from repro.sim.host import Host, HostConfig
-from repro.sim.metrics import metrics_digest
+from repro.sim.metrics import MetricsRecorder, metrics_digest
 from repro.workloads.web import WebWorkload
 
 MB = 1 << 20
@@ -119,15 +121,117 @@ def test_failed_save_keeps_the_previous_snapshot(tmp_path, monkeypatch):
     digest = save_snapshot(host, str(path))
     host.run(30.0)
 
-    def broken_dump(envelope):
+    def broken_dump(payload):
+        # The host is encoded; the fault lands before the rename.
+        assert payload["kind"] == "tmo-host-snapshot"
         raise OSError("killed mid-write")
 
-    monkeypatch.setattr(checkpoint, "dump_envelope", broken_dump)
+    monkeypatch.setattr(checkpoint, "dump_payload", broken_dump)
     with pytest.raises(OSError):
         save_snapshot(host, str(path))
     restored = load_snapshot(str(path))
     assert restored.clock.now == 60.0
     assert restored.snapshot()["digest"] == digest
+
+
+# ----------------------------------------------------------------------
+# the schema-5 codec: packed floats, shared time columns, one dump
+
+
+#: Floats a JSON number list does not carry bit for bit (a NaN with a
+#: payload, a negative NaN), next to the edge values it does.
+SPECIAL_FLOATS = np.array(
+    [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000000,
+     0xFFF0000000000000, 0x8000000000000000, 0x0000000000000001,
+     0x000FFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+def test_saved_file_is_the_dumped_envelope(tmp_path):
+    host = small_host()
+    host.run(90.0)
+    path = tmp_path / "host.json"
+    save_snapshot(host, str(path))
+    assert path.read_text(encoding="utf-8") == dump_envelope(
+        host.snapshot()
+    )
+
+
+def test_special_floats_survive_save_and_load_bit_exactly(tmp_path):
+    host = small_host()
+    host.run(60.0)
+    name = next(iter(host.metrics.names()))
+    for value in SPECIAL_FLOATS.tolist():
+        host.metrics.record(name, host.clock.now, value)
+    n = len(SPECIAL_FLOATS)
+    host.mm.table.last_access[:n] = SPECIAL_FLOATS
+    reservoir = host.swap_backend.stats.latencies
+    for value in SPECIAL_FLOATS.tolist():
+        reservoir.add(value)
+    path = tmp_path / "host.json"
+    save_snapshot(host, str(path))
+
+    restored = load_snapshot(str(path))
+    _, values = restored.metrics.series(name).as_arrays()
+    assert values[-n:].tobytes() == SPECIAL_FLOATS.tobytes()
+    assert (restored.mm.table.last_access[:n].tobytes()
+            == SPECIAL_FLOATS.tobytes())
+    twin = restored.swap_backend.stats.latencies
+    assert twin._buf[:len(twin)].tobytes() == (
+        reservoir._buf[:len(reservoir)].tobytes()
+    )
+    assert metrics_digest(restored.metrics) == metrics_digest(host.metrics)
+
+
+def test_restored_series_do_not_share_time_buffers():
+    host = small_host()
+    host.run(60.0)
+    restored = Host.restore(host.snapshot())
+    names = [
+        name for name in restored.metrics.names()
+        if restored.metrics.series(name).times
+        == restored.metrics.series("host/used_bytes").times
+    ]
+    assert len(names) > 1
+    first, second = (restored.metrics.series(n) for n in names[:2])
+    now = restored.clock.now
+    first.record(now + 1.0, 1.0)
+    second.record(now + 2.0, 2.0)
+    assert first.times[-1] == now + 1.0
+    assert second.times[-1] == now + 2.0
+    for name in names[2:]:
+        assert restored.metrics.series(name).times[-1] < now + 1.0
+
+
+def test_lockstep_series_write_one_time_column():
+    rec = MetricsRecorder()
+    names = [f"s{i}" for i in range(5)]
+    for t in range(20):
+        for i, name in enumerate(names):
+            rec.record(name, float(t), float(t * i))
+    columns, rows = rec.__snapshot__()
+    assert len(columns) == 1
+    assert [row[:2] for row in rows] == [[name, 0] for name in names]
+    # A series that starts late has a time column of its own.
+    rec.record("late", 19.0, 1.0)
+    columns, _ = rec.__snapshot__()
+    assert len(columns) == 2
+
+    twin = MetricsRecorder()
+    twin.__restore__(parse_document(canonical_json(rec.__snapshot__())))
+    assert list(twin.names()) == list(rec.names())
+    assert metrics_digest(twin) == metrics_digest(rec)
+
+
+def test_schema_4_snapshot_is_refused():
+    host = small_host()
+    host.run(60.0)
+    envelope = host.snapshot()
+    envelope["schema_version"] = 4
+    with pytest.raises(SnapshotError) as excinfo:
+        restore_host(envelope)
+    assert excinfo.value.field == "schema_version"
 
 
 # ----------------------------------------------------------------------

@@ -163,3 +163,25 @@ def test_fleetd_query_neutrality_gate_can_fail(monkeypatch):
     monkeypatch.setattr(FleetdEngine, "fleet_rollup", mutating_rollup)
     verdict = run_storm(FLEETD_TOPOLOGY, FleetdChaosConfig(seed=1))
     _fails_only(verdict, "query_neutrality")
+
+
+def test_rollout_envelope_format_does_not_move_the_digest(
+    verdicts, monkeypatch
+):
+    # A rollout envelope written in a new format (here: one more key at
+    # every level) is not a change in what the fleet did.
+    from repro.fleetd.health import GateVerdict
+    from repro.fleetd.rollout import RolloutResult, WaveRecord
+
+    for cls in (RolloutResult, WaveRecord, GateVerdict):
+        real = cls.to_json
+
+        def reformatted(self, _real=real):
+            return dict(_real(self), format="next")
+
+        monkeypatch.setattr(cls, "to_json", reformatted)
+    digest, _, error = fleetd_chaos._run_fleetd(
+        FleetdChaosConfig(seed=1), "quiet"
+    )
+    assert error is None
+    assert digest == verdicts[1].digest
