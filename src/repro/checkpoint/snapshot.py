@@ -2,7 +2,7 @@
 
 A snapshot is a canonical-JSON document in a three-field envelope::
 
-    {"schema_version": 5, "digest": "<sha256>", "payload": {...}}
+    {"schema_version": 6, "digest": "<sha256>", "payload": {...}}
 
 ``digest`` is the SHA-256 of the *canonical* payload encoding
 (``json.dumps(payload, sort_keys=True, separators=(",", ":"))``), so a
@@ -42,7 +42,12 @@ from typing import Any, Dict, Optional, Tuple
 #: series as ``[name, column index, values]``. JSON float lists made
 #: snapshot encode and spool writes most of a fleetd host-tick; a v4
 #: payload holds those lists, which this build no longer reads.
-SCHEMA_VERSION = 5
+#: v6: a PSI group's stall integrals and running averages are flat
+#: six-slot lists indexed ``2 * resource ordinal + (kind == full)``, in
+#: place of dicts keyed by ``(resource, kind)``: the per-transition
+#: accrual no longer hashes enum tuples. A v5 payload holds those
+#: dicts, which this build no longer reads.
+SCHEMA_VERSION = 6
 
 #: Payload marker distinguishing host snapshots from other documents.
 PAYLOAD_KIND = "tmo-host-snapshot"

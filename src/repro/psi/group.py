@@ -2,21 +2,23 @@
 
 A :class:`PsiGroup` corresponds to one pressure domain: a cgroup, or the
 whole machine. It keeps task-state counters, integrates ``some`` and
-``full`` stall time on every state transition, and maintains the running
-averages exposed through the pressure-file interface.
+``full`` stall time between task state transitions, and maintains the
+running averages exposed through the pressure-file interface. All of
+that happens in one place, :meth:`PsiGroup.sweep`, which the host feeds
+one time-ordered batch of transitions per tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from repro.psi.avgs import PSI_AVG_PERIOD, RunningAverages
+from repro.psi.avgs import PSI_AVG_PERIOD, RunningAverages, fold_averages
 from repro.psi.types import (
     N_FLAG_STATES,
     RESOURCE_INDEX,
     RESOURCE_ORDER,
-    TRANSITION_SPARSE,
+    TRANSITION_DELTAS,
     Resource,
     TaskFlags,
 )
@@ -25,9 +27,18 @@ from repro.psi.types import (
 SOME = "some"
 FULL = "full"
 
-_STATES: Tuple[Tuple[Resource, str], ...] = tuple(
-    (resource, kind) for resource in Resource for kind in (SOME, FULL)
-)
+#: Offset of each indicator within a resource's pair of state slots.
+_KIND_OFFSET = {SOME: 0, FULL: 1}
+
+#: Number of (resource, kind) stall states; ``totals`` and ``_avgs``
+#: hold one slot per state.
+N_STATES = 2 * len(RESOURCE_ORDER)
+
+
+def state_slot(resource: Resource, kind: str) -> int:
+    """Slot of ``(resource, kind)`` in :attr:`PsiGroup.totals`:
+    ``2 * resource ordinal + (kind == FULL)``."""
+    return 2 * RESOURCE_INDEX[resource] + _KIND_OFFSET[kind]
 
 
 @dataclass(frozen=True)
@@ -52,10 +63,11 @@ class PressureSample:
 class PsiGroup:
     """Stall-time accounting for one pressure domain.
 
-    The group is fed task state transitions by :class:`repro.psi.tracker.
-    PsiSystem`; it never inspects tasks itself. Between transitions the
-    domain's pressure state is constant, so integration happens lazily at
-    transition (and read) time.
+    The group is fed task state transitions by
+    :class:`repro.psi.tracker.PsiSystem` and the host's scheduler model;
+    it never inspects tasks itself. Between transitions the domain's
+    pressure state is constant, so stall time is integrated lazily, at
+    transition and read time.
     """
 
     #: Groups are shared by name in snapshots (repro.checkpoint.state).
@@ -67,8 +79,8 @@ class PsiGroup:
     parent: Optional["PsiGroup"]
     nr_stalled: List[int]
     nr_productive: List[int]
-    totals: Dict[Tuple[Resource, str], float]
-    _avgs: Dict[Tuple[Resource, str], RunningAverages]
+    totals: List[float]
+    _avgs: List[RunningAverages]
 
     def __init__(
         self,
@@ -82,133 +94,161 @@ class PsiGroup:
         self.name = name
         self.ncpu = ncpu
         self.parent = parent
-        # Task counters, updated by the tracker; indexed by the
-        # resource's ordinal in RESOURCE_ORDER (plain list indexing is
-        # markedly cheaper than enum-keyed dicts on this path).
+        # Task counters, indexed by the resource's ordinal in
+        # RESOURCE_ORDER.
         self.nr_stalled = [0] * len(RESOURCE_ORDER)
         self.nr_productive = [0] * len(RESOURCE_ORDER)
         self.nr_nonidle = 0
-        # Stall-time integrals in seconds.
-        self.totals = {
-            state: 0.0 for state in _STATES
-        }
-        self._avgs = {
-            state: RunningAverages() for state in _STATES
-        }
+        # Stall-time integrals in seconds and their running averages,
+        # one slot per (resource, kind) as numbered by state_slot().
+        self.totals = [0.0] * N_STATES
+        self._avgs = [RunningAverages() for _ in range(N_STATES)]
         self._last_change = now
         self._next_avg_update = now + PSI_AVG_PERIOD
 
     # ------------------------------------------------------------------
-    # state evaluation
+    # the one accrual path
 
-    def _state_active(self, resource: Resource, kind: str) -> bool:
-        """Whether the (resource, kind) stall state is active right now."""
-        index = RESOURCE_INDEX[resource]
-        stalled = self.nr_stalled[index] > 0
-        if kind == SOME:
-            return stalled
-        return stalled and self.nr_productive[index] == 0
+    def sweep(self, events: Iterable[Tuple[float, int]]) -> None:
+        """Apply a time-ordered batch of task transitions.
 
-    def _integrate(self, now: float) -> None:
-        """Accrue stall time for all active states up to ``now``.
+        Each event is ``(when, code)`` with ``code = old.value *
+        N_FLAG_STATES + new.value`` (:data:`~repro.psi.types.
+        TRANSITION_DELTAS`); code 0 moves no counter and only advances
+        time. Before each event, stall time accrues up to ``when`` for
+        every active state (``some`` = anyone stalled, ``full`` =
+        stalled with nobody productive), one ``PSI_AVG_PERIOD`` at a
+        time, folding the running averages at each period boundary it
+        crosses, so a long gap feeds every averaging window it spans.
 
-        Inlines :meth:`_state_active` (``some`` = anyone stalled,
-        ``full`` = stalled with nobody productive) — this runs once per
-        task transition per domain.
+        The batch runs on local copies of the counters and integrals
+        and writes the group back once, also when an event raises.
+        Events at one instant commute: the first integrates up to it,
+        the rest add nothing, and the counters are integers. Every
+        stall integral in the simulator is added here and nowhere else.
+
+        Raises:
+            ValueError: an event lies before the previous one.
+            RuntimeError: the batch left a counter negative (a
+                transition was fed with mismatched old flags).
         """
-        elapsed = now - self._last_change
-        if elapsed < 0:
-            raise ValueError(
-                f"PSI group {self.name!r}: time went backwards "
-                f"({self._last_change} -> {now})"
-            )
-        if elapsed > 0:
-            totals = self.totals
-            nr_stalled = self.nr_stalled
-            nr_productive = self.nr_productive
-            for index, resource in enumerate(RESOURCE_ORDER):
-                if nr_stalled[index] > 0:
-                    totals[(resource, SOME)] += elapsed
-                    if nr_productive[index] == 0:
-                        totals[(resource, FULL)] += elapsed
-            self._last_change = now
-
-    # ------------------------------------------------------------------
-    # transition feed (called by the tracker)
-
-    def change_task_state(
-        self, old: TaskFlags, new: TaskFlags, now: float
-    ) -> None:
-        """Apply one task's transition from ``old`` to ``new`` flags.
-
-        Hot path: the per-resource counter deltas come from the
-        precomputed :data:`~repro.psi.types.TRANSITION_DELTAS` table
-        (one lookup) rather than re-evaluating the flag predicates per
-        resource per event.
-        """
-        self.tick(now)
-        stalled_pairs, productive_pairs, nonidle_d = TRANSITION_SPARSE[
-            old._value_ * N_FLAG_STATES + new._value_
-        ]
-        bad = False
-        if stalled_pairs:
-            nr_stalled = self.nr_stalled
-            for index, delta in stalled_pairs:
-                nr_stalled[index] += delta
-                if nr_stalled[index] < 0:
-                    bad = True
-        if productive_pairs:
-            nr_productive = self.nr_productive
-            for index, delta in productive_pairs:
-                nr_productive[index] += delta
-        if nonidle_d:
-            self.nr_nonidle += nonidle_d
-            if self.nr_nonidle < 0:
-                bad = True
-        if bad:
+        avgs = self._avgs
+        t_cpu, f_cpu, t_mem, f_mem, t_io, f_io = self.totals
+        s_cpu, s_mem, s_io = self.nr_stalled
+        p_cpu, p_mem, p_io = self.nr_productive
+        nonidle = self.nr_nonidle
+        last = self._last_change
+        next_fold = self._next_avg_update
+        try:
+            for when, code in events:
+                if when > last:
+                    # Rare: the event lies past a period boundary.
+                    # Accrue up to the boundary and fold, once per
+                    # period crossed.
+                    while when >= next_fold:
+                        elapsed = next_fold - last
+                        if s_cpu > 0:
+                            t_cpu += elapsed
+                            if p_cpu == 0:
+                                f_cpu += elapsed
+                        if s_mem > 0:
+                            t_mem += elapsed
+                            if p_mem == 0:
+                                f_mem += elapsed
+                        if s_io > 0:
+                            t_io += elapsed
+                            if p_io == 0:
+                                f_io += elapsed
+                        last = next_fold
+                        fold_averages(zip(
+                            avgs, (t_cpu, f_cpu, t_mem, f_mem, t_io, f_io)
+                        ))
+                        next_fold += PSI_AVG_PERIOD
+                    # The same accrual up to the event itself.
+                    elapsed = when - last
+                    if elapsed > 0:
+                        if s_cpu > 0:
+                            t_cpu += elapsed
+                            if p_cpu == 0:
+                                f_cpu += elapsed
+                        if s_mem > 0:
+                            t_mem += elapsed
+                            if p_mem == 0:
+                                f_mem += elapsed
+                        if s_io > 0:
+                            t_io += elapsed
+                            if p_io == 0:
+                                f_io += elapsed
+                        last = when
+                elif when < last:
+                    raise ValueError(
+                        f"PSI group {self.name!r}: time went backwards "
+                        f"({last} -> {when})"
+                    )
+                ds_cpu, ds_mem, ds_io, dp_cpu, dp_mem, dp_io, d_nonidle = (
+                    TRANSITION_DELTAS[code]
+                )
+                s_cpu += ds_cpu
+                s_mem += ds_mem
+                s_io += ds_io
+                p_cpu += dp_cpu
+                p_mem += dp_mem
+                p_io += dp_io
+                nonidle += d_nonidle
+        finally:
+            self.totals[:] = (t_cpu, f_cpu, t_mem, f_mem, t_io, f_io)
+            self.nr_stalled[:] = (s_cpu, s_mem, s_io)
+            self.nr_productive[:] = (p_cpu, p_mem, p_io)
+            self.nr_nonidle = nonidle
+            self._last_change = last
+            self._next_avg_update = next_fold
+        if s_cpu < 0 or s_mem < 0 or s_io < 0 or nonidle < 0:
             raise RuntimeError(
                 f"PSI group {self.name!r}: task counters went negative; "
                 "a transition was fed with mismatched old flags"
             )
 
+    def change_task_state(
+        self, old: TaskFlags, new: TaskFlags, now: float
+    ) -> None:
+        """Apply one task's transition from ``old`` to ``new`` flags."""
+        self.sweep(((now, old._value_ * N_FLAG_STATES + new._value_),))
+
+    def tick(self, now: float) -> None:
+        """Advance time to ``now``: integrals, then running averages if
+        a period elapsed.
+
+        A read at the instant of the last accrual adds nothing and
+        skips the sweep; the test is exact on purpose, as the sweep's
+        own ``elapsed > 0`` is.
+        """
+        if (now != self._last_change  # lint: ignore[TMO006]
+                or now >= self._next_avg_update):
+            self.sweep(((now, 0),))
+
     # ------------------------------------------------------------------
     # reads
 
-    def tick(self, now: float) -> None:
-        """Advance time and refresh running averages if a period elapsed.
-
-        Integration is performed period-by-period so a large time jump
-        attributes stall time to every averaging window it spans, not
-        just the first.
-        """
-        while now >= self._next_avg_update:
-            self._integrate(self._next_avg_update)
-            for state in _STATES:
-                self._avgs[state].update(
-                    self.totals[state], PSI_AVG_PERIOD
-                )
-            self._next_avg_update += PSI_AVG_PERIOD
-        self._integrate(now)
-
     def total(self, resource: Resource, kind: str = SOME) -> float:
         """Cumulative stall seconds for ``(resource, kind)``."""
-        return self.totals[(resource, kind)]
+        return self.totals[state_slot(resource, kind)]
 
     def sample(self, resource: Resource, now: float) -> PressureSample:
         """Read the pressure file for ``resource`` at time ``now``."""
         self.tick(now)
-        some = self._avgs[(resource, SOME)]
-        full = self._avgs[(resource, FULL)]
+        slot = state_slot(resource, SOME)
+        some = self._avgs[slot]
+        full = self._avgs[slot + 1]
         return PressureSample(
             resource=resource,
             some_avg10=some.avg10,
             some_avg60=some.avg60,
             some_avg300=some.avg300,
-            some_total=self.totals[(resource, SOME)],
+            some_total=self.totals[slot],
             full_avg10=full.avg10,
             full_avg60=full.avg60,
             full_avg300=full.avg300,
-            full_total=self.totals[(resource, FULL)],
+            full_total=self.totals[slot + 1],
         )
 
     def quick_read(
@@ -220,10 +260,8 @@ class PsiGroup:
         resource; :meth:`sample` stays the full read for everyone else.
         """
         self.tick(now)
-        return (
-            self._avgs[(resource, SOME)].avg10,
-            self.totals[(resource, SOME)],
-        )
+        slot = state_slot(resource, SOME)
+        return self._avgs[slot].avg10, self.totals[slot]
 
     def productivity_loss(self, resource: Resource) -> float:
         """Instantaneous share of compute potential lost to stalls.

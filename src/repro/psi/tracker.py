@@ -8,10 +8,10 @@ exactly how cgroup2 pressure files aggregate in the kernel.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.psi.group import PsiGroup
-from repro.psi.types import Resource, TaskFlags
+from repro.psi.types import N_FLAG_STATES, Resource, TaskFlags
 
 
 class PsiTask:
@@ -30,13 +30,14 @@ class PsiTask:
         self._groups = groups
 
     def set_flags(self, flags: TaskFlags, now: float) -> None:
-        """Transition this task to ``flags`` at time ``now``."""
-        if flags == self.flags:
-            for group in self._groups:
-                group.tick(now)
-            return
+        """Transition this task to ``flags`` at time ``now``.
+
+        A one-event :meth:`PsiGroup.sweep` per domain; setting the
+        flags the task already has only advances time.
+        """
+        event = ((now, self.flags._value_ * N_FLAG_STATES + flags._value_),)
         for group in self._groups:
-            group.change_task_state(self.flags, flags, now)
+            group.sweep(event)
         self.flags = flags
 
     def __repr__(self) -> str:
@@ -91,20 +92,24 @@ class PsiSystem:
         """All pressure domains, the system-wide one included."""
         return list(self._groups.values())
 
-    def _lineage(self, group: PsiGroup) -> Iterator[PsiGroup]:
+    def lineage(self, group_name: str) -> List[PsiGroup]:
+        """The domains a transition of a task in ``group_name`` hits:
+        the group, its ancestors, and the machine-wide domain."""
+        group = self._groups[group_name]
+        lineage = []
         node: Optional[PsiGroup] = group
         while node is not None:
-            yield node
+            lineage.append(node)
             node = node.parent
         if group is not self.system:
-            yield self.system
+            lineage.append(self.system)
+        return lineage
 
     def add_task(self, name: str, group_name: str) -> PsiTask:
         """Register a task whose transitions hit ``group_name`` and ancestors."""
         if name in self._tasks:
             raise ValueError(f"PSI task {name!r} already exists")
-        group = self._groups[group_name]
-        task = PsiTask(name, list(self._lineage(group)))
+        task = PsiTask(name, self.lineage(group_name))
         self._tasks[name] = task
         return task
 

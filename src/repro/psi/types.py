@@ -82,10 +82,11 @@ N_FLAG_STATES = 16
 def _transition_delta(old: TaskFlags, new: TaskFlags):
     """Counter deltas for one ``old -> new`` flag transition.
 
-    Returns ``(stalled_deltas, productive_deltas, nonidle_delta)`` with
-    the per-resource deltas ordered by :data:`RESOURCE_ORDER`. Derived
-    from :meth:`TaskFlags.stalled_on` / :meth:`TaskFlags.productive_for`
-    so the table below can never drift from the predicate definitions.
+    Returns the seven deltas ``(stalled cpu, stalled memory, stalled
+    io, productive cpu, productive memory, productive io, nonidle)``,
+    resources in :data:`RESOURCE_ORDER`. Derived from
+    :meth:`TaskFlags.stalled_on` / :meth:`TaskFlags.productive_for` so
+    the table below can never drift from the predicate definitions.
     """
     stalled = tuple(
         int(new.stalled_on(r)) - int(old.stalled_on(r))
@@ -95,29 +96,15 @@ def _transition_delta(old: TaskFlags, new: TaskFlags):
         int(new.productive_for(r)) - int(old.productive_for(r))
         for r in RESOURCE_ORDER
     )
-    return stalled, productive, int(new.nonidle) - int(old.nonidle)
+    return stalled + productive + (int(new.nonidle) - int(old.nonidle),)
 
 
 #: ``TRANSITION_DELTAS[old_value * N_FLAG_STATES + new_value]`` gives the
 #: counter deltas of that transition without any per-event enum
-#: arithmetic — the PSI hot path (one lookup per task transition per
-#: domain) indexes this instead of re-evaluating the predicates.
+#: arithmetic; :meth:`repro.psi.group.PsiGroup.sweep` indexes it once
+#: per transition. Code 0 (``NONE -> NONE``) moves nothing.
 TRANSITION_DELTAS = tuple(
     _transition_delta(TaskFlags(old_value), TaskFlags(new_value))
     for old_value in range(N_FLAG_STATES)
     for new_value in range(N_FLAG_STATES)
-)
-
-
-def _sparse(deltas: "tuple[int, ...]") -> "tuple[tuple[int, int], ...]":
-    """Non-zero deltas as ``(resource ordinal, delta)`` pairs."""
-    return tuple((i, d) for i, d in enumerate(deltas) if d)
-
-
-#: Same table, sparsified: most transitions move one or two counters,
-#: so the hot path iterates only the non-zero ``(ordinal, delta)``
-#: pairs instead of all three resources twice.
-TRANSITION_SPARSE = tuple(
-    (_sparse(stalled), _sparse(productive), nonidle)
-    for stalled, productive, nonidle in TRANSITION_DELTAS
 )

@@ -16,6 +16,7 @@ Per tick:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple
 
@@ -32,8 +33,9 @@ from repro.kernel.reclaim import (
     ReclaimPolicy,
     TmoReclaimPolicy,
 )
+from repro.psi.group import PsiGroup
 from repro.psi.tracker import PsiSystem, PsiTask
-from repro.psi.types import Resource, TaskFlags
+from repro.psi.types import N_FLAG_STATES, Resource, TaskFlags
 from repro.sim.clock import Clock
 from repro.sim.invariants import InvariantChecker, checking_enabled
 from repro.sim.metrics import MetricsRecorder
@@ -124,6 +126,24 @@ _SEGMENT_FLAGS: Tuple[TaskFlags, ...] = (
     TaskFlags.NONE,
 )
 
+#: ``_SEGMENT_CODES[i][j]``: the PSI transition code (``old * 16 + new``
+#: flag values) of a thread moving from segment ``i`` to segment ``j``.
+_SEGMENT_CODES: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(old._value_ * N_FLAG_STATES + new._value_ for new in _SEGMENT_FLAGS)
+    for old in _SEGMENT_FLAGS
+)
+
+#: ``_ROTATIONS[r]``: the segments in the order a thread at rotation ``r``
+#: walks them.
+_ROTATIONS: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple((r + step) % len(_SEGMENT_FLAGS) for step in range(len(_SEGMENT_FLAGS)))
+    for r in range(len(_SEGMENT_FLAGS))
+)
+
+#: Sort key of a PSI transition event: its time. The sort is stable, so
+#: each thread's own events keep their order.
+_when = operator.itemgetter(0)
+
 
 class Host:
     """A simulated server running containers under optional controllers."""
@@ -140,8 +160,7 @@ class Host:
     # PSI totals starts afresh); the rest is per-tick scratch and
     # interned names.
     __transient__ = (
-        "config", "invariants", "_psi_events", "_psi_durations",
-        "_metric_names",
+        "config", "invariants", "_psi_durations", "_metric_names",
     )
     clock: Clock
     psi: PsiSystem
@@ -163,9 +182,7 @@ class Host:
         self._hosted = {}
         self._tick_index = 0
         self._prev_device_stats = {}
-        # Scratch buffers reused by _feed_psi every tick, so the hot
-        # path allocates no per-tick lists.
-        self._psi_events: List[Tuple[float, int, PsiTask, TaskFlags]] = []
+        # Scratch buffer reused by _feed_psi every tick.
         self._psi_durations: List[float] = [0.0] * len(_SEGMENT_FLAGS)
         # Per-workload metric names, interned once instead of rebuilding
         # ~13 f-strings per workload every tick.
@@ -475,24 +492,29 @@ class Host:
     ) -> None:
         """Lay each thread's run/stall segments onto the PSI timeline.
 
-        Hot path: the event and duration buffers are reused across
-        ticks, segments that would not change a task's flags are not
-        emitted (``set_flags`` would be a no-op), and events carry a
-        sequence number so plain tuple sorting reproduces the stable
-        time order without a key function.
+        Thread ``t`` walks the six segments starting at rotation ``(t +
+        tick) % 6``, so threads ``t``, ``t + 6``, ... share one list of
+        segment boundaries. Each distinct rotation's boundaries are
+        built once per workload; a thread contributes them as
+        transition events, its first one only if it changes the
+        thread's flags. The events go straight into one list per PSI
+        domain of the workload's lineage, and each domain sweeps its
+        list in time order (:meth:`PsiGroup.sweep`).
         """
         capacity = self.config.ncpu * dt
         demand = sum(r.cpu_seconds for r in results.values())
         cpu_share = 1.0 if demand <= capacity else capacity / demand
 
-        events = self._psi_events
-        events.clear()
+        by_group: Dict[PsiGroup, List[Tuple[float, int]]] = {}
         durations = self._psi_durations
         nseg = len(durations)
-        seq = 0
+        tick_index = self._tick_index
         for name, hosted in self._hosted.items():
+            tasks = hosted.psi_tasks
+            if not tasks:
+                continue
             tick = results[name]
-            nthreads = max(1, len(hosted.psi_tasks))
+            nthreads = len(tasks)
             run_demand = tick.cpu_seconds / nthreads
             run = run_demand * cpu_share
             wait = run_demand - run
@@ -512,27 +534,41 @@ class Host:
                 busy = dt
             durations[5] = dt - busy  # idle remainder
 
-            for t_idx, task in enumerate(hosted.psi_tasks):
-                rotation = (t_idx + self._tick_index) % nseg
+            events: List[Tuple[float, int]] = []
+            for first_thread in range(min(nthreads, nseg)):
+                # The rotation's boundaries: the first segment and its
+                # start, then the rest as (time, transition code).
+                first = last = -1
+                rest = []
                 cursor = now0
-                last_flags = task.flags
-                for step in range(nseg):
-                    seg = rotation + step
-                    if seg >= nseg:
-                        seg -= nseg
+                for seg in _ROTATIONS[(first_thread + tick_index) % nseg]:
                     dur = durations[seg]
                     if dur <= 1e-12:
                         continue
-                    flags = _SEGMENT_FLAGS[seg]
-                    if flags != last_flags:
-                        events.append((cursor, seq, task, flags))
-                        seq += 1
-                        last_flags = flags
+                    if last < 0:
+                        first, start = seg, cursor
+                    else:
+                        rest.append((cursor, _SEGMENT_CODES[last][seg]))
+                    last = seg
                     cursor += dur
-
-        events.sort()
-        for when, _, task, flags in events:
-            task.set_flags(flags, when)
+                if last < 0:
+                    continue
+                start_flags = _SEGMENT_FLAGS[first]
+                end_flags = _SEGMENT_FLAGS[last]
+                for task in tasks[first_thread::nseg]:
+                    old = task.flags
+                    if old != start_flags:
+                        events.append(
+                            (start, old._value_ * N_FLAG_STATES
+                             + start_flags._value_)
+                        )
+                    events.extend(rest)
+                    task.flags = end_flags
+            for group in self.psi.lineage(hosted.cgroup_name):
+                by_group.setdefault(group, []).extend(events)
+        for group, events in by_group.items():
+            events.sort(key=_when)
+            group.sweep(events)
 
     # ------------------------------------------------------------------
     # metrics

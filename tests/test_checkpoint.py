@@ -234,6 +234,44 @@ def test_schema_4_snapshot_is_refused():
     assert excinfo.value.field == "schema_version"
 
 
+def test_schema_5_snapshot_is_refused():
+    # v5 keyed PSI integrals and averages by (resource, kind).
+    host = small_host()
+    host.run(60.0)
+    envelope = host.snapshot()
+    envelope["schema_version"] = 5
+    with pytest.raises(SnapshotError) as excinfo:
+        restore_host(envelope)
+    assert excinfo.value.field == "schema_version"
+
+
+def _psi_group_bits(group):
+    """Every saved field of a PSI group, floats as their exact hex."""
+    return (
+        group.name,
+        group.nr_stalled,
+        group.nr_productive,
+        group.nr_nonidle,
+        [total.hex() for total in group.totals],
+        [
+            ([(w, v.hex()) for w, v in avg.avgs.items()],
+             avg.last_total.hex())
+            for avg in group._avgs
+        ],
+        group._last_change.hex(),
+        group._next_avg_update.hex(),
+    )
+
+
+def test_psi_groups_round_trip_bit_for_bit():
+    host = small_host()
+    host.run(61.0)  # mid-period: integrals past the last 2 s fold
+    restored = restore_host(host.snapshot())
+    saved = [_psi_group_bits(g) for g in host.psi.groups()]
+    assert [_psi_group_bits(g) for g in restored.psi.groups()] == saved
+    assert any(bits[4] != [0.0.hex()] * 6 for bits in saved)
+
+
 # ----------------------------------------------------------------------
 # refusing bad snapshots (loudly)
 
