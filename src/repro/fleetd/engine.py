@@ -12,7 +12,9 @@ digests reproducible.
 
 Crash recovery rides the PR 8 fleetres path: each host's snapshot
 envelope is spooled periodically
-(:func:`repro.core.fleetres.spool_snapshot`); :meth:`crash_host`
+(:func:`repro.core.fleetres.spool_snapshot`), each host on its own
+phase of the period (:func:`spool_phase`) so no tick carries the whole
+fleet's spools; :meth:`crash_host`
 restores the latest valid spool, replays the missed ticks, and — when
 the spool predates the host's current policy generation — converges
 the recovered controller onto the generation the registry says the
@@ -27,8 +29,9 @@ import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isfinite
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.fleetres import load_spooled_snapshot, spool_snapshot
 from repro.core.supervisor import Supervisor, SupervisorConfig
@@ -45,6 +48,34 @@ from repro.sim.host import HostConfig
 from repro.sim.metrics import metrics_digest
 
 _HOST_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+
+
+def _phase_order(spool_every: int) -> Iterator[int]:
+    """Every phase in ``[0, spool_every)`` once, in low-discrepancy order.
+
+    The van der Corput sequence (bit reversal of 0, 1, 2, ... over the
+    next power of two) scaled to the period, each phase kept at its
+    first appearance: 0, 30, 15, 45, 7, 37, ... at a period of 60.
+    Scaling by at most one step per value hits every phase.
+    """
+    bits = (spool_every - 1).bit_length()
+    taken = set()
+    for j in range(1 << bits):
+        phase = int(f"{j:0{bits}b}"[::-1], 2) * spool_every >> bits
+        if phase not in taken:
+            taken.add(phase)
+            yield phase
+
+
+def spool_phase(ordinal: int, spool_every: int) -> int:
+    """The spool phase of the ``ordinal``-th registration (from 0).
+
+    Any prefix of registrations is spread over the period without
+    knowing the final fleet size, and every ``spool_every`` consecutive
+    ordinals take each phase once, so ``n`` hosts put at most
+    ``ceil(n / spool_every)`` spools on one tick.
+    """
+    return next(islice(_phase_order(spool_every), ordinal % spool_every, None))
 
 
 class FleetdError(RuntimeError):
@@ -101,6 +132,8 @@ class FleetdEngine:
         self.recoveries: Dict[str, int] = {}
         self._next_rollout_id = 1
         self._next_generation = 1
+        #: Hosts ever registered; orders the spool phases.
+        self._registrations = 0
         self._spool_root = config.spool_dir
         self._owns_spool = config.spool_dir is None
         if self._spool_root is None:
@@ -180,10 +213,15 @@ class FleetdEngine:
             spool_path=os.path.join(
                 self._spool_root, f"{host_id}.snapshot"
             ),
+            spool_phase=(
+                spool_phase(self._registrations, self._spool_every_ticks)
+                if self._spool_every_ticks is not None else 0
+            ),
             size_scale=size_scale,
             include_tax=include_tax,
         )
         self.registry.add(entry)
+        self._registrations += 1
         return entry
 
     def deregister(self, host_id: str) -> None:
@@ -335,9 +373,11 @@ class FleetdEngine:
     def _maybe_spool(self, entry: HostEntry) -> None:
         if self._spool_every_ticks is None or entry.spool_path is None:
             return
-        if entry.host.tick_count % self._spool_every_ticks == 0:
+        tick = entry.host.tick_count
+        if (tick + entry.spool_phase) % self._spool_every_ticks == 0:
             spool_snapshot(entry.host, entry.spool_path)
             entry.spool_generation = entry.generation
+            entry.last_spool_tick = tick
 
     # ------------------------------------------------------------------
     # chaos seams: host-level faults

@@ -61,6 +61,13 @@ class HostEntry:
         spool_generation: the policy generation the latest spool was
             taken under (a recovery restoring an older spool uses this
             to detect a stale controller).
+        spool_phase: offset in ``[0, spool period)`` of this host's
+            spool ticks: it spools when ``(host.tick_count +
+            spool_phase) % period == 0``. Assigned once at registration
+            and kept through crash recovery and wedge catch-up, so the
+            fleet's spools stay spread over the period.
+        last_spool_tick: host tick of the latest spool, or ``None``
+            before the first.
         wedged_until_tick: engine tick until which the host's worker is
             hung (the ``worker_hang`` chaos seam); the host does not
             tick while wedged and catches up after.
@@ -80,6 +87,8 @@ class HostEntry:
     epoch_s: float = 0.0
     spool_path: Optional[str] = None
     spool_generation: int = 0
+    spool_phase: int = 0
+    last_spool_tick: Optional[int] = None
     wedged_until_tick: int = 0
     size_scale: float = 1.0
     include_tax: bool = True
@@ -101,6 +110,8 @@ class HostEntry:
             "quarantined": self.supervisor.quarantined,
             "restarts": self.supervisor.restart_count,
             "wedged": self.wedged,
+            "spool_phase": self.spool_phase,
+            "last_spool_tick": self.last_spool_tick,
         }
 
 

@@ -5,11 +5,20 @@ Rollout staging and gating have their own suite
 in tests/test_fleetd_chaos.py.
 """
 
+import json
 import math
+import os
+from collections import Counter
 
 import pytest
 
-from repro.fleetd.engine import FleetdConfig, FleetdEngine, FleetdError
+from repro.fleetd import engine as engine_module
+from repro.fleetd.engine import (
+    FleetdConfig,
+    FleetdEngine,
+    FleetdError,
+    spool_phase,
+)
 from repro.fleetd.policy import PolicySpec
 from repro.fleetd.registry import RegistryError
 from repro.fleetd.rollout import RolloutConfig
@@ -166,6 +175,124 @@ def test_wedged_host_pauses_then_catches_up():
         assert engine.registry.get("h0").host.tick_count == 5
         engine.run_ticks(2)  # wedge expired: catch-up to tick 10
         assert engine.registry.get("h0").host.tick_count == 10
+
+
+# ----------------------------------------------------------------------
+# spool phases: each host spools on its own tick of the period
+
+
+class _SpoolLog(list):
+    """``(engine tick, host id)`` per spool; set ``engine`` first."""
+
+    engine = None
+
+
+@pytest.fixture
+def spools(monkeypatch):
+    """Record every spool the engine takes, then take it."""
+    log = _SpoolLog()
+    real = engine_module.spool_snapshot
+
+    def recording(host, path):
+        host_id = os.path.basename(path)[:-len(".snapshot")]
+        log.append((log.engine.tick_index, host_id))
+        real(host, path)
+
+    monkeypatch.setattr(engine_module, "spool_snapshot", recording)
+    return log
+
+
+def _per_tick(calls):
+    return Counter(tick for tick, _ in calls)
+
+
+def test_spool_phases_follow_the_bit_reversal_order():
+    assert [spool_phase(k, 60) for k in range(6)] == [0, 30, 15, 45, 7, 37]
+    for period in (1, 2, 3, 15, 60, 64, 100):
+        assert sorted(spool_phase(k, period) for k in range(period)) == (
+            list(range(period))
+        )
+        # Each round of ``period`` ordinals repeats the same order.
+        assert spool_phase(period + 1, period) == spool_phase(1, period)
+
+
+def test_each_host_spools_once_per_period_and_alone(spools):
+    with make_engine() as engine:  # 15-tick period
+        spools.engine = engine
+        register_small_fleet(engine, 6)
+        engine.run_ticks(30)
+    for first in (1, 16):
+        period = [host for tick, host in spools
+                  if first <= tick < first + 15]
+        assert sorted(period) == [f"h{i}" for i in range(6)]
+    assert max(_per_tick(spools).values()) == 1
+
+
+def test_more_hosts_than_ticks_share_spool_ticks_evenly(spools):
+    with make_engine(checkpoint_every_s=3.0) as engine:
+        spools.engine = engine
+        register_small_fleet(engine, 7)
+        engine.run_ticks(6)
+    assert len(spools) == 14
+    assert max(_per_tick(spools).values()) == math.ceil(7 / 3)
+
+
+def test_late_registrant_spools_on_its_own_phase_within_a_period(spools):
+    with make_engine() as engine:
+        spools.engine = engine
+        register_small_fleet(engine, 3)
+        engine.run_ticks(7)
+        late = engine.register("late", "Web", size_scale=0.003)
+        assert late.spool_phase == spool_phase(3, 15)
+        engine.run_ticks(15)
+    late_ticks = [tick for tick, host in spools if host == "late"]
+    assert len(late_ticks) == 1 and 7 < late_ticks[0] <= 7 + 15
+    assert max(_per_tick(spools).values()) == 1
+
+
+def test_crash_mid_period_recovers_on_the_hosts_phase(monkeypatch, spools):
+    restored_at = []
+    real_load = engine_module.load_spooled_snapshot
+
+    def recording_load(path):
+        host = real_load(path)
+        restored_at.append(host.tick_count)
+        return host
+
+    monkeypatch.setattr(engine_module, "load_spooled_snapshot",
+                        recording_load)
+
+    def run(crash: bool) -> str:
+        with make_engine() as engine:
+            spools.engine = engine
+            register_small_fleet(engine, 3)
+            entry = engine.registry.get("h1")
+            assert entry.spool_phase == 7
+            engine.run_ticks(30)  # h1 spooled at host ticks 8 and 23
+            if crash:
+                assert engine.crash_host("h1") is True
+                assert restored_at == [23]
+                assert 0 < 30 - restored_at[0] < 15
+                assert entry.host.tick_count == 30
+            del spools[:]
+            engine.run_ticks(15)
+            assert [tick for tick, host in spools if host == "h1"] == [38]
+            assert entry.last_spool_tick == 38
+            return engine.fleet_digest()
+
+    assert run(crash=True) == run(crash=False)
+
+
+def test_status_reports_spool_phase_and_last_spool_tick():
+    with make_engine() as engine:
+        register_small_fleet(engine, 3)
+        hosts = json.loads(json.dumps(engine.status()))["hosts"]
+        assert [h["spool_phase"] for h in hosts] == [0, 7, 3]
+        assert [h["last_spool_tick"] for h in hosts] == [None] * 3
+        engine.run_ticks(15)
+        hosts = engine.status()["hosts"]
+        # Phase p spools at host tick 15 - p (tick 15 for phase 0).
+        assert [h["last_spool_tick"] for h in hosts] == [15, 8, 12]
 
 
 # ----------------------------------------------------------------------
