@@ -39,6 +39,7 @@ The benchmark is ``perfbench/`` with its CI gate
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -412,8 +413,6 @@ def _cmd_fleet(args) -> int:
 
 def _parse_policy_args(kind, sets):
     """Build the wire-form policy from ``--policy KIND --set k=v ...``."""
-    import json
-
     params = {}
     for item in sets or []:
         key, sep, raw = item.partition("=")
@@ -430,111 +429,87 @@ def _parse_policy_args(kind, sets):
     return PolicySpec.make(kind, params).to_json()
 
 
+#: The printed line of each client verb that does not print its result
+#: as JSON, from its parsed arguments and its result.
+_FLEETD_SAYS = {
+    "register": lambda args, entry:
+        f"registered {args.host_id}: {json.dumps(entry, sort_keys=True)}",
+    "deregister": lambda args, host_id: f"deregistered {host_id}",
+    "rollback": lambda args, rolled:
+        "rolled back the active rollout" if rolled else "no active rollout",
+    "kill-switch": lambda args, killed:
+        f"kill switch engaged: {killed} rollout(s) reverted/killed; "
+        "fleet frozen",
+    "reset-quarantine": lambda args, reset: f"{args.host_id}: " + (
+        "controller un-quarantined and restarted" if reset
+        else "was not quarantined"),
+    "run": lambda args, tick: f"advanced to tick {tick}",
+    "stop": lambda args, stopping: "fleetd stopping",
+}
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _cmd_fleetd(args) -> int:
     """``repro fleetd <verb>``: drive the control-plane daemon."""
-    import json
-
     from repro.fleetd.client import FleetdClient, FleetdClientError
     from repro.fleetd.policy import PolicyError
     from repro.fleetd.rollout import parse_rollout_result
+    from repro.fleetd.verbs import VERBS
 
     if args.fleetd_command == "start":
         return _cmd_fleetd_start(args)
 
+    verb = VERBS[args.fleetd_command]
     client = FleetdClient(args.socket)
     try:
-        if args.fleetd_command == "status":
-            print(json.dumps(client.status(), indent=2, sort_keys=True))
-        elif args.fleetd_command == "register":
-            policy = (
-                _parse_policy_args(args.policy, args.set)
-                if args.policy is not None else None
-            )
-            entry = client.register(
-                args.host_id, args.app, policy=policy,
-                size_scale=args.size_scale,
-                region=args.region,
-            )
-            print(f"registered {args.host_id}: "
-                  f"{json.dumps(entry, sort_keys=True)}")
-        elif args.fleetd_command == "deregister":
-            client.deregister(args.host_id)
-            print(f"deregistered {args.host_id}")
-        elif args.fleetd_command == "rollout":
-            policy = _parse_policy_args(args.policy, args.set)
-            rollout_id = client.rollout(policy, hosts=args.hosts)
-            print(f"rollout {rollout_id} queued: "
-                  f"{json.dumps(policy, sort_keys=True)}")
-            result = client.rollout_status(rollout_id)
-            if args.wait:
-                # Drive the daemon's simulated clock synchronously
-                # instead of polling wall time: deterministic, and no
-                # sleep in the CLI.
-                spent = 0
-                while result["status"] in ("pending", "running"):
-                    if spent >= args.max_wait_ticks:
-                        print(
-                            f"rollout {rollout_id} still "
-                            f"{result['status']} after {spent} ticks",
-                            file=sys.stderr,
-                        )
-                        return 1
-                    client.run_ticks(args.wait_step_ticks)
-                    spent += args.wait_step_ticks
-                    result = client.rollout_status(rollout_id)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(result, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"rollout result written to {args.out}")
-            print(f"rollout {rollout_id}: {result['status']}"
-                  + (f" ({result['rollback_reason']})"
-                     if result.get("rollback_reason") else ""))
-            if args.wait and result["status"] != "succeeded":
-                return 1
-        elif args.fleetd_command == "rollout-status":
-            result = client.rollout_status(args.id)
+        params = {p.name: getattr(args, p.name) for p in verb.params}
+        if params.get("policy") is not None:
+            params["policy"] = _parse_policy_args(args.policy, args.set)
+        result = client.call(verb.name, **params)
+        if verb.name == "rollout":
+            return _fleetd_rollout(client, args, params["policy"], result)
+        if verb.name == "rollout-status":
             parse_rollout_result(result)
-            print(json.dumps(result, indent=2, sort_keys=True))
-        elif args.fleetd_command == "rollback":
-            rolled = client.rollback()
-            print("rolled back the active rollout" if rolled
-                  else "no active rollout")
-        elif args.fleetd_command == "kill-switch":
-            killed = client.kill_switch()
-            print(f"kill switch engaged: {killed} rollout(s) "
-                  "reverted/killed; fleet frozen")
-        elif args.fleetd_command == "reset-quarantine":
-            reset = client.reset_quarantine(args.host_id)
-            print(f"{args.host_id}: "
-                  + ("controller un-quarantined and restarted"
-                     if reset else "was not quarantined"))
-        elif args.fleetd_command == "metrics":
-            # Validated on read by the client (schema version, kind,
-            # NaN-free) — a daemon/CLI version skew fails loudly here
-            # instead of printing a half-foreign document.
-            rollup = client.metrics(window_s=args.window)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(rollup, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"fleet rollup written to {args.out}")
-            print(json.dumps(rollup, indent=2, sort_keys=True))
-        elif args.fleetd_command == "top":
-            report = client.top(
-                args.signal, n=args.n, window_s=args.window
-            )
-            print(json.dumps(report, indent=2, sort_keys=True))
-        elif args.fleetd_command == "run":
-            tick = client.run_ticks(args.ticks)
-            print(f"advanced to tick {tick}")
-        elif args.fleetd_command == "stop":
-            client.stop()
-            print("fleetd stopping")
+        if verb.name == "metrics" and args.out:
+            _write_json(args.out, result)
+            print(f"fleet rollup written to {args.out}")
+        say = _FLEETD_SAYS.get(verb.name)
+        print(say(args, result) if say
+              else json.dumps(result, indent=2, sort_keys=True))
     except (FleetdClientError, PolicyError, ValueError) as exc:
         print(f"fleetd: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _fleetd_rollout(client, args, policy, rollout_id) -> int:
+    """``fleetd rollout``: with ``--wait``, drive ticks until it ends."""
+    print(f"rollout {rollout_id} queued: {json.dumps(policy, sort_keys=True)}")
+    result = client.rollout_status(rollout_id)
+    if args.wait:
+        # Drive the daemon's simulated clock synchronously instead of
+        # polling wall time: deterministic, and no sleep in the CLI.
+        spent = 0
+        while result["status"] in ("pending", "running"):
+            if spent >= args.max_wait_ticks:
+                print(f"rollout {rollout_id} still {result['status']} "
+                      f"after {spent} ticks", file=sys.stderr)
+                return 1
+            client.run_ticks(args.wait_step_ticks)
+            spent += args.wait_step_ticks
+            result = client.rollout_status(rollout_id)
+    if args.out:
+        _write_json(args.out, result)
+        print(f"rollout result written to {args.out}")
+    print(f"rollout {rollout_id}: {result['status']}"
+          + (f" ({result['rollback_reason']})"
+             if result.get("rollback_reason") else ""))
+    return 1 if args.wait and result["status"] != "succeeded" else 0
 
 
 def _cmd_fleetd_start(args) -> int:
@@ -579,6 +554,52 @@ def _cmd_fleetd_start(args) -> int:
         engine.close()
     print("fleetd stopped")
     return 0
+
+
+def _fleetd_verb_parsers(fleetd_sub) -> None:
+    """One ``repro fleetd`` sub-parser per row of the verb table."""
+    from repro.fleetd.policy import POLICY_KINDS
+    from repro.fleetd.verbs import REQUIRED, VERBS
+
+    parsers = {}
+    for verb in VERBS.values():
+        p = parsers[verb.name] = fleetd_sub.add_parser(
+            verb.name, help=verb.help)
+        p.add_argument("--socket", default="tmo-fleetd.sock",
+                       help="daemon socket path (default tmo-fleetd.sock)")
+        for param in verb.params:
+            required = param.default is REQUIRED
+            if param.type is dict:  # from --policy KIND --set k=v
+                p.add_argument("--policy", required=required,
+                               choices=list(POLICY_KINDS), help=param.help)
+                p.add_argument("--set", action="append", metavar="K=V",
+                               help="policy parameter (repeatable)")
+            elif param.flag.startswith("-"):
+                p.add_argument(
+                    param.flag, dest=param.name, required=required,
+                    default=None if required else param.default,
+                    type=param.type if param.type in (int, float) else None,
+                    nargs="+" if param.type is list else None,
+                    help=param.help,
+                )
+            else:
+                p.add_argument(param.flag, help=param.help)
+    rollout = parsers["rollout"]
+    rollout.add_argument("--wait", action="store_true",
+                         help="drive simulated ticks until the rollout "
+                              "reaches a terminal state; exit nonzero "
+                              "unless it succeeded")
+    rollout.add_argument("--max-wait-ticks", type=int, default=5000,
+                         help="tick budget for --wait (default 5000)")
+    rollout.add_argument("--wait-step-ticks", type=int, default=50,
+                         help="ticks advanced per --wait poll "
+                              "(default 50)")
+    rollout.add_argument("--out", default=None, metavar="PATH",
+                         help="write the RolloutResult JSON envelope "
+                              "here")
+    parsers["metrics"].add_argument(
+        "--out", default=None, metavar="PATH",
+        help="also write the validated envelope here (the CI artifact)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -751,111 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="soak time before each wave's health "
                                "gate (simulated seconds)")
 
-    def _fd_client_parser(name, help_text):
-        p = fleetd_sub.add_parser(name, help=help_text)
-        p.add_argument("--socket", default="tmo-fleetd.sock",
-                       help="daemon socket path "
-                            "(default tmo-fleetd.sock)")
-        return p
-
-    _fd_client_parser("status", "print the daemon's fleet status JSON")
-
-    fd_reg = _fd_client_parser(
-        "register", "admit a host into the running fleet"
-    )
-    fd_reg.add_argument("host_id", help="new host id ([A-Za-z0-9._-])")
-    fd_reg.add_argument("--app", default="Feed",
-                        help="application (see list-apps)")
-    fd_reg.add_argument("--policy", default=None,
-                        choices=["senpai", "autotune", "gswap"],
-                        help="initial policy (default: the fleet's "
-                             "committed policy)")
-    fd_reg.add_argument("--set", action="append", metavar="K=V",
-                        help="policy parameter (repeatable)")
-    fd_reg.add_argument("--size-scale", type=float, default=0.003,
-                        help="fraction of the production footprint")
-    fd_reg.add_argument("--region", default="default",
-                        help="placement region label; rollups fold "
-                             "host -> region -> fleet and wave "
-                             "planning never makes one region "
-                             "all-canary (default: 'default')")
-
-    fd_dereg = _fd_client_parser(
-        "deregister", "remove a host from the fleet"
-    )
-    fd_dereg.add_argument("host_id")
-
-    fd_roll = _fd_client_parser(
-        "rollout", "start a guarded policy rollout"
-    )
-    fd_roll.add_argument("--policy", required=True,
-                         choices=["senpai", "autotune", "gswap"])
-    fd_roll.add_argument("--set", action="append", metavar="K=V",
-                         help="policy parameter (repeatable)")
-    fd_roll.add_argument("--hosts", nargs="+", default=None,
-                         help="target hosts (default: whole fleet)")
-    fd_roll.add_argument("--wait", action="store_true",
-                         help="drive simulated ticks until the rollout "
-                              "reaches a terminal state; exit nonzero "
-                              "unless it succeeded")
-    fd_roll.add_argument("--max-wait-ticks", type=int, default=5000,
-                         help="tick budget for --wait (default 5000)")
-    fd_roll.add_argument("--wait-step-ticks", type=int, default=50,
-                         help="ticks advanced per --wait poll "
-                              "(default 50)")
-    fd_roll.add_argument("--out", default=None, metavar="PATH",
-                         help="write the RolloutResult JSON envelope "
-                              "here")
-
-    fd_rs = _fd_client_parser(
-        "rollout-status", "print one rollout's RolloutResult envelope"
-    )
-    fd_rs.add_argument("--id", type=int, required=True,
-                       help="rollout id")
-
-    _fd_client_parser("rollback",
-                      "abort the active rollout, reverting its hosts")
-    _fd_client_parser("kill-switch",
-                      "revert every in-flight rollout and freeze the "
-                      "fleet")
-
-    fd_rq = _fd_client_parser(
-        "reset-quarantine",
-        "manually un-quarantine a host's supervised controller",
-    )
-    fd_rq.add_argument("host_id")
-
-    fd_metrics = _fd_client_parser(
-        "metrics",
-        "print the read-only host/region/fleet metric rollup envelope",
-    )
-    fd_metrics.add_argument("--window", type=float, default=60.0,
-                            help="trailing window per host "
-                                 "(simulated seconds, default 60)")
-    fd_metrics.add_argument("--out", default=None, metavar="PATH",
-                            help="also write the validated envelope "
-                                 "here (the CI artifact)")
-
-    fd_top = _fd_client_parser(
-        "top", "rank hosts by a rollup signal's window mean"
-    )
-    fd_top.add_argument("--signal", default="psi_mem_some",
-                        help="signal to rank by (psi_mem_some, "
-                             "psi_io_some, refault_rate, "
-                             "promotion_rate, swap_bytes, zswap_bytes)")
-    fd_top.add_argument("-n", type=int, default=5,
-                        help="how many hosts (default 5)")
-    fd_top.add_argument("--window", type=float, default=60.0,
-                        help="trailing window per host "
-                             "(simulated seconds, default 60)")
-
-    fd_run = _fd_client_parser(
-        "run", "advance the daemon's simulated clock synchronously"
-    )
-    fd_run.add_argument("--ticks", type=int, default=60,
-                        help="ticks to advance (default 60)")
-
-    _fd_client_parser("stop", "shut the daemon down cleanly")
+    _fleetd_verb_parsers(fleetd_sub)
 
     ce = sub.add_parser(
         "crash-equivalence",

@@ -28,6 +28,10 @@ This package is that production shape for the reproduction:
 * :mod:`repro.fleetd.health` — the rollout health gate: a wave host's
   soak-window rollup judged against its pre-rollout baseline rollup,
   with limits anchored to Senpai's pressure target;
+* :mod:`repro.fleetd.verbs` — the verb table: each socket verb's
+  parameters (JSON type, default, bound), result key, help and
+  handler, written once and read by the server, the client and the
+  ``repro fleetd`` CLI;
 * :mod:`repro.fleetd.server` / :mod:`repro.fleetd.client` — the socket
   control surface (newline-delimited JSON over a Unix domain socket)
   and its client, driven by the ``repro fleetd`` CLI verbs;

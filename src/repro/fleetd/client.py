@@ -5,15 +5,20 @@ protocol :mod:`repro.fleetd.server` documents). The client raises
 :class:`FleetdClientError` for transport failures and for ``ok: false``
 responses, so CLI verbs can surface daemon-side refusals (unknown
 host, kill switch engaged, invalid policy) as ordinary errors.
+
+Each row of :data:`repro.fleetd.verbs.VERBS` is a method here (``run``
+is ``run_ticks``). The client does not check what it sends: the daemon
+does, once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-from repro.fleetd.rollup import parse_fleet_rollup, parse_top_report
+from repro.fleetd.verbs import REQUIRED, VERBS
 
 
 class FleetdClientError(RuntimeError):
@@ -70,82 +75,31 @@ class FleetdClient:
             )
         return response
 
-    # -- convenience verbs ---------------------------------------------
-
-    def ping(self) -> Dict[str, Any]:
-        return self.request("ping")
-
-    def status(self) -> Dict[str, Any]:
-        return self.request("status")["status"]
-
-    def register(
-        self,
-        host_id: str,
-        app: str,
-        policy: Optional[Dict[str, Any]] = None,
-        size_scale: float = 1.0,
-        region: str = "default",
-    ) -> Dict[str, Any]:
-        return self.request(
-            "register", host_id=host_id, app=app, policy=policy,
-            size_scale=size_scale, region=region,
-        )["host"]
-
-    def deregister(self, host_id: str) -> None:
-        self.request("deregister", host_id=host_id)
-
-    def rollout(
-        self,
-        policy: Dict[str, Any],
-        hosts: Optional[List[str]] = None,
-    ) -> int:
-        return int(
-            self.request("rollout", policy=policy, hosts=hosts)
-            ["rollout_id"]
-        )
-
-    def rollout_status(self, rollout_id: int) -> Dict[str, Any]:
-        return self.request(
-            "rollout-status", rollout_id=rollout_id
-        )["result"]
-
-    def rollback(self) -> bool:
-        return bool(self.request("rollback")["rolled_back"])
-
-    def kill_switch(self) -> int:
-        return int(self.request("kill-switch")["killed"])
-
-    def reset_quarantine(self, host_id: str) -> bool:
-        return bool(
-            self.request("reset-quarantine", host_id=host_id)["reset"]
-        )
-
-    def metrics(self, window_s: float = 60.0) -> Dict[str, Any]:
-        """Fetch the fleet rollup envelope, validated on read."""
-        doc = self.request("metrics", window_s=window_s)["rollup"]
+    def call(self, verb: str, *args: Any, **kwargs: Any) -> Any:
+        """Send one verb, its parameters in table order with the table's
+        defaults; returns its result, checked by the row's ``parse``."""
+        row = VERBS[verb]
+        if len(args) > len(row.params):
+            raise TypeError(f"{verb} takes {len(row.params)} parameters")
+        params = {p.name: p.default for p in row.params}
+        params.update(zip(params, args), **kwargs)
+        reply = self.request(verb, **{
+            name: value for name, value in params.items()
+            if value is not REQUIRED
+        })
+        result = reply if row.result is None else reply[row.result]
+        if row.parse is None:
+            return result
         try:
-            return parse_fleet_rollup(doc)
+            return row.parse(result)
         except ValueError as exc:
             raise FleetdClientError(
-                f"malformed fleet rollup from daemon: {exc}"
+                f"malformed {verb} result from daemon: {exc}"
             ) from exc
 
-    def top(
-        self, signal: str, n: int = 5, window_s: float = 60.0
-    ) -> Dict[str, Any]:
-        """Fetch the ranked-hosts envelope, validated on read."""
-        doc = self.request(
-            "top", signal=signal, n=n, window_s=window_s
-        )["top"]
-        try:
-            return parse_top_report(doc)
-        except ValueError as exc:
-            raise FleetdClientError(
-                f"malformed top report from daemon: {exc}"
-            ) from exc
 
-    def run_ticks(self, ticks: int) -> int:
-        return int(self.request("run", ticks=ticks)["tick"])
-
-    def stop(self) -> None:
-        self.request("stop")
+# The named verbs: ``client.register(...)`` is
+# ``client.call("register", ...)``.
+for _verb in VERBS.values():
+    setattr(FleetdClient, _verb.method,
+            functools.partialmethod(FleetdClient.call, _verb.name))

@@ -176,7 +176,6 @@ class FleetdEngine:
         app: str,
         spec: Optional[PolicySpec] = None,
         size_scale: float = 1.0,
-        include_tax: bool = True,
         region: str = "default",
     ) -> HostEntry:
         """Admit a new host into the running fleet."""
@@ -188,6 +187,10 @@ class FleetdEngine:
             raise RegistryError(
                 f"region {region!r} must match {_HOST_ID_RE.pattern}"
             )
+        if not 0.0 < size_scale <= 1.0:
+            raise RegistryError(
+                f"size_scale must be in (0, 1], got {size_scale!r}"
+            )
         spec = spec if spec is not None else self.committed_spec
         host = build_fleetd_host(
             self.config.base_config,
@@ -197,7 +200,6 @@ class FleetdEngine:
             spec,
             self.config.supervisor,
             size_scale=size_scale,
-            include_tax=include_tax,
         )
         supervisor = self._find_supervisor(host)
         entry = HostEntry(
@@ -218,14 +220,14 @@ class FleetdEngine:
                 if self._spool_every_ticks is not None else 0
             ),
             size_scale=size_scale,
-            include_tax=include_tax,
         )
         self.registry.add(entry)
         self._registrations += 1
         return entry
 
-    def deregister(self, host_id: str) -> None:
-        """Remove a host from the fleet (it stops ticking)."""
+    def deregister(self, host_id: str) -> HostEntry:
+        """Remove a host from the fleet (it stops ticking); returns its
+        entry."""
         entry = self.registry.remove(host_id)
         if self.active is not None:
             self.active.forget_host(host_id)
@@ -236,6 +238,7 @@ class FleetdEngine:
                 os.remove(entry.spool_path)
             except OSError:
                 pass
+        return entry
 
     @staticmethod
     def _find_supervisor(host) -> Supervisor:
@@ -360,9 +363,11 @@ class FleetdEngine:
             self.active = self.queue.pop(0)
             self.active.start(self.registry, self.now)
 
-    def run_ticks(self, n: int) -> None:
+    def run_ticks(self, n: int) -> int:
+        """Advance ``n`` ticks; returns the tick index reached."""
         for _ in range(n):
             self.tick()
+        return self.tick_index
 
     def _catch_up(self, entry: HostEntry) -> None:
         """Step the host to the engine's tick target for it."""
@@ -413,7 +418,6 @@ class FleetdEngine:
                 entry.spec,
                 self.config.supervisor,
                 size_scale=entry.size_scale,
-                include_tax=entry.include_tax,
             )
         entry.host = restored
         entry.supervisor = self._find_supervisor(restored)

@@ -71,9 +71,8 @@ class HostEntry:
         wedged_until_tick: engine tick until which the host's worker is
             hung (the ``worker_hang`` chaos seam); the host does not
             tick while wedged and catches up after.
-        size_scale / include_tax: the build parameters, kept so crash
-            recovery can rebuild the host from scratch when no valid
-            spool exists.
+        size_scale: the build parameter, kept so crash recovery can
+            rebuild the host from scratch when no valid spool exists.
     """
 
     host_id: str
@@ -91,7 +90,6 @@ class HostEntry:
     last_spool_tick: Optional[int] = None
     wedged_until_tick: int = 0
     size_scale: float = 1.0
-    include_tax: bool = True
 
     @property
     def wedged(self) -> bool:
@@ -123,12 +121,12 @@ def build_fleetd_host(
     spec: PolicySpec,
     supervisor_config: SupervisorConfig,
     size_scale: float = 1.0,
-    include_tax: bool = True,
 ) -> Host:
     """Construct one registered host with its derived seed.
 
-    The :func:`repro.core.fleet.build_app_host` recipe, with the seed
-    derived from the host id and the controller built from a
+    The :func:`repro.core.fleet.build_app_host` recipe, tax sidecars
+    included, with the seed derived from the host id and the
+    controller built from a
     :class:`~repro.fleetd.policy.PolicySpec`, supervised so the control
     plane can swap it live.
     """
@@ -142,8 +140,8 @@ def build_fleetd_host(
         seed=derive_seed(fleet_seed, f"fleetd:{host_id}"),
     )
     return build_app_host(
-        config, app, size_scale, include_tax,
-        Supervisor(build_controller(spec), supervisor_config),
+        config, app, size_scale, include_tax=True,
+        controller=Supervisor(build_controller(spec), supervisor_config),
     )
 
 

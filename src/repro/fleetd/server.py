@@ -9,9 +9,10 @@ between ticks, never mid-tick.
 
 Wire protocol: one JSON object per connection, newline-terminated, one
 JSON response back (``{"ok": true, ...}`` or ``{"ok": false, "error":
-...}``). Requests carry ``{"cmd": ..., **params}``; see ``_COMMANDS``
-for the verbs. JSON, not pickle: the socket is an operator surface and
-must never execute its inputs.
+...}``). Requests carry ``{"cmd": ..., **params}`` and must match their
+verb's row in :data:`repro.fleetd.verbs.VERBS` before they reach the
+engine. JSON, not pickle: the socket is an operator surface and must
+never execute its inputs.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import traceback
 from typing import Any, Dict, Optional
 
 from repro.fleetd.engine import FleetdEngine, FleetdError
-from repro.fleetd.policy import PolicyError, PolicySpec
-from repro.fleetd.registry import RegistryError
-from repro.fleetd.rollup import RollupError
+from repro.fleetd.verbs import VERBS, NonFinite
 
 #: Hard cap on one request line (a malformed client must not OOM the
 #: daemon).
@@ -94,6 +93,11 @@ class FleetdServer:
         finally:
             self.stop()
 
+    def request_stop(self) -> bool:
+        """Ask both loops to stop; returns True (the ``stop`` verb)."""
+        self._stop.set()
+        return True
+
     @property
     def stopped(self) -> bool:
         return self._stop.is_set()
@@ -118,7 +122,7 @@ class FleetdServer:
             # whole interval.
             self._stop.wait(self.tick_interval_s)
 
-    def _tick_thread_status(self) -> Dict[str, Any]:
+    def tick_thread_status(self) -> Dict[str, Any]:
         """Whether the tick loop runs, and why it stopped if it has."""
         thread = self._tick_thread
         return {
@@ -158,7 +162,8 @@ class FleetdServer:
         if not raw:
             return
         try:
-            request = json.loads(raw.decode("utf-8"))
+            request = json.loads(raw.decode("utf-8"),
+                                 parse_constant=NonFinite)
             response = self._dispatch(request)
         except (ValueError, KeyError, TypeError) as exc:
             response = {"ok": False, "error": str(exc)}
@@ -183,122 +188,19 @@ class FleetdServer:
 
     # ------------------------------------------------------------------
 
-    def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        cmd = request.get("cmd")
-        handler = _COMMANDS.get(cmd)
-        if handler is None:
-            return {
-                "ok": False,
-                "error": f"unknown command {cmd!r}; "
-                         f"have {sorted(_COMMANDS)}",
-            }
+    def _dispatch(self, request: Any) -> Dict[str, Any]:
+        """Check ``request`` against its verb's row and serve it."""
+        cmd = request.get("cmd") if isinstance(request, dict) else None
+        verb = VERBS.get(cmd) if type(cmd) is str else None
+        if verb is None:
+            return {"ok": False, "error": f"unknown command {cmd!r:.40}; "
+                    f"a request is an object whose cmd is in {sorted(VERBS)}"}
         try:
+            params = verb.check(request)
             with self._lock:
-                return {"ok": True, **handler(self, request)}
-        except (FleetdError, RegistryError, PolicyError,
-                RollupError) as exc:
-            return {"ok": False, "error": str(exc)}
-
-    # -- command handlers (called with the engine lock held) -----------
-
-    def _cmd_ping(self, request) -> Dict[str, Any]:
-        return {
-            "pong": True,
-            "tick": self.engine.tick_index,
-            "tick_thread": self._tick_thread_status(),
-        }
-
-    def _cmd_status(self, request) -> Dict[str, Any]:
-        return {"status": {
-            **self.engine.status(),
-            "tick_thread": self._tick_thread_status(),
-        }}
-
-    def _cmd_register(self, request) -> Dict[str, Any]:
-        spec = None
-        if request.get("policy") is not None:
-            spec = PolicySpec.from_json(request["policy"])
-        entry = self.engine.register(
-            request["host_id"],
-            request["app"],
-            spec=spec,
-            size_scale=float(request.get("size_scale", 1.0)),
-            include_tax=bool(request.get("include_tax", True)),
-            region=str(request.get("region", "default")),
-        )
-        return {"host": entry.status()}
-
-    def _cmd_deregister(self, request) -> Dict[str, Any]:
-        self.engine.deregister(request["host_id"])
-        return {"host_id": request["host_id"]}
-
-    def _cmd_rollout(self, request) -> Dict[str, Any]:
-        spec = PolicySpec.from_json(request["policy"])
-        rollout_id = self.engine.begin_rollout(
-            spec, host_ids=request.get("hosts")
-        )
-        return {"rollout_id": rollout_id}
-
-    def _cmd_rollout_status(self, request) -> Dict[str, Any]:
-        result = self.engine.rollout_result(int(request["rollout_id"]))
-        if result is None:
-            raise FleetdError(
-                f"no rollout with id {request['rollout_id']}"
-            )
-        return {"result": result.to_json()}
-
-    def _cmd_rollback(self, request) -> Dict[str, Any]:
-        return {"rolled_back": self.engine.rollback_active()}
-
-    def _cmd_kill_switch(self, request) -> Dict[str, Any]:
-        return {"killed": self.engine.kill_switch()}
-
-    def _cmd_reset_quarantine(self, request) -> Dict[str, Any]:
-        return {
-            "reset": self.engine.reset_quarantine(request["host_id"])
-        }
-
-    def _cmd_metrics(self, request) -> Dict[str, Any]:
-        # Read-only: the rollups only touch non-registering
-        # metric reads, so serving this verb never changes the fleet
-        # digest a concurrent chaos/crash-equivalence check computes.
-        window_s = float(request.get("window_s", 60.0))
-        return {"rollup": self.engine.fleet_rollup(window_s).to_json()}
-
-    def _cmd_top(self, request) -> Dict[str, Any]:
-        return {"top": self.engine.top_hosts(
-            request["signal"],
-            n=int(request.get("n", 5)),
-            window_s=float(request.get("window_s", 60.0)),
-        )}
-
-    def _cmd_run(self, request) -> Dict[str, Any]:
-        # Synchronous extra ticks: lets tests and the smoke harness
-        # advance simulated time deterministically faster than the
-        # wall-paced tick thread.
-        ticks = int(request.get("ticks", 1))
-        if not 0 < ticks <= 100_000:
-            raise FleetdError("ticks must be in [1, 100000]")
-        self.engine.run_ticks(ticks)
-        return {"tick": self.engine.tick_index}
-
-    def _cmd_stop(self, request) -> Dict[str, Any]:
-        self._stop.set()
-        return {"stopping": True}
-
-
-_COMMANDS = {
-    "ping": FleetdServer._cmd_ping,
-    "status": FleetdServer._cmd_status,
-    "register": FleetdServer._cmd_register,
-    "deregister": FleetdServer._cmd_deregister,
-    "rollout": FleetdServer._cmd_rollout,
-    "rollout-status": FleetdServer._cmd_rollout_status,
-    "rollback": FleetdServer._cmd_rollback,
-    "kill-switch": FleetdServer._cmd_kill_switch,
-    "reset-quarantine": FleetdServer._cmd_reset_quarantine,
-    "metrics": FleetdServer._cmd_metrics,
-    "top": FleetdServer._cmd_top,
-    "run": FleetdServer._cmd_run,
-    "stop": FleetdServer._cmd_stop,
-}
+                result = verb.handler(self, params)
+        except (FleetdError, ValueError) as exc:
+            return {"ok": False, "error": f"{verb.name}: {exc}"}
+        if verb.result is None:
+            return {"ok": True, **result}
+        return {"ok": True, verb.result: result}

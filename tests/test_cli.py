@@ -339,6 +339,11 @@ def test_fleetd_cli_round_trip(tmp_path, capsys):
         assert main(["fleetd", "rollout-status", "--id", "1",
                      "--socket", sock]) == 0
         assert main(["fleetd", "status", "--socket", sock]) == 0
+        rollup_path = tmp_path / "rollup.json"
+        assert main(["fleetd", "metrics", "--window", "30", "--out",
+                     str(rollup_path), "--socket", sock]) == 0
+        assert main(["fleetd", "top", "-n", "2", "--socket", sock]) == 0
+        assert main(["fleetd", "ping", "--socket", sock]) == 0
         assert main(["fleetd", "reset-quarantine", "h0",
                      "--socket", sock]) == 0
         assert main(["fleetd", "deregister", "h2",
@@ -369,9 +374,127 @@ def test_fleetd_cli_round_trip(tmp_path, capsys):
     )
     assert envelope["status"] == "succeeded"
     assert envelope["policy"]["kind"] == "autotune"
+    from repro.fleetd.rollup import parse_fleet_rollup
+
+    rollup = parse_fleet_rollup(json.loads(rollup_path.read_text()))
+    assert rollup["window_s"] == 30.0 and rollup["fleet"]["hosts"] == 3
+    assert f"fleet rollup written to {rollup_path}" in out
+    assert '"kind": "fleetd-top"' in out
+    assert '"pong": true' in out
 
 
 def test_fleetd_cli_reports_unreachable_daemon(tmp_path, capsys):
     sock = str(tmp_path / "nothing.sock")
     assert main(["fleetd", "status", "--socket", sock]) == 1
     assert "cannot reach" in capsys.readouterr().err
+
+
+def _subparsers(parser):
+    import argparse
+
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _surface(parser):
+    """Each argument: action, type, nargs, required, default, choices."""
+    import argparse
+
+    return {
+        " ".join(a.option_strings) or a.dest: (
+            type(a).__name__, getattr(a.type, "__name__", None), a.nargs,
+            a.required, a.default, None if a.choices is None
+            else list(a.choices),
+        )
+        for a in parser._actions if not isinstance(a, argparse._HelpAction)
+    }
+
+
+_SOCKET = ("_StoreAction", None, None, False, "tmo-fleetd.sock", None)
+_POLICIES = ["senpai", "autotune", "gswap"]
+
+#: The ``repro fleetd`` surface before the verb table, plus ``ping``.
+FLEETD_SURFACE = {
+    "start": {
+        "--socket": _SOCKET,
+        "--seed": ("_StoreAction", "int", None, False, 7, None),
+        "--ram-gb": ("_StoreAction", "float", None, False, 0.25, None),
+        "--ncpu": ("_StoreAction", "int", None, False, 4, None),
+        "--page-mb": ("_StoreAction", "int", None, False, 1, None),
+        "--tick-interval": ("_StoreAction", "float", None, False, 0.05,
+                            None),
+        "--checkpoint-every": ("_StoreAction", "float", None, False, 60.0,
+                               None),
+        "--spool-dir": ("_StoreAction", None, None, False, None, None),
+        "--canary-frac": ("_StoreAction", "float", None, False, 0.25,
+                          None),
+        "--wave-frac": ("_StoreAction", "float", None, False, 0.5, None),
+        "--baseline-s": ("_StoreAction", "float", None, False, 60.0, None),
+        "--soak-s": ("_StoreAction", "float", None, False, 60.0, None),
+    },
+    "ping": {"--socket": _SOCKET},
+    "status": {"--socket": _SOCKET},
+    "register": {
+        "--socket": _SOCKET,
+        "host_id": ("_StoreAction", None, None, True, None, None),
+        "--app": ("_StoreAction", None, None, False, "Feed", None),
+        "--policy": ("_StoreAction", None, None, False, None, _POLICIES),
+        "--set": ("_AppendAction", None, None, False, None, None),
+        "--size-scale": ("_StoreAction", "float", None, False, 0.003, None),
+        "--region": ("_StoreAction", None, None, False, "default", None),
+    },
+    "deregister": {
+        "--socket": _SOCKET,
+        "host_id": ("_StoreAction", None, None, True, None, None),
+    },
+    "rollout": {
+        "--socket": _SOCKET,
+        "--policy": ("_StoreAction", None, None, True, None, _POLICIES),
+        "--set": ("_AppendAction", None, None, False, None, None),
+        "--hosts": ("_StoreAction", None, "+", False, None, None),
+        "--wait": ("_StoreTrueAction", None, 0, False, False, None),
+        "--max-wait-ticks": ("_StoreAction", "int", None, False, 5000,
+                             None),
+        "--wait-step-ticks": ("_StoreAction", "int", None, False, 50, None),
+        "--out": ("_StoreAction", None, None, False, None, None),
+    },
+    "rollout-status": {
+        "--socket": _SOCKET,
+        "--id": ("_StoreAction", "int", None, True, None, None),
+    },
+    "rollback": {"--socket": _SOCKET},
+    "kill-switch": {"--socket": _SOCKET},
+    "reset-quarantine": {
+        "--socket": _SOCKET,
+        "host_id": ("_StoreAction", None, None, True, None, None),
+    },
+    "metrics": {
+        "--socket": _SOCKET,
+        "--window": ("_StoreAction", "float", None, False, 60.0, None),
+        "--out": ("_StoreAction", None, None, False, None, None),
+    },
+    "top": {
+        "--socket": _SOCKET,
+        "--signal": ("_StoreAction", None, None, False, "psi_mem_some",
+                     None),
+        "-n": ("_StoreAction", "int", None, False, 5, None),
+        "--window": ("_StoreAction", "float", None, False, 60.0, None),
+    },
+    "run": {
+        "--socket": _SOCKET,
+        "--ticks": ("_StoreAction", "int", None, False, 60, None),
+    },
+    "stop": {"--socket": _SOCKET},
+}
+
+
+def test_fleetd_cli_surface_is_pinned():
+    """Flags, positionals, types, defaults and choices of every
+    ``repro fleetd`` verb, built from the verb table, match the
+    hand-built parsers they replaced (plus the flag-free ``ping``)."""
+    fleetd = _subparsers(build_parser())["fleetd"]
+    surface = {
+        name: _surface(parser)
+        for name, parser in _subparsers(fleetd).items()
+    }
+    assert surface == FLEETD_SURFACE

@@ -37,3 +37,47 @@ def test_api_md_covers_core_modules():
         "repro.sim.host",
     ):
         assert f"## `{module}`" in text
+
+
+def _verb_reference():
+    """Each row of docs/RESILIENCE.md's verb table, parsed."""
+    import re
+
+    text = (REPO / "docs" / "RESILIENCE.md").read_text()
+    section = text.split("### The verbs", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        verb, params, result = [c.strip() for c in line.strip("|").split("|")]
+        rows[verb.strip("`")] = (
+            re.findall(r"`(\w+)` (an? [a-z ]+?), "
+                       r"(required|default `([^`]*)`)", params),
+            re.match(r"`(\w+)`", result).group(1)
+            if result.startswith("`") else None,
+        )
+    return rows
+
+
+def test_resilience_md_lists_every_verb_and_parameter():
+    """The verb reference in docs/RESILIENCE.md, "Control plane", names
+    exactly the verbs, parameters, types, defaults and result keys of
+    the verb table."""
+    import json
+
+    from repro.fleetd.verbs import JSON_TYPES, REQUIRED, VERBS
+
+    expected = {
+        verb.name: (
+            [
+                (p.name, JSON_TYPES[p.type][0],
+                 "required" if p.default is REQUIRED
+                 else f"default `{json.dumps(p.default)}`",
+                 "" if p.default is REQUIRED else json.dumps(p.default))
+                for p in verb.params
+            ],
+            verb.result,
+        )
+        for verb in VERBS.values()
+    }
+    assert _verb_reference() == expected

@@ -66,6 +66,9 @@ def test_register_refuses_bad_ids_and_duplicates():
     with make_engine() as engine:
         with pytest.raises(RegistryError, match="host id"):
             engine.register("no spaces allowed", "Feed")
+        for size_scale in (-1.0, 0.0, 1.5):
+            with pytest.raises(RegistryError, match="size_scale"):
+                engine.register("h0", "Feed", size_scale=size_scale)
         engine.register("h0", "Feed", size_scale=0.003)
         with pytest.raises(RegistryError):
             engine.register("h0", "Feed", size_scale=0.003)

@@ -224,3 +224,74 @@ def test_client_reports_unreachable_daemon(tmp_path):
     client = FleetdClient(str(tmp_path / "nothing.sock"))
     with pytest.raises(FleetdClientError, match="cannot reach"):
         client.ping()
+
+
+_POLICY = '{"kind": "senpai", "params": {}}'
+
+
+@pytest.mark.parametrize("line, verb, param", [
+    ('{"cmd": "register", "host_id": "h1", "app": "Feed", '
+     '"size_scale": 0.003, "include_tax": "false"}',
+     "register", "include_tax"),
+    ('{"cmd": "register", "host_id": "h1", "app": "Feed", "size_scale": -1}',
+     "register", "size_scale"),
+    ('{"cmd": "register", "host_id": "h1", "app": "Feed", "size_scale": 0}',
+     "register", "size_scale"),
+    ('{"cmd": "run", "ticks": 2.9}', "run", "ticks"),
+    ('{"cmd": "run", "ticks": true}', "run", "ticks"),
+    ('{"cmd": "run", "ticks": "7"}', "run", "ticks"),
+    ('{"cmd": "rollout", "policy": ' + _POLICY + ', "hosts": "h0"}',
+     "rollout", "hosts"),
+    ('{"cmd": "metrics", "window_s": Infinity}', "metrics", "window_s"),
+    ('{"cmd": "top", "signal": "psi_mem_some", "window_s": NaN}',
+     "top", "window_s"),
+    ('{"cmd": "metrics", "window": 30}', "metrics", "window"),
+    ('{"cmd": "deregister"}', "deregister", "host_id"),
+    ('["ping"]', None, "cmd"),
+    ('"ping"', None, "cmd"),
+    ('{"cmd": "rollout-status", "rollout_id": "1"}',
+     "rollout-status", "rollout_id"),
+    ('{"cmd": "rollout-status", "rollout_id": 1.5}',
+     "rollout-status", "rollout_id"),
+])
+def test_ill_formed_requests_are_refused_by_name(tmp_path, line, verb,
+                                                  param):
+    """Each request that does not match its verb's row is refused with
+    an error naming the verb and the parameter, and touches nothing."""
+    engine = _engine(tmp_path)
+    # The wall thread ticks once at start, then parks for an hour: after
+    # that first tick only a request can move the clock.
+    server = FleetdServer(
+        engine, str(tmp_path / "fleetd.sock"), tick_interval_s=3600.0,
+    )
+    server.start()
+    try:
+        client = FleetdClient(server.socket_path)
+        client.register("h0", "Feed", size_scale=0.003)
+        client.rollout(json.loads(_POLICY))
+        while client.ping()["tick"] < 1:
+            time.sleep(0.01)
+
+        def fleet():
+            status = client.status()
+            return status["tick"], [h["host_id"] for h in status["hosts"]]
+
+        before = fleet()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.settimeout(5.0)
+            conn.connect(server.socket_path)
+            conn.sendall(line.encode() + b"\n")
+            reply = json.loads(conn.recv(65536))
+        assert reply["ok"] is False
+        error = reply["error"]
+        if verb is None:
+            assert error.startswith("unknown command")
+        else:
+            assert error.startswith(f"{verb}: ")
+        assert param in error
+        # Nothing was registered or ticked, and the daemon still answers.
+        assert fleet() == before
+        assert client.ping()["pong"] is True
+    finally:
+        server.stop()
+        engine.close()
