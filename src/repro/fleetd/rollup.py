@@ -4,10 +4,10 @@ The query half of the control plane (ROADMAP item 2, the vcmmd ldmgr
 shape): operators watch fleet-wide pressure/refault/offload signals
 live and act on them, so the query surface must be **provably
 read-only** — observing a fleet must never perturb it. Every metric
-lookup here goes through the recorder's non-registering path
-(:meth:`~repro.sim.metrics.MetricsRecorder.read_window`), so querying
-a live fleet is digest-neutral: query-twice == query-never, asserted
-per storm by ``chaos --fleetd``.
+lookup here goes through the recorder's non-registering paths
+(:meth:`~repro.sim.metrics.MetricsRecorder.read_block` and
+``read_window``), so querying a live fleet is digest-neutral:
+query-twice == query-never, asserted per storm by ``chaos --fleetd``.
 
 Aggregation shape: each host's recent metric windows reduce to
 fixed-size :class:`SignalSummary` records (count/sum/min/max/last) —
@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 #: Schema version of the rollup/top JSON envelopes.
 ROLLUP_SCHEMA_VERSION = 1
@@ -53,6 +55,13 @@ ROLLUP_SIGNALS: Dict[str, str] = {
     "swap_bytes": "swap_bytes",
     "zswap_bytes": "zswap_bytes",
 }
+
+#: The app series one host read reduces: every rollup signal, then the
+#: OOM flags. ``Host._record`` stores them all in one row, so they share
+#: one time column and read as one block.
+_APP_READS = tuple(
+    f"{_APP_CGROUP}/{suffix}" for suffix in ROLLUP_SIGNALS.values()
+) + (f"{_APP_CGROUP}/oom",)
 
 
 class RollupError(ValueError):
@@ -79,6 +88,25 @@ class SignalSummary:
     @property
     def mean(self) -> Optional[float]:
         return self.total / self.count if self.count else None
+
+    @classmethod
+    def of_rows(
+        cls, times: np.ndarray, values: np.ndarray
+    ) -> List["SignalSummary"]:
+        """Reduce each row of a ``(series, samples)`` window on one time
+        column; row ``i``'s summary is :meth:`of` on series ``i``, bit
+        for bit (each row is reduced along its contiguous axis)."""
+        n = len(times)
+        if not n:
+            return [cls()] * len(values)
+        last_t = float(times[-1])
+        return [
+            cls(n, total, lo, hi, last, last_t)
+            for total, lo, hi, last in zip(
+                values.sum(axis=1).tolist(), values.min(axis=1).tolist(),
+                values.max(axis=1).tolist(), values[:, -1].tolist(),
+            )
+        ]
 
     @classmethod
     def of(cls, series) -> "SignalSummary":
@@ -269,28 +297,36 @@ class FleetRollup:
         }
 
 
-def sample_host(entry, t0: float, t1: float) -> HostRollup:
+def sample_host(
+    entry, t0: float, t1: float, window_s: Optional[float] = None
+) -> HostRollup:
     """Reduce one registered host's signals over ``[t0, t1)``.
 
     The one window read of a host: the rollout gate's baseline and soak
     windows and the ``metrics``/``top`` trailing windows all come from
     here. ``t0``/``t1`` are host-local: a host's series run on its own
     clock, zero at registration (engine time minus ``entry.epoch_s``).
+    The rollup reports ``window_s``, by default ``t1 - t0``.
 
     Pure reader: every lookup is a non-registering window read, so
     sampling a host N times leaves its metrics digest byte-identical to
-    never sampling it. ``quarantined`` also folds in the live
-    supervisor state, so a host whose controller died before the window
-    still reads as quarantined.
+    never sampling it. The app's signals and OOM flags are one block
+    read (:meth:`~repro.sim.metrics.MetricsRecorder.read_block`); a
+    host that has not recorded them on one time column (no tick yet)
+    reads them one series at a time. ``quarantined`` also folds in the
+    live supervisor state, so a host whose controller died before the
+    window still reads as quarantined.
     """
     metrics = entry.host.metrics
-    signals = {
-        signal: SignalSummary.of(metrics.read_window(
-            f"{_APP_CGROUP}/{suffix}", t0, t1
-        ))
-        for signal, suffix in ROLLUP_SIGNALS.items()
-    }
-    oom = metrics.read_window(f"{_APP_CGROUP}/oom", t0, t1)
+    block = metrics.read_block(_APP_READS, t0, t1)
+    if block is None:
+        summaries = [
+            SignalSummary.of(metrics.read_window(name, t0, t1))
+            for name in _APP_READS
+        ]
+    else:
+        summaries = SignalSummary.of_rows(*block)
+    *signal_summaries, oom = summaries
     degraded = metrics.read_window("senpai/degraded", t0, t1)
     quarantine_edges = metrics.read_window(
         "supervisor/quarantined", t0, t1
@@ -299,9 +335,9 @@ def sample_host(entry, t0: float, t1: float) -> HostRollup:
         host_id=entry.host_id,
         region=entry.region,
         app=entry.app,
-        window_s=t1 - t0,
-        signals=signals,
-        oom_kills=int(sum(oom.values)),
+        window_s=t1 - t0 if window_s is None else window_s,
+        signals=dict(zip(ROLLUP_SIGNALS, signal_summaries)),
+        oom_kills=int(oom.total),
         breaker_open=bool(len(degraded) and degraded.max() > 0.0),
         quarantined=(
             bool(len(quarantine_edges)) or entry.supervisor.quarantined
@@ -325,9 +361,7 @@ def _host_rollup(entry, window_s: float) -> HostRollup:
     ``window_s``.
     """
     t1 = entry.host.clock.now
-    return replace(
-        sample_host(entry, max(0.0, t1 - window_s), t1), window_s=window_s
-    )
+    return sample_host(entry, max(0.0, t1 - window_s), t1, window_s)
 
 
 def fleet_rollup(engine, window_s: float) -> FleetRollup:

@@ -111,11 +111,16 @@ class FleetdServer:
                     self.engine.tick()
             except Exception as exc:
                 # Stop ticking a fleet in an unknown state, but say so:
-                # ping and status report the failure instead of a
-                # silently frozen tick counter.
+                # ping and status report the failure (the exception and
+                # the function that raised it) instead of a silently
+                # frozen tick counter. The traceback, which names the
+                # daemon's source files, goes to its stderr only.
+                traceback.print_exc()
                 self._tick_error = {
                     "error": repr(exc),
-                    "traceback": traceback.format_exc(limit=-3),
+                    "function": traceback.extract_tb(
+                        exc.__traceback__
+                    )[-1].name,
                 }
                 return
             # Paced on the stop event, so stop() never waits out a

@@ -161,20 +161,6 @@ class Cgroup:
             yield node
             node = node.parent
 
-    def limit_headroom(self) -> Optional[int]:
-        """Tightest remaining headroom along the ancestry (None = unlimited).
-
-        The charge path must respect every ancestor's ``memory.max``.
-        """
-        headroom: Optional[int] = None
-        node: Optional[Cgroup] = self
-        while node is not None:
-            if node.memory_max is not None:
-                room = node.memory_max - node.current_bytes()
-                headroom = room if headroom is None else min(headroom, room)
-            node = node.parent
-        return headroom
-
     def protected(self) -> bool:
         """Whether memory.low currently shields this cgroup from reclaim."""
         return self.memory_low > 0 and self.current_bytes() <= self.memory_low

@@ -44,17 +44,5 @@ class Clock:
             raise ValueError(f"clock cannot move backwards (dt={dt})")
         self._now += dt
 
-    def advance_to(self, when: float) -> None:
-        """Move time forward to the absolute timestamp ``when``.
-
-        Raises:
-            ValueError: if ``when`` is in the past.
-        """
-        if when < self._now:
-            raise ValueError(
-                f"clock cannot rewind from {self._now} to {when}"
-            )
-        self._now = float(when)
-
     def __repr__(self) -> str:
         return f"Clock(now={self._now:.6f})"

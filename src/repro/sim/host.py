@@ -46,6 +46,21 @@ from repro.workloads.base import TickResult, Workload
 _GB = 1 << 30
 _MB = 1 << 20
 
+#: The series :meth:`Host._record` stores every tick, as one row: the
+#: host's, the swap backend's (when there is one), then each hosted
+#: workload's ``<cgroup>/<suffix>`` family in hosting order.
+_HOST_ROW = (
+    "host/free_bytes", "host/used_bytes", "host/zswap_pool_bytes",
+    "fs/read_rate", "fs/read_latency_p90",
+)
+_SWAP_ROW = ("swap/out_rate_mb_s", "swap/stored_bytes")
+_CGROUP_ROW = (
+    "resident_bytes", "anon_bytes", "file_bytes", "swap_bytes",
+    "zswap_bytes", "promotion_rate", "refaults", "rps", "oom",
+    "psi_mem_some_avg10", "psi_io_some_avg10",
+    "psi_mem_some_total", "psi_io_some_total",
+)
+
 
 class Controller(Protocol):
     """Anything that observes the host and drives offloading."""
@@ -160,7 +175,7 @@ class Host:
     # PSI totals starts afresh); the rest is per-tick scratch and
     # interned names.
     __transient__ = (
-        "config", "invariants", "_psi_durations", "_metric_names",
+        "config", "invariants", "_psi_durations", "_row_names",
     )
     clock: Clock
     psi: PsiSystem
@@ -184,9 +199,9 @@ class Host:
         self._prev_device_stats = {}
         # Scratch buffer reused by _feed_psi every tick.
         self._psi_durations: List[float] = [0.0] * len(_SEGMENT_FLAGS)
-        # Per-workload metric names, interned once instead of rebuilding
-        # ~13 f-strings per workload every tick.
-        self._metric_names: Dict[str, Tuple[str, ...]] = {}
+        # The per-tick metric names, one tuple per set of hosted
+        # workloads, interned once instead of rebuilt every tick.
+        self._row_names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
         # --- devices: the filesystem SSD is always present; when the
         # backend is SSD swap, swap shares the same physical device.
@@ -584,70 +599,40 @@ class Host:
             current[2] - prev[2],
         )
 
-    def _intern_metric_names(self, name: str) -> Tuple[str, ...]:
-        """Build and memoize one workload's metric-series names.
-
-        Out-of-line from :meth:`_record`'s per-workload loop so the
-        string formatting happens once per workload lifetime, not once
-        per tick, and recording allocates no names in the tick loop.
-        """
-        names = tuple(
-            f"{name}/{suffix}" for suffix in (
-                "resident_bytes", "anon_bytes", "file_bytes",
-                "swap_bytes", "zswap_bytes", "promotion_rate",
-                "refaults", "rps", "oom",
-                "psi_mem_some_avg10", "psi_io_some_avg10",
-                "psi_mem_some_total", "psi_io_some_total",
-            )
-        )
-        self._metric_names[name] = names
-        return names
-
     def _record(
         self, results: Dict[str, TickResult], now: float, dt: float
     ) -> None:
-        rec = self.metrics.record
-        rec("host/free_bytes", now, self.mm.free_bytes())
-        rec("host/used_bytes", now, self.mm.used_bytes())
-        rec("host/zswap_pool_bytes", now, self.mm.zswap_pool_bytes)
-
+        """Store every per-tick series as one row of the recorder."""
+        mm = self.mm
+        row = [mm.free_bytes(), mm.used_bytes(), mm.zswap_pool_bytes]
         fs_reads, _, _ = self._device_delta("fs", self.fs.stats)
-        rec("fs/read_rate", now, fs_reads / dt)
-        rec(
-            "fs/read_latency_p90",
-            now,
-            self.fs.stats.latencies.percentile(90.0),
-        )
+        row += (fs_reads / dt, self.fs.stats.latencies.percentile(90.0))
         if self.swap_backend is not None:
             _, _, wbytes = self._device_delta(
                 "swap", self.swap_backend.stats
             )
-            rec("swap/out_rate_mb_s", now, wbytes / dt / _MB)
-            rec("swap/stored_bytes", now, self.swap_backend.stored_bytes)
+            row += (wbytes / dt / _MB, self.swap_backend.stored_bytes)
 
-        for name, hosted in self._hosted.items():
-            cg = self.mm.cgroup(name)
+        for name in self._hosted:
+            cg = mm.cgroup(name)
             tick = results[name]
-            names = self._metric_names.get(name)
-            if names is None:
-                names = self._intern_metric_names(name)
-            (n_resident, n_anon, n_file, n_swap, n_zswap, n_promo,
-             n_refaults, n_rps, n_oom, n_mem10, n_io10, n_memtot,
-             n_iotot) = names
-            rec(n_resident, now, cg.resident_bytes)
-            rec(n_anon, now, cg.anon_bytes)
-            rec(n_file, now, cg.file_bytes)
-            rec(n_swap, now, cg.swap_bytes)
-            rec(n_zswap, now, cg.zswap_bytes)
-            promotions = tick.count("swapin") + tick.count("zswapin")
-            rec(n_promo, now, promotions / dt)
-            rec(n_refaults, now, tick.count("refault") / dt)
-            rec(n_rps, now, tick.work_done / dt)
-            rec(n_oom, now, 1.0 if tick.oom else 0.0)
+            row += (
+                cg.resident_bytes, cg.anon_bytes, cg.file_bytes,
+                cg.swap_bytes, cg.zswap_bytes,
+                (tick.count("swapin") + tick.count("zswapin")) / dt,
+                tick.count("refault") / dt, tick.work_done / dt,
+                1.0 if tick.oom else 0.0,
+            )
             group = self.psi.group(name)
             mem_avg10, mem_total = group.quick_read(Resource.MEMORY, now)
             io_avg10, io_total = group.quick_read(Resource.IO, now)
-            rec(n_mem10, now, mem_avg10)
-            rec(n_io10, now, io_avg10)
-            rec(n_memtot, now, mem_total)
-            rec(n_iotot, now, io_total)
+            row += (mem_avg10, io_avg10, mem_total, io_total)
+        hosted = tuple(self._hosted)
+        names = self._row_names.get(hosted)
+        if names is None:
+            names = self._row_names[hosted] = (
+                _HOST_ROW
+                + (_SWAP_ROW if self.swap_backend is not None else ())
+                + tuple(f"{n}/{s}" for n in hosted for s in _CGROUP_ROW)
+            )
+        self.metrics.record_row(names, now, row)

@@ -4,11 +4,12 @@ Metric names feed :func:`repro.sim.metrics.metrics_digest`, the
 benchmark's status reads, the chaos verdicts and the fleetd health
 gates and rollups, so they are interface, not incidental strings. Every
 ``/``-namespaced name must be declared here before it is recorded or
-read: :meth:`~repro.sim.metrics.MetricsRecorder.record` runs
-:func:`check_metric_name` when it creates a series, and the read
-paths (``series``, ``read_window``, ``summary``) run it on names the
-recorder has never seen. An undeclared name raises ``KeyError`` that
-names the table it belongs in and the closest declared name.
+read: :meth:`~repro.sim.metrics.MetricsRecorder.record` and
+``record_row`` run :func:`check_metric_name` when they create a
+series, and the read paths (``series``, ``read_window``, ``summary``)
+run it on names the recorder has never seen. An undeclared name
+raises ``KeyError`` that names the table it belongs in and the
+closest declared name.
 
 Adding a metric is two steps:
 

@@ -224,6 +224,30 @@ def test_lockstep_series_write_one_time_column():
     assert metrics_digest(twin) == metrics_digest(rec)
 
 
+#: ``save_snapshot``'s payload digest for one small fleetd host (seed 1,
+#: 300 ticks) at snapshot schema 6. A change that moves it changes the
+#: spool bytes, so it comes with a ``SCHEMA_VERSION`` bump and a new pin.
+PINNED_SPOOL_DIGEST = (
+    "a3e197e6d5add83aae4ca41063c3c65e03d2930728d507fa807b72668db8bcff"
+)
+
+
+def test_spool_bytes_are_pinned(tmp_path):
+    from repro.fleetd.engine import FleetdConfig, FleetdEngine
+
+    assert SCHEMA_VERSION == 6, "new schema: take a new PINNED_SPOOL_DIGEST"
+    with FleetdEngine(FleetdConfig(
+        seed=1,
+        base_config=HostConfig(ram_gb=0.25, ncpu=4, page_size_bytes=1 << 20),
+        checkpoint_every_s=float("inf"),
+    )) as engine:
+        engine.register("h0", "Feed", size_scale=0.003)
+        engine.run_ticks(300)
+        host = engine.registry.get("h0").host
+        path = str(tmp_path / "h0.json")
+        assert save_snapshot(host, path) == PINNED_SPOOL_DIGEST
+
+
 def test_schema_4_snapshot_is_refused():
     host = small_host()
     host.run(60.0)

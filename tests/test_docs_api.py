@@ -39,6 +39,24 @@ def test_api_md_covers_core_modules():
         assert f"## `{module}`" in text
 
 
+def _modules_listing(item):
+    """The docs/API.md sections (module names) that list ``item``."""
+    text = (REPO / "docs" / "API.md").read_text()
+    return [
+        section.split("`", 1)[0]
+        for section in text.split("\n## `")[1:]
+        if f"- **`{item}`**" in section
+    ]
+
+
+def test_api_md_lists_a_constant_only_where_it_is_defined():
+    """An imported constant is not credited to the importing module
+    (the server, the client and the package re-export ``VERBS``)."""
+    assert _modules_listing("VERBS") == ["repro.fleetd.verbs"]
+    assert _modules_listing("ROLLUP_SIGNALS") == ["repro.fleetd.rollup"]
+    assert _modules_listing("SeriesBlock") == ["repro.sim.metrics"]
+
+
 def _verb_reference():
     """Each row of docs/RESILIENCE.md's verb table, parsed."""
     import re

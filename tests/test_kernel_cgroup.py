@@ -68,22 +68,6 @@ def test_ancestors_chain():
     assert [cg.name for cg in leaf.ancestors()] == ["a", "root"]
 
 
-def test_limit_headroom_unlimited():
-    cg = Cgroup("g", page_size_bytes=PAGE)
-    assert cg.limit_headroom() is None
-
-
-def test_limit_headroom_takes_tightest_ancestor():
-    root = Cgroup("root", page_size_bytes=PAGE)
-    a = Cgroup("a", page_size_bytes=PAGE, parent=root)
-    leaf = Cgroup("leaf", page_size_bytes=PAGE, parent=a)
-    root.memory_max = 10 * PAGE
-    a.memory_max = 4 * PAGE
-    leaf.charge(PageKind.ANON, 2 * PAGE)
-    # a: 4-2 = 2 pages headroom; root: 10-2 = 8. Tightest is a.
-    assert leaf.limit_headroom() == 2 * PAGE
-
-
 def test_offloaded_bytes():
     cg = Cgroup("g", page_size_bytes=PAGE)
     cg.swap_bytes = 3 * PAGE

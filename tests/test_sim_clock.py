@@ -37,17 +37,5 @@ def test_advance_rejects_negative():
         clock.advance(-0.1)
 
 
-def test_advance_to_moves_to_absolute_time():
-    clock = Clock()
-    clock.advance_to(10.0)
-    assert clock.now == 10.0
-
-
-def test_advance_to_rejects_past():
-    clock = Clock(5.0)
-    with pytest.raises(ValueError):
-        clock.advance_to(4.0)
-
-
 def test_repr_mentions_time():
     assert "1.5" in repr(Clock(1.5))
