@@ -1,10 +1,15 @@
-"""How ``MemoryManager.touch_batch`` cost scales with host size.
+"""How touch selection and ``MemoryManager.touch_batch`` scale with host
+size.
 
 Builds three fleet hosts running Feed with the tax sidecars on zswap
 under Senpai, at ~2k, ~36k and ~130k resident pages (1 MiB pages), warms
-each past fault-in, then times every ``touch_batch`` call over a window
-of ticks. Prints the cost per touched page for each size: a page core
-whose per-touch cost is flat in the host's page count scales.
+each past fault-in, then times every ``touch_batch`` and every
+``Workload._select_touches`` call over a window of ticks. Prints the
+cost per touched page for each size: a page core whose per-touch cost
+is flat in the host's page count scales. Then prints how much each
+layer's time per tick grows from the smallest host to the largest: a
+selection that grows no faster than ``touch_batch`` costs per touch,
+not per page.
 
 Run from the repository root::
 
@@ -23,6 +28,7 @@ from repro.core.fleet import HostPlan, build_fleet_host
 from repro.kernel.mm import MemoryManager
 from repro.perf import wall_s
 from repro.sim.host import HostConfig
+from repro.workloads.base import Workload
 
 #: (label, host RAM in GB, Feed size_scale): ~2k, ~36k and ~130k
 #: resident pages once faulted in.
@@ -45,30 +51,43 @@ def measure(ram_gb: float, size_scale: float, ticks: int) -> dict:
     )
     for _ in range(WARMUP_TICKS):
         host.step()
-    spent = [0.0]
+    spent = {"touch_batch": 0.0, "select": 0.0}
     touched = [0]
-    inner = MemoryManager.touch_batch
+    inner_batch = MemoryManager.touch_batch
+    inner_select = Workload._select_touches
 
-    def timed(mm, pages, indices, now):
+    def timed_batch(mm, pages, indices, now):
         start = wall_s()
         try:
-            return inner(mm, pages, indices, now)
+            return inner_batch(mm, pages, indices, now)
         finally:
-            spent[0] += wall_s() - start
+            spent["touch_batch"] += wall_s() - start
             touched[0] += len(indices)
 
-    MemoryManager.touch_batch = timed
+    def timed_select(workload, dt):
+        start = wall_s()
+        try:
+            return inner_select(workload, dt)
+        finally:
+            spent["select"] += wall_s() - start
+
+    MemoryManager.touch_batch = timed_batch
+    Workload._select_touches = timed_select
     try:
         for _ in range(ticks):
             host.step()
     finally:
-        MemoryManager.touch_batch = inner
+        MemoryManager.touch_batch = inner_batch
+        Workload._select_touches = inner_select
     resident = sum(cg.resident_bytes for cg in host.mm.cgroups())
     return {
         "resident_pages": resident // config.page_size_bytes,
         "touches_per_tick": touched[0] / ticks,
-        "touch_batch_ms_per_tick": spent[0] * 1e3 / ticks,
-        "us_per_touched_page": spent[0] * 1e6 / max(1, touched[0]),
+        "touch_batch_ms_per_tick": spent["touch_batch"] * 1e3 / ticks,
+        "us_per_touched_page": (
+            spent["touch_batch"] * 1e6 / max(1, touched[0])
+        ),
+        "select_ms_per_tick": spent["select"] * 1e3 / ticks,
     }
 
 
@@ -85,15 +104,20 @@ def main(argv=None) -> int:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
     print(f"{'host':>6} {'resident':>9} {'touches/tick':>13} "
-          f"{'ms/tick':>8} {'us/touch':>9}")
+          f"{'ms/tick':>8} {'us/touch':>9} {'select ms/tick':>15}")
     for label, row in rows.items():
         print(f"{label:>6} {row['resident_pages']:>9} "
               f"{row['touches_per_tick']:>13.1f} "
               f"{row['touch_batch_ms_per_tick']:>8.3f} "
-              f"{row['us_per_touched_page']:>9.3f}")
+              f"{row['us_per_touched_page']:>9.3f} "
+              f"{row['select_ms_per_tick']:>15.3f}")
     small, large = rows[SIZES[0][0]], rows[SIZES[-1][0]]
     print(f"cost per touched page, largest/smallest: "
           f"{large['us_per_touched_page'] / small['us_per_touched_page']:.2f}")
+    print("ms per tick, largest/smallest: touch_batch "
+          f"{large['touch_batch_ms_per_tick'] / small['touch_batch_ms_per_tick']:.2f}"
+          ", select "
+          f"{large['select_ms_per_tick'] / small['select_ms_per_tick']:.2f}")
     return 0
 
 

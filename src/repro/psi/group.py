@@ -251,16 +251,16 @@ class PsiGroup:
             full_total=self.totals[slot + 1],
         )
 
-    def quick_read(
-        self, resource: Resource, now: float
-    ) -> Tuple[float, float]:
-        """``(some avg10, some total)`` without building a sample object.
+    def quick_read(self, slot: int, now: float) -> Tuple[float, float]:
+        """``(avg10, total)`` of state ``slot`` (:func:`state_slot`)
+        without building a sample object.
 
         The per-tick metrics hot path needs just these two numbers per
-        resource; :meth:`sample` stays the full read for everyone else.
+        resource and passes the slot precomputed, so a read hashes no
+        ``Resource``; :meth:`sample` stays the full read for everyone
+        else.
         """
         self.tick(now)
-        slot = state_slot(resource, SOME)
         return self._avgs[slot].avg10, self.totals[slot]
 
     def productivity_loss(self, resource: Resource) -> float:

@@ -33,7 +33,7 @@ from repro.kernel.reclaim import (
     ReclaimPolicy,
     TmoReclaimPolicy,
 )
-from repro.psi.group import PsiGroup
+from repro.psi.group import SOME, PsiGroup, state_slot
 from repro.psi.tracker import PsiSystem, PsiTask
 from repro.psi.types import N_FLAG_STATES, Resource, TaskFlags
 from repro.sim.clock import Clock
@@ -60,6 +60,9 @@ _CGROUP_ROW = (
     "psi_mem_some_avg10", "psi_io_some_avg10",
     "psi_mem_some_total", "psi_io_some_total",
 )
+#: The PSI states :meth:`Host._record` reads for every cgroup.
+_MEM_SOME = state_slot(Resource.MEMORY, SOME)
+_IO_SOME = state_slot(Resource.IO, SOME)
 
 
 class Controller(Protocol):
@@ -604,7 +607,8 @@ class Host:
     ) -> None:
         """Store every per-tick series as one row of the recorder."""
         mm = self.mm
-        row = [mm.free_bytes(), mm.used_bytes(), mm.zswap_pool_bytes]
+        used = mm.used_bytes()  # one walk of the cgroup tree
+        row = [mm.ram_bytes - used, used, mm.zswap_pool_bytes]
         fs_reads, _, _ = self._device_delta("fs", self.fs.stats)
         row += (fs_reads / dt, self.fs.stats.latencies.percentile(90.0))
         if self.swap_backend is not None:
@@ -624,8 +628,8 @@ class Host:
                 1.0 if tick.oom else 0.0,
             )
             group = self.psi.group(name)
-            mem_avg10, mem_total = group.quick_read(Resource.MEMORY, now)
-            io_avg10, io_total = group.quick_read(Resource.IO, now)
+            mem_avg10, mem_total = group.quick_read(_MEM_SOME, now)
+            io_avg10, io_total = group.quick_read(_IO_SOME, now)
             row += (mem_avg10, io_avg10, mem_total, io_total)
         hosted = tuple(self._hosted)
         names = self._row_names.get(hosted)

@@ -23,6 +23,14 @@ _INITIAL_CAPACITY = 16
 #: :meth:`MetricsRecorder.record_row` has not seen this name tuple yet.
 _UNPLANNED = object()
 
+#: The buffers of every never-recorded series a read hands out: shared,
+#: zero-length and read-only, so an empty read allocates none, and a
+#: first record on such a series grows buffers of its own
+#: (:meth:`SeriesBlock.append`).
+_NO_TIMES = np.empty(0)
+_NO_VALUES = np.empty((1, 0))
+_NO_TIMES.flags.writeable = _NO_VALUES.flags.writeable = False
+
 
 class SeriesBlock:
     """Series that share one time column.
@@ -351,7 +359,9 @@ class MetricsRecorder:
         series = self._series.get(name)
         if series is None:
             check_metric_name(name)
-            return Series(name)
+            series = Series.__new__(Series)
+            series.name = name
+            series._join(SeriesBlock(_NO_TIMES, _NO_VALUES), 0, 0)
         return series
 
     def read_window(self, name: str, start: float, end: float) -> Series:

@@ -2,10 +2,21 @@
 
 Figure 2 describes each application's memory by how recently it was
 touched: within 1 minute, within 2, within 5, or colder. We model each
-page with a mean re-access interval drawn from its heat band; per tick, a
-page is touched with probability ``1 - exp(-dt / interval)`` (a Poisson
-re-access process), which reproduces the published recency histogram in
-steady state.
+page with a mean re-access interval drawn from its heat band and a
+Poisson re-access process of rate ``1 / interval``: per tick, a page is
+touched when its process fires at least once, with probability
+``1 - exp(-dt / interval)`` (:func:`touch_probability`), independently
+across pages and ticks. That reproduces the published recency histogram
+in steady state.
+
+The pages' processes superpose into one Poisson process of rate
+``sum(1 / interval)`` whose events land on page ``i`` with probability
+``(1 / interval_i) / sum``. By the marking theorem the per-page event
+counts of that process are independent ``Poisson(dt / interval_i)``, so
+drawing the events of the sum and keeping the distinct pages they hit
+touches each page with exactly :func:`touch_probability`, at a cost that
+follows the touches rather than the population
+(:func:`cumulative_rates` is the table the events are placed with).
 """
 
 from __future__ import annotations
@@ -123,3 +134,20 @@ def touch_probability(intervals: np.ndarray, dt: float) -> np.ndarray:
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     return -np.expm1(-dt / intervals)
+
+
+def cumulative_rates(intervals: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Running sum of the pages' re-access rates ``1 / interval``.
+
+    Entry ``i`` is ``start`` plus the summed rate of pages ``0..i``, so
+    page ``i`` owns the slice ``[cum[i-1], cum[i])`` of the superposed
+    process's rate axis. A never-touched page has rate exactly 0 and so
+    an empty slice: no event can land on it. The sum is one sequential
+    accumulation, so extending a table over appended pages by passing
+    its last entry as ``start`` equals a full rebuild bit for bit.
+    """
+    rates = np.empty(len(intervals) + 1)
+    rates[0] = start
+    np.reciprocal(intervals, out=rates[1:])
+    rates[1:][intervals >= _NEVER] = 0.0
+    return np.cumsum(rates)[1:]

@@ -69,7 +69,7 @@ def test_tick_before_start_rejected():
 def test_size_scale_shrinks_population():
     w = make_workload()
     w.start(0.0, size_scale=0.5)
-    assert w.npages_total == 50
+    assert len(w.pages) == 50
 
 
 def test_tick_touches_and_faults():
@@ -116,10 +116,10 @@ def test_stall_buckets_classified():
 def test_growth_allocates_over_time():
     w = make_workload(growth_gb_per_hour=3600 * 10 * PAGE / _GB)
     w.start(0.0)
-    before = w.npages_total
+    before = len(w.pages)
     for i in range(10):
         w.tick(float(i), 1.0)  # 10 pages/s of growth
-    assert w.npages_total == before + 100
+    assert len(w.pages) == before + 100
 
 
 def test_restart_rebuilds_population():
@@ -129,7 +129,7 @@ def test_restart_rebuilds_population():
     old_pages = w.pages.tolist()
     w.restart(2.0)
     assert w.started
-    assert w.npages_total == len(old_pages)
+    assert len(w.pages) == len(old_pages)
     assert all(p not in old_pages for p in w.pages.tolist())
     cg = w.mm.cgroup("app")
     assert cg.zswap_bytes == 0  # offloaded state dropped with restart

@@ -59,19 +59,19 @@ def test_intensity_cycles_around_one():
 
 def test_footprint_breathes():
     w = make_workload(footprint_swing=0.2)
-    base = w.npages_total
+    base = len(w.pages)
     # Walk to the peak: footprint grows.
     t = 0.0
     while t < PERIOD / 4:
         w.tick(t, 10.0)
         t += 10.0
-    peak = w.npages_total
+    peak = len(w.pages)
     assert peak > base
     # Walk to the trough: the swing pool is released again.
     while t < 3 * PERIOD / 4:
         w.tick(t, 10.0)
         t += 10.0
-    trough = w.npages_total
+    trough = len(w.pages)
     assert trough < peak
     assert trough >= base  # never below the base population
 
@@ -103,10 +103,10 @@ def test_restart_rebuilds_the_swing_pool_from_live_pages():
     for _ in range(50):  # t = 50 s: the peak, the swing pool is full
         host.step()
     assert len(w._swing_pages) > 0
-    base = w.npages_total - len(w._swing_pages)
+    base = len(w.pages) - len(w._swing_pages)
     host.restart_workload("feed")
     assert len(w._swing_pages) == 0
-    assert w.npages_total <= base
+    assert len(w.pages) <= base
     index = host.mm.cgroup("feed").index
     sizes = []
     for _ in range(300):  # through t = 150 (trough), 250 (peak), 350
@@ -114,7 +114,7 @@ def test_restart_rebuilds_the_swing_pool_from_live_pages():
         swing = w._swing_pages
         assert (host.mm.table.cgroup[swing] == index).all()
         assert np.isin(swing, w.pages).all()
-        sizes.append(w.npages_total)
+        sizes.append(len(w.pages))
     assert sizes[-1] < max(sizes[150:])
 
 

@@ -47,4 +47,4 @@ def test_tax_workload_runs():
     tick = tax.tick(0.0, 6.0)
     assert tick.name == "Datacenter Tax"
     assert tax.kind == "Datacenter Tax"
-    assert tax.npages_total > 0
+    assert len(tax.pages) > 0

@@ -54,10 +54,10 @@ def test_healthy_host_serves_base_rps():
 
 def test_anon_grows_with_requests():
     web = make_web()
-    before = web.npages_total
+    before = len(web.pages)
     for i in range(60):
         web.tick(float(i) * 10.0, 10.0)
-    assert web.npages_total > before
+    assert len(web.pages) > before
 
 
 def test_memory_bound_host_throttles():
@@ -95,11 +95,11 @@ def test_min_throttle_floor_respected():
 def test_alloc_floor_stops_growth():
     config = WebConfig(alloc_free_floor_frac=0.95)  # absurdly high floor
     web = make_web(config=config)
-    before = web.npages_total
+    before = len(web.pages)
     for i in range(30):
         web.tick(float(i) * 10.0, 10.0)
     # Free memory is always below a 95% floor on this host: no growth.
-    assert web.npages_total == before
+    assert len(web.pages) == before
 
 
 def test_stall_sensitivity_zero_disables_stall_throttle():
