@@ -6,10 +6,13 @@ under Senpai, at ~2k, ~36k and ~130k resident pages (1 MiB pages), warms
 each past fault-in, then times every ``touch_batch`` and every
 ``Workload._select_touches`` call over a window of ticks. Prints the
 cost per touched page for each size: a page core whose per-touch cost
-is flat in the host's page count scales. Then prints how much each
-layer's time per tick grows from the smallest host to the largest: a
-selection that grows no faster than ``touch_batch`` costs per touch,
-not per page.
+is flat in the host's page count scales. Beside it, each size's plan
+build: the time to rebuild every workload's touch-selection plan (the
+alias table over its prefix, or the per-page probabilities of a small
+population), which a host pays at start-up, on a restored host's first
+tick and whenever a prefix moves. Then prints how much each layer's time
+per tick grows from the smallest host to the largest: a selection that
+grows no faster than ``touch_batch`` costs per touch, not per page.
 
 Run from the repository root::
 
@@ -39,6 +42,29 @@ SIZES = (
 )
 WARMUP_TICKS = 900
 SEED = 1
+#: Plan builds timed per workload; the fastest counts.
+BUILD_REPEATS = 3
+
+
+def plan_build_ms(host) -> float:
+    """Time to rebuild every workload's touch-selection plan from its
+    intervals, as a restored host's first tick does (fastest of
+    :data:`BUILD_REPEATS` per workload, summed over the workloads)."""
+    total = 0.0
+    for hosted in host._hosted.values():
+        workload = hosted.workload
+        prefix = workload._prefix_pages()
+        best = float("inf")
+        for _ in range(BUILD_REPEATS):
+            workload._plan_for = workload._table_for = None
+            start = wall_s()
+            if prefix:
+                workload._alias_plan(prefix)
+            if prefix < len(workload.pages):
+                workload._touch_plan(prefix, 1.0)
+            best = min(best, wall_s() - start)
+        total += best
+    return total * 1e3
 
 
 def measure(ram_gb: float, size_scale: float, ticks: int) -> dict:
@@ -81,6 +107,7 @@ def measure(ram_gb: float, size_scale: float, ticks: int) -> dict:
         Workload._select_touches = inner_select
     resident = sum(cg.resident_bytes for cg in host.mm.cgroups())
     return {
+        "plan_build_ms": plan_build_ms(host),
         "resident_pages": resident // config.page_size_bytes,
         "touches_per_tick": touched[0] / ticks,
         "touch_batch_ms_per_tick": spent["touch_batch"] * 1e3 / ticks,
@@ -104,13 +131,15 @@ def main(argv=None) -> int:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
     print(f"{'host':>6} {'resident':>9} {'touches/tick':>13} "
-          f"{'ms/tick':>8} {'us/touch':>9} {'select ms/tick':>15}")
+          f"{'ms/tick':>8} {'us/touch':>9} {'select ms/tick':>15} "
+          f"{'build ms':>9}")
     for label, row in rows.items():
         print(f"{label:>6} {row['resident_pages']:>9} "
               f"{row['touches_per_tick']:>13.1f} "
               f"{row['touch_batch_ms_per_tick']:>8.3f} "
               f"{row['us_per_touched_page']:>9.3f} "
-              f"{row['select_ms_per_tick']:>15.3f}")
+              f"{row['select_ms_per_tick']:>15.3f} "
+              f"{row['plan_build_ms']:>9.2f}")
     small, large = rows[SIZES[0][0]], rows[SIZES[-1][0]]
     print(f"cost per touched page, largest/smallest: "
           f"{large['us_per_touched_page'] / small['us_per_touched_page']:.2f}")

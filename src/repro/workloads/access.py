@@ -16,12 +16,13 @@ counts of that process are independent ``Poisson(dt / interval_i)``, so
 drawing the events of the sum and keeping the distinct pages they hit
 touches each page with exactly :func:`touch_probability`, at a cost that
 follows the touches rather than the population
-(:func:`cumulative_rates` is the table the events are placed with).
+(:func:`alias_table` places each event in constant time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -136,18 +137,61 @@ def touch_probability(intervals: np.ndarray, dt: float) -> np.ndarray:
     return -np.expm1(-dt / intervals)
 
 
-def cumulative_rates(intervals: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """Running sum of the pages' re-access rates ``1 / interval``.
+def alias_table(intervals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Walker/Vose alias table over the pages' re-access rates.
 
-    Entry ``i`` is ``start`` plus the summed rate of pages ``0..i``, so
-    page ``i`` owns the slice ``[cum[i-1], cum[i])`` of the superposed
-    process's rate axis. A never-touched page has rate exactly 0 and so
-    an empty slice: no event can land on it. The sum is one sequential
-    accumulation, so extending a table over appended pages by passing
-    its last entry as ``start`` equals a full rebuild bit for bit.
+    Returns ``(prob, alias, total)``: ``total`` is the summed rate
+    ``sum(1 / interval)``, and an event placed by a uniform ``u`` in
+    ``[0, 1)`` lands on page ``i = int(u * n)`` when ``u * n - i <
+    prob[i]``, else on ``alias[i]``. Page ``j`` then receives exactly
+    ``(prob[j] + sum(1 - prob[k] for alias[k] == j)) / n`` of the events,
+    its share ``rate_j / total`` up to rounding. A never-touched page has
+    rate exactly 0, a zero ``prob`` and no cell aliased to it: no event
+    can land on it. With no positive rate at all, ``total`` is 0, so no
+    event is ever drawn and the table is never read.
+
+    Each page starts as a cell of mass ``n * rate / total``. Cells below
+    1 ("small") are paired in bulk with cells above 1 ("large"): each
+    small cell's deficit ``1 - mass`` is laid end to end, zero-rate cells
+    first, against the large cells' surpluses laid end to end, and goes
+    to the large cell whose surplus its start falls in. A large cell
+    that gave away more than its surplus is small in the next round.
+    Every round settles its first small cell, so the loop ends; cells
+    left at the end hold a mass of 1 up to rounding and keep
+    themselves. The table is a pure function of ``intervals``.
     """
-    rates = np.empty(len(intervals) + 1)
-    rates[0] = start
-    np.reciprocal(intervals, out=rates[1:])
-    rates[1:][intervals >= _NEVER] = 0.0
-    return np.cumsum(rates)[1:]
+    n = len(intervals)
+    mass = np.reciprocal(intervals)
+    mass[intervals >= _NEVER] = 0.0
+    total = float(mass.sum())
+    prob = np.ones(n)
+    alias = np.arange(n)
+    if total == 0.0:
+        return prob, alias, total
+    mass *= n / total
+    small = np.flatnonzero(mass < 1.0)
+    small = np.concatenate([small[mass[small] == 0.0],
+                            small[mass[small] > 0.0]])
+    large = np.flatnonzero(mass > 1.0)
+    while len(small) and len(large):
+        deficit = 1.0 - mass[small]
+        start = np.cumsum(deficit)
+        start -= deficit
+        owner = np.cumsum(mass[large] - 1.0).searchsorted(start, "right")
+        paired = owner < len(large)
+        mass[large] -= np.bincount(owner[paired], weights=deficit[paired],
+                                   minlength=len(large))
+        # Rounding in the two running sums can overdraw a large cell by
+        # a hair; its last small cell waits for the next round instead.
+        over = np.flatnonzero(mass[large] < 0.0)
+        if len(over):
+            last = owner.searchsorted(over, "right") - 1
+            paired[last] = False
+            mass[large[over]] += deficit[last]
+        settled = small[paired]
+        prob[settled] = mass[settled]
+        alias[settled] = large[owner[paired]]
+        left = mass[large]
+        small = np.concatenate([small[~paired], large[left < 1.0]])
+        large = large[left > 1.0]
+    return prob, alias, total

@@ -10,15 +10,15 @@ and the experiment metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.kernel.mm import MemoryManager, OutOfMemoryError
 from repro.sim.rng import derive_rng
 from repro.workloads.access import (
+    alias_table,
     assign_reaccess_intervals,
-    cumulative_rates,
     touch_probability,
 )
 from repro.workloads.apps import AppProfile
@@ -26,18 +26,17 @@ from repro.workloads.apps import AppProfile
 _GB = 1 << 30
 
 #: Populations at least this large pick their touches by superposed
-#: Poisson sampling, smaller ones by one uniform per page. The per-page
-#: draw costs ~4.5 ns a page; the superposed draw ~45 ns a touch (the
-#: binary search into the rate table) plus a few microseconds of extra
-#: numpy calls. One tick's selection with Feed's heat bands, CPython
-#: 3.11 / numpy 2.4, per-page vs superposed: 4.2 vs 6.3 us at 250
-#: pages, 12.9 vs 12.4 at 2,000, 21.4 vs 19.2 at 4,000, 154.5 vs 116.6
-#: at 31,129. Colder populations (Web's bands) break even lower, near
-#: 1,500; the hottest (Cache B, ~6% of pages touched a tick) only near
-#: 4,000, and win 173 vs 145 us at 31,129. The constant sits at the
-#: hottest profile's break-even, so no profile pays for the switch, and
-#: hosts of a few thousand pages (fleetd's, the chaos storms') keep the
-#: per-page draw.
+#: Poisson sampling through an alias table, smaller ones by one uniform
+#: per page. The per-page draw costs ~4.5 ns a page; the alias draw a
+#: few ns an event plus ~8 us of fixed numpy calls (sort, dedupe and
+#: shuffle included). One tick's selection, per-page vs alias, CPython
+#: 3.11 / numpy 2.4, 2 vCPUs: Feed's bands 4.0 vs 8.9 us at 250 pages,
+#: 18.5 vs 10.6 at 2,000, 31.8 vs 13.6 at 4,000, 134.5 vs 50.4 at
+#: 31,129; Web's 9.7 vs 9.2 at 2,000; Cache B's 12.1 vs 11.7 at 2,000
+#: and 141.6 vs 61.8 at 31,129. So every profile breaks even near 1,000
+#: to 2,000 pages now. The constant stays at 4,096 anyway: every
+#: population below it keeps its RNG stream, so the CI chaos,
+#: crash-equivalence, fleet and fleetd digests stay as they are.
 _SUPERPOSE_MIN_PAGES = 4096
 
 
@@ -88,12 +87,20 @@ class Workload:
     :data:`_SUPERPOSE_MIN_PAGES` pages on, the tick instead draws the
     events of the pages' superposed Poisson process: ``K ~ Poisson(dt *
     sum(1/interval))`` events, each placed on a page in proportion to
-    its rate, and touches the distinct pages hit. Per-page event counts
-    of that process are independent ``Poisson(dt/interval)`` (the
-    marking theorem), so each page is touched with exactly the same
-    probability, independently across pages and ticks, while the cost
-    follows the touches (O(touched log pages)) rather than the
-    population. Either way the touched pages come out in random order.
+    its rate by an alias table (:func:`alias_table`), and touches the
+    distinct pages hit. Per-page event counts of that process are
+    independent ``Poisson(dt/interval)`` (the marking theorem), so each
+    page is touched with exactly the same probability, independently
+    across pages and ticks, while the cost follows the touches (constant
+    per event) rather than the population. Either way the touched pages
+    come out in random order.
+
+    The alias table covers a prefix of the population
+    (:meth:`_prefix_pages`): the larger of the initial population and
+    the largest multiple of :data:`_SUPERPOSE_MIN_PAGES` in the current
+    one. The pages past it, fewer than :data:`_SUPERPOSE_MIN_PAGES`,
+    draw one uniform each, so growth rebuilds the table only when the
+    prefix moves.
     """
 
     # Snapshot state (repro.checkpoint.state); the memory manager is a
@@ -103,27 +110,33 @@ class Workload:
         "_growth_carry", "_pending_spike_pages", "started",
         "_initial_pages",
     )
-    __transient__ = ("_plan", "_plan_for", "_plan_dt")
+    __transient__ = ("_plan", "_plan_for", "_plan_key", "_table",
+                     "_table_for")
     mm: MemoryManager
     profile: AppProfile
     _rng: np.random.Generator
     _pages: np.ndarray
     _intervals: np.ndarray
 
-    # Touch-selection plan, a pure function of ``_intervals`` and so
-    # never snapshotted: the pages' touch probabilities at ``_plan_dt``
-    # for a small population, their cumulative re-access rates
-    # (``_plan_dt`` None; dt enters at sampling) for a large one. Valid
-    # while the interval array object and the key are unchanged. Paths
-    # that replace ``_intervals`` (start, restart, resize) are caught by
-    # the identity check; growth extends a rate table in place of a
-    # rebuild, bit for bit the same; in-place mutation
-    # (shift_workingset) invalidates explicitly. The empty plan is a
-    # class default, so a workload restored from a snapshot (built
-    # without __init__) rebuilds it on its first tick.
+    # Touch-selection plan, a pure function of ``_intervals`` and the
+    # population's length and ``_initial_pages``, so never snapshotted:
+    # ``_table`` is the alias table over the prefix, ``_plan`` the touch
+    # probabilities at ``dt`` of the pages past it, keyed by ``(prefix,
+    # dt)``. Each is valid while ``_intervals`` is the array it was built
+    # for. Paths that replace ``_intervals`` (start, restart, a release
+    # from mid-population) are caught by the identity check; appending
+    # pages or dropping tail pages leaves the prefix's intervals as they
+    # were, so those paths carry the table over (``_keep_table``) and it
+    # is rebuilt only when the prefix length moves; in-place mutation
+    # (shift_workingset) invalidates explicitly. The empty plans are
+    # class defaults, so a workload restored from a snapshot (built
+    # without __init__) rebuilds them on its first tick.
     _plan = np.empty(0)
     _plan_for: object = None
-    _plan_dt: Optional[float] = -1.0
+    _plan_key: object = None
+    _table: Tuple[np.ndarray, np.ndarray, float] = (
+        np.empty(0), np.empty(0, dtype=np.int64), 0.0)
+    _table_for: object = None
 
     def __init__(
         self,
@@ -259,12 +272,16 @@ class Workload:
         old = self._intervals
         self._pages = np.concatenate([self._pages, new_pages])
         self._intervals = np.concatenate([old, new_intervals])
-        if self._plan_for is old and self._plan_dt is None:
-            self._plan = np.concatenate([
-                self._plan, cumulative_rates(new_intervals, self._plan[-1]),
-            ])
-            self._plan_for = self._intervals
+        self._keep_table(old)
         return len(new_pages)
+
+    def _keep_table(self, old: np.ndarray) -> None:
+        """Carry the alias table over from ``old`` to ``_intervals``,
+        which must agree with it on every page both hold (pages were
+        appended or dropped from the end). The prefix check in
+        :meth:`_select_touches` rebuilds the table if its length moved."""
+        if self._table_for is old:
+            self._table_for = self._intervals
 
     def request_spike(self, grow_frac: float) -> int:
         """Queue a sudden footprint spike (``grow_frac`` of the current
@@ -301,18 +318,35 @@ class Workload:
             never_share=self.profile.cold_never_share,
         )
         self._intervals[chosen] = fresh
-        self._plan_for = None  # in-place heat change: drop the plan
+        # In-place heat change: drop both plans.
+        self._plan_for = self._table_for = None
         return n
 
-    def _touch_plan(self, dt: Optional[float]) -> np.ndarray:
-        """The cached plan for key ``dt`` (None: the rate table)."""
-        if self._plan_for is not self._intervals or self._plan_dt != dt:
-            self._plan = (
-                cumulative_rates(self._intervals) if dt is None
-                else touch_probability(self._intervals, dt)
-            )
+    def _prefix_pages(self) -> int:
+        """How many leading pages the alias table covers: 0 below
+        :data:`_SUPERPOSE_MIN_PAGES`, else the larger of the initial
+        population and the largest multiple of the crossover that fits.
+        A function of snapshot state only, so a restored workload covers
+        the same prefix as the one that was saved."""
+        n = len(self._intervals)
+        if n < _SUPERPOSE_MIN_PAGES:
+            return 0
+        aligned = n - n % _SUPERPOSE_MIN_PAGES
+        return min(n, max(aligned, self._initial_pages or 0))
+
+    def _alias_plan(self, m: int) -> Tuple[np.ndarray, np.ndarray, float]:
+        """The cached alias table over the first ``m`` pages."""
+        if self._table_for is not self._intervals or len(self._table[0]) != m:
+            self._table = alias_table(self._intervals[:m])
+            self._table_for = self._intervals
+        return self._table
+
+    def _touch_plan(self, m: int, dt: float) -> np.ndarray:
+        """The cached touch probabilities at ``dt`` of pages ``m`` on."""
+        if self._plan_for is not self._intervals or self._plan_key != (m, dt):
+            self._plan = touch_probability(self._intervals[m:], dt)
             self._plan_for = self._intervals
-            self._plan_dt = dt
+            self._plan_key = (m, dt)
         return self._plan
 
     def _select_touches(self, dt: float) -> np.ndarray:
@@ -320,30 +354,36 @@ class Workload:
 
         Separated from execution so traces can be recorded and replayed
         (see :mod:`repro.workloads.trace`). The indices are distinct, as
-        :meth:`MemoryManager.touch_batch` requires, and shuffled: one
-        draw per page below :data:`_SUPERPOSE_MIN_PAGES`, the distinct
-        pages hit by the superposed process's events above it.
+        :meth:`MemoryManager.touch_batch` requires, and shuffled: the
+        distinct pages of the prefix hit by the superposed process's
+        events, then one draw per page past the prefix (the whole
+        population below :data:`_SUPERPOSE_MIN_PAGES`).
         """
         rng = self._rng
-        if len(self._pages) < _SUPERPOSE_MIN_PAGES:
-            mask = rng.random(len(self._pages)) < self._touch_plan(dt)
-            touched = np.nonzero(mask)[0]
-        else:
-            cum = self._touch_plan(None)
-            total = cum[-1]
-            events = rng.random(rng.poisson(dt * total))
-            events.sort()
-            events *= total
-            touched = cum.searchsorted(events, side="right")
-            if len(touched) and touched[-1] == len(cum):
-                # An event rounded up onto the axis' end: it belongs to
-                # the last page with a nonzero rate.
-                touched[touched == len(cum)] = cum.searchsorted(total)
-            if len(touched) > 1:  # sorted, so repeats are adjacent
+        n = len(self._pages)
+        m = self._prefix_pages()
+        if m:
+            prob, alias, total = self._alias_plan(m)
+            # u * m < m for every u < 1 (the product rounds down for m
+            # not a power of two and is exact for one), so ``cell`` is a
+            # valid index; the fraction left is the coin.
+            spot = rng.random(rng.poisson(dt * total))
+            spot *= m
+            cell = spot.astype(np.intp)
+            spot -= cell
+            touched = np.where(spot < prob[cell], cell, alias[cell])
+            if len(touched) > 1:
+                touched.sort()  # repeats become adjacent
                 first = np.empty(len(touched), dtype=bool)
                 first[0] = True
                 np.not_equal(touched[1:], touched[:-1], out=first[1:])
                 touched = touched[first]
+            if m < n:
+                tail = np.nonzero(rng.random(n - m) < self._touch_plan(m, dt))[0]
+                touched = np.concatenate([touched, tail + m])
+        else:
+            mask = rng.random(n) < self._touch_plan(0, dt)
+            touched = np.nonzero(mask)[0]
         rng.shuffle(touched)
         return touched
 

@@ -101,13 +101,24 @@ class DiurnalWorkload(Workload):
             )
         elif target < have:
             # Release the newest swing pages, last in the population
-            # first.
-            doomed = np.isin(self._pages, self._swing_pages[target:])
-            for pid in self._pages[doomed][::-1].tolist():
+            # first. They are the population's tail unless pages were
+            # appended after them (a spike); then they are found by id.
+            released = self._swing_pages[target:]
+            keep = len(self._pages) - len(released)
+            old = self._intervals
+            if np.array_equal(self._pages[keep:], released):
+                doomed = self._pages[keep:]
+                self._pages = self._pages[:keep]
+                self._intervals = old[:keep]
+                self._keep_table(old)
+            else:
+                mask = np.isin(self._pages, released)
+                doomed = self._pages[mask]
+                self._pages = self._pages[~mask]
+                self._intervals = old[~mask]
+            for pid in doomed[::-1].tolist():
                 self.mm.release_page(pid)
             self._swing_pages = self._swing_pages[:target]
-            self._pages = self._pages[~doomed]
-            self._intervals = self._intervals[~doomed]
 
     def restart(self, now: float) -> None:
         """Restart from the base population; the swing pool starts

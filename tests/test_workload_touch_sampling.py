@@ -8,8 +8,11 @@ touched in a tick independently, with probability
 above the crossover with synthetic intervals for thousands of ticks and
 check the selection against that model: per-page counts, per-tick totals
 (mean and variance), distinct indices, never-touched pages, the shuffled
-order and a varying ``dt``. The last test checks that a host whose
-workloads are above the crossover is still crash-equivalent.
+order and a varying ``dt``. Then they check the alias table the events
+are placed with (each page's implied share of the events, degenerate
+rates), when it is kept and when rebuilt, the diurnal release paths,
+and that a host whose workloads are above the crossover is still
+crash-equivalent.
 """
 
 import numpy as np
@@ -19,14 +22,18 @@ from repro.checkpoint.snapshot import dump_envelope, parse_document
 from repro.core.senpai import Senpai, SenpaiConfig
 from repro.sim.host import Host
 from repro.sim.metrics import metrics_digest
+import warnings
+
+from repro.workloads import diurnal
 from repro.workloads.access import (
     _NEVER,
     HeatBands,
-    cumulative_rates,
+    alias_table,
+    assign_reaccess_intervals,
     touch_probability,
 )
 from repro.workloads.apps import APP_CATALOG, AppProfile
-from repro.workloads.base import _SUPERPOSE_MIN_PAGES, Workload
+from repro.workloads.base import _SUPERPOSE_MIN_PAGES, TickResult, Workload
 from repro.workloads.diurnal import DiurnalWorkload
 from repro.workloads.web import WebWorkload
 
@@ -110,10 +117,10 @@ def test_never_pages_are_never_touched(steady):
     never = w._intervals >= _NEVER
     assert never[0] and never.sum() == N_PAGES // len(INTERVAL_CLASSES)
     assert counts[never].sum() == 0
-    # Exactly zero rate: a never page owns an empty slice of the rate
-    # axis, even as the first page, where 1/_NEVER would not round away.
-    plan = w._touch_plan(None)
-    assert (np.diff(plan, prepend=0.0)[never] == 0.0).all()
+    # Exactly zero rate: no event can land on a never page, even as the
+    # first page, where 1/_NEVER would not round away.
+    prob, alias, _ = w._alias_plan(N_PAGES)
+    assert (implied_cells(prob, alias)[never] == 0.0).all()
 
 
 def test_per_tick_totals_have_the_model_mean_and_variance(steady):
@@ -161,25 +168,162 @@ def test_varying_dt_keeps_the_per_tick_marginals():
     assert z.var(ddof=1) == pytest.approx(1.0, rel=0.15)
 
 
-def test_rate_table_is_reused_across_dt_and_extended_on_growth():
+def implied_cells(prob, alias) -> np.ndarray:
+    """Each page's share of an alias table's events, in cells (the
+    table's ``n`` cells hold one each)."""
+    return prob + np.bincount(alias, weights=1.0 - prob, minlength=len(prob))
+
+
+def assert_table_is(table, intervals) -> None:
+    """``table`` is bit for bit the alias table built over ``intervals``."""
+    for got, want in zip(table, alias_table(intervals)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [4096, 31_129, 130_000])
+@pytest.mark.parametrize("app", ["Feed", "Web", "Cache B"])
+def test_alias_table_gives_each_page_its_rate_share(app, n):
+    profile = APP_CATALOG[app]
+    intervals = assign_reaccess_intervals(
+        n, profile.bands, np.random.default_rng(n),
+        never_share=profile.cold_never_share,
+    )
+    prob, alias, total = alias_table(intervals)
+    never = intervals >= _NEVER
+    rates = np.where(never, 0.0, 1.0 / intervals)
+    assert total == rates.sum()
+    assert ((prob >= 0.0) & (prob <= 1.0)).all()
+    cells = implied_cells(prob, alias)
+    # Shares relative to a total of 1.
+    assert np.abs(cells / n - rates / total).max() <= 1e-12
+    # A never page: no mass of its own and no cell aliased to it.
+    assert never.any()
+    assert (prob[never] == 0.0).all() and (cells[never] == 0.0).all()
+    assert not np.isin(alias[prob < 1.0], np.flatnonzero(never)).any()
+
+
+@pytest.mark.parametrize("intervals", [
+    np.full(5000, 30.0),                       # all equal
+    np.r_[10.0, np.full(4999, _NEVER)],        # a single nonzero rate
+    np.r_[np.full(7, 3.0), np.full(3, _NEVER)],  # masses 10/7 and 0
+    np.r_[np.full(4097, 1.0), np.full(3, 7.0)],  # cells left over
+], ids=["equal", "single", "never-remainder", "leftover"])
+def test_alias_table_builds_on_degenerate_rates(intervals):
+    prob, alias, total = alias_table(intervals)
+    n = len(intervals)
+    rates = np.where(intervals >= _NEVER, 0.0, 1.0 / intervals)
+    cells = implied_cells(prob, alias)
+    assert np.abs(cells / n - rates / total).max() <= 1e-12
+    assert (cells[rates == 0.0] == 0.0).all()
+
+
+def test_all_never_population_draws_no_events():
+    prob, alias, total = alias_table(np.full(10, _NEVER))
+    assert total == 0.0 and len(prob) == len(alias) == 10
+    w = synthetic_workload(seed=11)
+    w._intervals = np.full(N_PAGES, _NEVER)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for dt in (0.5, 1.0, 30.0):
+            assert len(w._select_touches(dt)) == 0
+    assert w._table[2] == 0.0
+
+
+def test_alias_table_is_reused_across_dt_and_kept_until_the_prefix_moves():
     w = synthetic_workload(seed=7)
-    plan = w._touch_plan(None)
     w._select_touches(0.7)
+    table = w._table
     w._select_touches(1.9)
-    assert w._plan is plan  # dt enters at sampling, not in the table
+    assert w._table is table  # dt enters at sampling, not in the table
+    # 300 pages past the initial 6,000: the prefix stays, the new pages
+    # are the per-page tail.
     w.request_spike(0.05)
     w.tick(1.0, 1.0)
-    assert len(w._intervals) > N_PAGES
-    assert w._plan_for is w._intervals  # extended, not dropped
-    assert np.array_equal(w._plan, cumulative_rates(w._intervals))
+    assert len(w._intervals) == N_PAGES + 300
+    assert w._prefix_pages() == N_PAGES
+    assert w._table_for is w._intervals  # carried over, not dropped
+    w._select_touches(1.0)
+    assert w._table is table
+    # Past 8,192 pages the prefix moves to that multiple: one rebuild.
+    w.request_spike(0.35)
+    w.tick(2.0, 1.0)
+    assert w._prefix_pages() == 2 * _SUPERPOSE_MIN_PAGES
+    w._select_touches(1.0)
+    assert w._table is not table
+    assert_table_is(w._table, w._intervals[:2 * _SUPERPOSE_MIN_PAGES])
 
 
-def test_shift_workingset_rebuilds_the_rate_table():
+def test_shift_workingset_rebuilds_the_alias_table():
     w = synthetic_workload(seed=9)
     w._select_touches(1.0)
     w.shift_workingset(0.5, now=1.0)
     w._select_touches(1.0)
-    assert np.array_equal(w._plan, cumulative_rates(w._intervals))
+    assert_table_is(w._table, w._intervals)
+
+
+def diurnal_feed(seed: int = 21) -> DiurnalWorkload:
+    """A diurnal Feed above the crossover, its swing pool grown past
+    the initial population."""
+    mm = make_mm(ram_mb=8192, page_kb=1024)
+    mm.create_cgroup("feed", compressibility=3.0)
+    w = DiurnalWorkload(mm, APP_CATALOG["Feed"], "feed", seed=seed,
+                        period_s=200.0, footprint_swing=0.5)
+    w.start(0.0, size_scale=0.12)
+    w._current_intensity = 1.0
+    assert w._initial_pages >= _SUPERPOSE_MIN_PAGES
+    w._breathe(50.0, TickResult(name="feed"))  # the peak: all swing
+    assert len(w._swing_pages) > 0
+    return w
+
+
+def workload_state(w: DiurnalWorkload) -> tuple:
+    """The workload's population and its memory manager's page table."""
+    return (w._pages, w._intervals, w._swing_pages,
+            np.array(w.mm.table.__snapshot__(), dtype=object))
+
+
+class _NoTail:
+    """numpy, except that no release looks like the population's tail."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def array_equal(a, b) -> bool:
+        return False
+
+
+def test_diurnal_tail_release_matches_the_isin_release(monkeypatch):
+    tail, by_id = diurnal_feed(), diurnal_feed()
+    tail._select_touches(1.0)
+    by_id._select_touches(1.0)
+    table, grown = tail._table, len(tail._swing_pages)
+    tail._breathe(120.0, TickResult(name="feed"))  # toward the trough
+    monkeypatch.setattr(diurnal, "np", _NoTail())
+    by_id._breathe(120.0, TickResult(name="feed"))
+    monkeypatch.undo()
+    assert 0 < len(tail._swing_pages) < grown
+    for a, b in zip(workload_state(tail), workload_state(by_id)):
+        assert np.array_equal(a, b)
+    assert tail._table_for is tail._intervals and tail._table is table
+    for dt in (1.0, 0.8):
+        assert np.array_equal(tail._select_touches(dt),
+                              by_id._select_touches(dt))
+
+
+def test_diurnal_release_after_a_spike_keeps_the_spike():
+    w = diurnal_feed()
+    w.request_spike(0.02)
+    w.tick(60.0, 1.0)  # the spike lands after the swing pool
+    spike = w._pages[-int(w._initial_pages * 0.02):]
+    before = dict(zip(w._pages.tolist(), w._intervals.tolist()))
+    grown = len(w._swing_pages)
+    w._breathe(120.0, TickResult(name="feed"))
+    released = set(before) - set(w._pages.tolist())
+    assert len(released) == grown - len(w._swing_pages) > 0
+    assert released.isdisjoint(w._swing_pages.tolist())
+    assert np.array_equal(w._pages[-len(spike):], spike)
+    assert w._intervals.tolist() == [before[p] for p in w._pages.tolist()]
 
 
 def large_host(seed: int = 13) -> Host:
