@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test chaos fleet-chaos fleetd-chaos fleetd-smoke crash-equivalence bench bench-pytest bench-tables examples docs lint all
+.PHONY: install test chaos fleet-chaos fleetd-chaos fleetd-smoke bench bench-pytest bench-tables examples docs lint all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -9,12 +9,15 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# The CI seed sweep: deterministic host fault storms under full
+# The CI seed sweeps: deterministic host fault storms under full
 # invariant checking, each judged on determinism, query-neutrality and
 # crash-equivalence (docs/RESILIENCE.md, "Chaos"). Seeds mirror
-# tests/test_faults_chaos.py::CI_SEEDS.
+# tests/test_faults_chaos.py::CI_SEEDS. The second sweep runs Senpai
+# supervised under controller crash/hang faults, so the kill and
+# restore land while controllers die.
 chaos:
 	TMO_CHECK_INVARIANTS=1 $(PYTHON) -m repro chaos --seeds 1 2 3 4 5 --out chaos-host-verdict.json
+	TMO_CHECK_INVARIANTS=1 $(PYTHON) -m repro chaos --seeds 1 2 3 --duration 600 --controller-faults 2 --out chaos-host-supervised-verdict.json
 
 # Fleet-scale storms: parallel rollouts under seed-derived worker
 # crash/hang/slowdown faults; the recovered fleet's merged digest must
@@ -37,13 +40,6 @@ fleetd-chaos:
 # envelopes (fleetd-rollout-*.json) behind; CI uploads them.
 fleetd-smoke:
 	$(PYTHON) examples/fleetd_smoke.py
-
-# The supervised host storm: checkpoint -> kill -> restore -> continue
-# must be digest-identical to never having crashed (docs/RESILIENCE.md,
-# "Chaos"). The seed sweep fans out over worker processes; every
-# contract must hold there too.
-crash-equivalence:
-	TMO_CHECK_INVARIANTS=1 $(PYTHON) -m repro crash-equivalence --seeds 1 2 3 --workers 3
 
 # ruff and mypy run only when installed (they are optional, see
 # [project.optional-dependencies].lint); repro.lint always runs and

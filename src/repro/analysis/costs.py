@@ -71,51 +71,6 @@ def compressed_memory_cost_pct(
     raise KeyError(f"no cost data for generation {generation}")
 
 
-def fleet_cost_reduction_pct(
-    memory_savings_frac: float,
-    generation: int = 6,
-    backend: str = "zswap",
-    compression_ratio: float = DEFAULT_COMPRESSION_RATIO,
-) -> float:
-    """Net infrastructure-cost reduction from TMO-style savings.
-
-    Ties Section 4.1's savings to Figure 1's cost model: saving a
-    fraction of DRAM removes that share of the memory cost line, but
-    the displaced capacity must live somewhere — a compressed pool
-    (DRAM at ``1/ratio`` density) or iso-capacity SSD.
-
-    Args:
-        memory_savings_frac: share of server DRAM freed (e.g. 0.25 for
-            the paper's fleet-wide 20-32% band midpoint).
-        generation: hardware generation for the cost shares.
-        backend: ``"zswap"`` or ``"ssd"`` — where the offloaded bytes go.
-        compression_ratio: pool density for the zswap case.
-
-    Returns:
-        Percentage points of total infrastructure cost removed.
-    """
-    if not 0.0 <= memory_savings_frac <= 1.0:
-        raise ValueError(
-            f"savings fraction must be in [0,1], got {memory_savings_frac}"
-        )
-    if backend not in ("zswap", "ssd"):
-        raise ValueError(f"backend must be 'zswap' or 'ssd', not {backend!r}")
-    row = next(
-        (r for r in COST_TRENDS if r.generation == generation), None
-    )
-    if row is None:
-        raise KeyError(f"no cost data for generation {generation}")
-    dram_saved_pct = row.memory_pct * memory_savings_frac
-    if backend == "zswap":
-        replacement_pct = (
-            row.compressed_memory_pct(compression_ratio)
-            * memory_savings_frac
-        )
-    else:
-        replacement_pct = row.ssd_iso_capacity_pct * memory_savings_frac
-    return dram_saved_pct - replacement_pct
-
-
 def cost_table(ratio: float = DEFAULT_COMPRESSION_RATIO):
     """Figure 1 as rows of ``(gen, memory, compressed, ssd_iso)`` percents."""
     return [

@@ -40,13 +40,6 @@ class ProvisioningEstimate:
     peak_bytes: int
     samples: int
 
-    @property
-    def overprovision_frac(self) -> float:
-        """Share of the peak footprint the workload never needed."""
-        if self.peak_bytes == 0:
-            return 0.0
-        return 1.0 - self.required_bytes / self.peak_bytes
-
 
 class WorkingSetProfiler:
     """Accumulates footprint/pressure samples for one container."""

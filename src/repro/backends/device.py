@@ -167,59 +167,3 @@ class QueuedDevice:
             self._rng.lognormal(mean=0.0, sigma=self.spec.latency_sigma)
         )
         return sample_us * self.faults.latency_multiplier * 1e-6
-
-    def expected_latency(self, kind: IoKind, percentile: float = 50.0) -> float:
-        """Analytic latency at ``percentile`` under current utilisation (s)."""
-        from math import exp
-
-        inflation = 1.0 / (1.0 - self.utilization)
-        median_us = (
-            self._base_latency_us(kind)
-            * inflation
-            * self.faults.latency_multiplier
-        )
-        # Lognormal quantile: median * exp(sigma * z_q).
-        z = _norm_ppf(percentile / 100.0)
-        return median_us * exp(self.spec.latency_sigma * z) * 1e-6
-
-
-def _norm_ppf(p: float) -> float:
-    """Inverse standard-normal CDF (Acklam's rational approximation).
-
-    Avoids a scipy dependency in the core library; accurate to ~1e-9,
-    far beyond what the latency model needs.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"percentile fraction must be in (0, 1), got {p}")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02,
-         -2.759285104469687e+02, 1.383577518672690e+02,
-         -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02,
-         -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e+00, -2.549732539343734e+00,
-         4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = (-2.0 * _ln(p)) ** 0.5
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-                + c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p > p_high:
-        q = (-2.0 * _ln(1.0 - p)) ** 0.5
-        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-                  + c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q
-                             + 1))
-    q = p - 0.5
-    r = q * q
-    return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
-             + a[5]) * q /
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1))
-
-
-def _ln(x: float) -> float:
-    from math import log
-
-    return log(x)

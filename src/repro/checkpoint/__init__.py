@@ -8,9 +8,9 @@ RNG streams, workloads, controllers, metric series — serializes to a
 single versioned, digest-protected JSON document, and restores to a
 host that continues *bit-identically*: running to ``t1``, snapshotting,
 killing the process, restoring and running to ``t2`` produces the same
-metric-series digest as running straight to ``t2``. The chaos
-harness's crash-equivalence mode (``python -m repro crash-equivalence``)
-asserts exactly that.
+metric-series digest as running straight to ``t2``. Every host chaos
+storm (``python -m repro chaos``) asserts exactly that, through
+:func:`save_snapshot` / :func:`load_snapshot`.
 
 What is saved is what each class declares (:mod:`repro.checkpoint.
 state`); the payload is the host's config plus the walker's encoding

@@ -16,7 +16,10 @@ Commands:
   control plane's guarded rollouts under ``--fleetd``. Every storm is
   judged on determinism, query-neutrality and crash-equivalence plus
   its topology's graceful-degradation checks, and the verdicts are
-  written as one versioned JSON envelope.
+  written as one versioned JSON envelope. ``--controller-faults N``
+  runs the host's Senpai under its Supervisor, so the kill and
+  restore land while controllers crash and hang. A storm flag the
+  chosen topology does not read is refused (exit 2).
 * ``fleet`` — a fleet rollout through the resilience runtime, with
   loud partial-result warnings, per-failure repro hints, and
   ``--max-attempts`` / ``--deadline-min-s`` /
@@ -27,10 +30,6 @@ Commands:
   auto-rollback, the fleet kill switch, and the read-only query
   surface (``metrics`` — host/region/fleet rollup envelopes, ``top``
   — hosts ranked by a signal), over a Unix socket.
-* ``crash-equivalence`` — the supervised host storm through the same
-  driver: checkpoint → kill → restore → continue must match the
-  uninterrupted run digest-for-digest (``--workers`` farms a seed
-  sweep over processes).
 
 The benchmark is ``perfbench/`` with its CI gate
 ``benchmarks/perfbench_pairs.py --check`` (see docs/PERFORMANCE.md).
@@ -228,11 +227,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _run_chaos_verb(label, topology, configs, out=None, workers=1) -> int:
+def _run_chaos_verb(label, topology, configs, out) -> int:
     """Run one storm per config through the one chaos driver; print
-    each verdict, write the envelope to ``out`` if given."""
+    each verdict and write the envelope to ``out``."""
     import dataclasses
-    import functools
 
     from repro.faults.chaos import (
         chaos_verdict_document,
@@ -241,26 +239,15 @@ def _run_chaos_verb(label, topology, configs, out=None, workers=1) -> int:
         write_chaos_verdicts,
     )
 
-    run = functools.partial(run_storm, topology)
-    if workers > 1 and len(configs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(configs))
-        ) as pool:
-            verdicts = list(pool.map(run, configs))
-    else:
-        verdicts = [run(config) for config in configs]
+    verdicts = [run_storm(topology, config) for config in configs]
     for verdict in verdicts:
         print(format_verdict(verdict, label))
-    if out:
-        provenance = dataclasses.asdict(configs[0])
-        del provenance["seed"]  # per-verdict, not shared provenance
-        write_chaos_verdicts(
-            chaos_verdict_document(topology.mode, provenance, verdicts),
-            out,
-        )
-        print(f"verdicts written to {out}")
+    provenance = dataclasses.asdict(configs[0])
+    del provenance["seed"]  # per-verdict, not shared provenance
+    write_chaos_verdicts(
+        chaos_verdict_document(topology.mode, provenance, verdicts), out
+    )
+    print(f"verdicts written to {out}")
     failures = sum(1 for verdict in verdicts if not verdict.passed)
     if failures:
         print(f"{failures}/{len(verdicts)} {label} runs FAILED",
@@ -270,21 +257,14 @@ def _run_chaos_verb(label, topology, configs, out=None, workers=1) -> int:
     return 0
 
 
-def _cmd_crash_equivalence(args) -> int:
-    from repro.faults.chaos import HOST_TOPOLOGY, ChaosConfig
-
-    configs = [
-        ChaosConfig(
-            seed=seed,
-            duration_s=args.duration,
-            supervised=True,
-            controller_faults=args.controller_faults,
-        )
-        for seed in (args.seeds if args.seeds else [args.seed])
-    ]
-    return _run_chaos_verb(
-        "crash-equivalence", HOST_TOPOLOGY, configs, workers=args.workers
-    )
+#: The storm flags each chaos topology reads (argparse dests, named as
+#: the config fields they set). A flag the chosen topology does not
+#: read is refused, not dropped.
+_CHAOS_FLAGS = {
+    "host": ("ram_gb", "ncpu", "extra_events", "controller_faults"),
+    "fleet": ("workers", "worker_faults"),
+    "fleetd": ("controller_faults", "worker_faults"),
+}
 
 
 def _cmd_chaos(args) -> int:
@@ -299,35 +279,38 @@ def _cmd_chaos(args) -> int:
         print("--fleet and --fleetd are mutually exclusive",
               file=sys.stderr)
         return 2
-    seeds = args.seeds if args.seeds else [args.seed]
-    # Each topology's config carries its own default duration.
-    knobs = {} if args.duration is None else {"duration_s": args.duration}
-    if args.fleet:
-        label, topology = "fleet-chaos", FLEET_TOPOLOGY
-        configs = [
-            FleetChaosConfig(seed=seed, workers=args.workers,
-                             worker_faults=args.worker_faults, **knobs)
-            for seed in seeds
-        ]
-    elif args.fleetd:
+    if args.fleetd:
         from repro.fleetd.chaos import FLEETD_TOPOLOGY, FleetdChaosConfig
 
-        label, topology = "fleetd-chaos", FLEETD_TOPOLOGY
-        configs = [
-            FleetdChaosConfig(seed=seed,
-                              controller_faults=args.controller_faults,
-                              worker_faults=args.worker_faults, **knobs)
-            for seed in seeds
-        ]
+        topology, config_type = FLEETD_TOPOLOGY, FleetdChaosConfig
+    elif args.fleet:
+        topology, config_type = FLEET_TOPOLOGY, FleetChaosConfig
     else:
-        label, topology = "chaos", HOST_TOPOLOGY
-        configs = [
-            ChaosConfig(seed=seed, ram_gb=args.ram_gb, ncpu=args.ncpu,
-                        extra_events=args.extra_events, **knobs)
-            for seed in seeds
-        ]
+        topology, config_type = HOST_TOPOLOGY, ChaosConfig
+    reads = _CHAOS_FLAGS[topology.mode]
+    refused = [
+        "--" + dest.replace("_", "-")
+        for dest in dict.fromkeys(sum(_CHAOS_FLAGS.values(), ()))
+        if dest not in reads and getattr(args, dest) is not None
+    ]
+    if refused:
+        print(f"{', '.join(refused)}: not read by a {topology.mode} storm",
+              file=sys.stderr)
+        return 2
+    # A flag left unset keeps its config's own default.
+    knobs = {
+        dest: getattr(args, dest) for dest in reads
+        if getattr(args, dest) is not None
+    }
+    if args.duration is not None:
+        knobs["duration_s"] = args.duration
+    configs = [
+        config_type(seed=seed, **knobs)
+        for seed in (args.seeds if args.seeds else [args.seed])
+    ]
+    label = "chaos" if topology.mode == "host" else f"{topology.mode}-chaos"
     out = args.out if args.out else f"chaos-{topology.mode}-verdict.json"
-    return _run_chaos_verb(label, topology, configs, out=out)
+    return _run_chaos_verb(label, topology, configs, out)
 
 
 def _cmd_fleet(args) -> int:
@@ -673,11 +656,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--duration", type=float, default=None,
                        help="simulated seconds per run (default 900; "
                             "240 with --fleet, 420 with --fleetd)")
-    chaos.add_argument("--ram-gb", type=float, default=1.0)
-    chaos.add_argument("--ncpu", type=int, default=8)
-    chaos.add_argument("--extra-events", type=int, default=6,
+    chaos.add_argument("--ram-gb", type=float, default=None,
+                       help="host RAM (default 1; host storm only)")
+    chaos.add_argument("--ncpu", type=int, default=None,
+                       help="host CPUs (default 8; host storm only)")
+    chaos.add_argument("--extra-events", type=int, default=None,
                        help="random fault windows beyond the guaranteed "
-                            "breaker storm")
+                            "breaker storm (default 6; host storm only)")
     chaos.add_argument("--fleet", action="store_true",
                        help="storm a parallel fleet with worker "
                             "crash/hang/slow faults and assert the "
@@ -686,14 +671,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="storm the fleetd control plane: guarded "
                             "rollouts under controller/worker faults, "
                             "kill switch, deterministic digests")
-    chaos.add_argument("--workers", type=int, default=3,
+    chaos.add_argument("--workers", type=int, default=None,
                        help="worker processes for --fleet (default 3)")
-    chaos.add_argument("--worker-faults", type=int, default=3,
+    chaos.add_argument("--worker-faults", type=int, default=None,
                        help="worker fault events per --fleet/--fleetd "
                             "storm (default 3)")
-    chaos.add_argument("--controller-faults", type=int, default=3,
-                       help="controller fault events per --fleetd "
-                            "storm (default 3)")
+    chaos.add_argument("--controller-faults", type=int, default=None,
+                       help="controller crash/hang events per storm "
+                            "(default 0 for a host, 3 with --fleetd); "
+                            "above 0 a host's Senpai runs supervised")
     chaos.add_argument("--out", default=None, metavar="PATH",
                        help="where the versioned verdict JSON is "
                             "written (default chaos-host-verdict.json, "
@@ -774,23 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     _fleetd_verb_parsers(fleetd_sub)
 
-    ce = sub.add_parser(
-        "crash-equivalence",
-        help="assert checkpoint -> kill -> restore -> continue matches "
-             "the uninterrupted run digest-for-digest",
-    )
-    ce.add_argument("--seed", type=int, default=1,
-                    help="seed for a single run (ignored with --seeds)")
-    ce.add_argument("--seeds", type=int, nargs="+", default=None,
-                    help="sweep several seeds; nonzero exit on any FAIL")
-    ce.add_argument("--duration", type=float, default=600.0,
-                    help="simulated seconds per run (default 600)")
-    ce.add_argument("--controller-faults", type=int, default=2,
-                    help="controller crash/hang events injected against "
-                         "the supervised controller")
-    ce.add_argument("--workers", type=int, default=1,
-                    help="run a --seeds sweep across this many worker "
-                         "processes (default 1: serial)")
     return parser
 
 
@@ -805,7 +774,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos": _cmd_chaos,
         "fleet": _cmd_fleet,
         "fleetd": _cmd_fleetd,
-        "crash-equivalence": _cmd_crash_equivalence,
     }
     return handlers[args.command](args)
 

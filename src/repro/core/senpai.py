@@ -42,11 +42,6 @@ class SloTier:
         """Relaxed SLO: tolerate 5x the pressure, reclaim 4x faster."""
         return cls(pressure_scale=5.0, ratio_scale=4.0)
 
-    @classmethod
-    def latency_sensitive(cls) -> "SloTier":
-        """Stringent SLO: half the pressure target, half the ratio."""
-        return cls(pressure_scale=0.5, ratio_scale=0.5)
-
 
 @dataclass(frozen=True)
 class SenpaiConfig:

@@ -20,8 +20,9 @@ reason. Verdicts are written in one versioned envelope
 (:func:`chaos_verdict_document`). The ``host`` and ``fleet``
 topologies live here; ``fleetd``'s lives in :mod:`repro.fleetd.chaos`.
 
-CLI: ``python -m repro chaos [--fleet | --fleetd]`` and
-``python -m repro crash-equivalence`` (see :mod:`repro.cli`).
+CLI: ``python -m repro chaos [--fleet | --fleetd]`` (see
+:mod:`repro.cli`); ``chaos --controller-faults N`` runs the host storm
+with its Senpai supervised.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import (
     Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from repro.analysis.workingset import WorkingSetProfiler
-from repro.checkpoint.snapshot import dump_envelope, parse_document
+from repro.checkpoint import load_snapshot, save_snapshot
 from repro.core.oomd import Oomd, OomdConfig
 from repro.core.senpai import Senpai, SenpaiConfig
 from repro.core.supervisor import Supervisor, SupervisorConfig
@@ -228,7 +231,7 @@ def _plan_digest(plan: FaultPlan) -> str:
 # topology: one chaos host
 
 
-#: Supervisor hang-kill threshold of the supervised scenario: a
+#: Supervisor hang-kill threshold of a storm with controller faults: a
 #: controller silent this long is declared hung and restarted.
 _SUPERVISED_HANG_TIMEOUT_S = 20.0
 
@@ -255,11 +258,10 @@ class ChaosConfig:
     extra_events: int = 6
     #: Floor on tail/head throughput for a graceful-degradation verdict.
     min_rps_recovery: float = 0.5
-    #: Wrap Senpai in a :class:`~repro.core.supervisor.Supervisor`, so
-    #: ``controller_crash``/``controller_hang`` faults have a seam.
-    supervised: bool = False
     #: Controller crash/hang events appended to the plan (these draws
-    #: never perturb the base schedule of a seed).
+    #: never perturb the base schedule of a seed). Above 0, Senpai runs
+    #: under a :class:`~repro.core.supervisor.Supervisor`: the seam
+    #: those faults land on.
     controller_faults: int = 0
 
 
@@ -281,8 +283,8 @@ def build_chaos_host(config: ChaosConfig) -> Tuple[Host, FaultInjector, object]:
     """Assemble the chaos host: injector first, then the controllers.
 
     Returns the host, the injector and the reclaim controller — a bare
-    :class:`Senpai`, or its :class:`Supervisor` wrapper when
-    ``config.supervised`` is set.
+    :class:`Senpai`, or its :class:`Supervisor` wrapper when the plan
+    carries controller faults.
     """
     host = Host(HostConfig(
         ram_gb=config.ram_gb,
@@ -308,7 +310,7 @@ def build_chaos_host(config: ChaosConfig) -> Tuple[Host, FaultInjector, object]:
         breaker_probe_s=30.0,
         stale_after_s=20.0,
     ))
-    if config.supervised:
+    if config.controller_faults > 0:
         senpai = host.add_controller(Supervisor(senpai, SupervisorConfig(
             hang_timeout_s=_SUPERVISED_HANG_TIMEOUT_S,
             persist_interval_s=30.0,
@@ -337,14 +339,17 @@ def _probe(host: Host) -> None:
 
 
 def _restored_host(config: ChaosConfig) -> Host:
-    """The quiet run killed at ``round(duration/2)``: only its
-    serialized text survives, re-parsed and restored, then run on."""
+    """The quiet run killed at ``round(duration/2)``: only its snapshot
+    file survives, loaded through the codec the fleet spool, ``fleetd``
+    and ``run --resume`` use, then run on."""
     checkpoint_at_s = float(round(config.duration_s / 2.0))
     victim, _, _ = build_chaos_host(config)
     victim.run(checkpoint_at_s)
-    text = dump_envelope(victim.snapshot())
-    del victim
-    restored = Host.restore(parse_document(text))
+    with tempfile.TemporaryDirectory(prefix="tmo-chaos-") as spool:
+        path = os.path.join(spool, "host.json")
+        save_snapshot(victim, path)
+        del victim
+        restored = load_snapshot(path)
     restored.run(config.duration_s - checkpoint_at_s)
     return restored
 

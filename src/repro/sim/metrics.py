@@ -96,7 +96,7 @@ class Series:
     wider block first copies the series into a block of its own, so
     series recorded apart never share a time column. The
     ``times``/``values`` properties still present plain Python lists
-    for the callers (tests, CSV export) that want them.
+    for the callers (figure benchmarks, tests) that want them.
     """
 
     __slots__ = ("name", "_block", "_row", "_start")

@@ -35,8 +35,8 @@ _GB = 1 << 30
 #: 31,129; Web's 9.7 vs 9.2 at 2,000; Cache B's 12.1 vs 11.7 at 2,000
 #: and 141.6 vs 61.8 at 31,129. So every profile breaks even near 1,000
 #: to 2,000 pages now. The constant stays at 4,096 anyway: every
-#: population below it keeps its RNG stream, so the CI chaos,
-#: crash-equivalence, fleet and fleetd digests stay as they are.
+#: population below it keeps its RNG stream, so the CI host chaos
+#: (plain and supervised), fleet and fleetd digests stay as they are.
 _SUPERPOSE_MIN_PAGES = 4096
 
 

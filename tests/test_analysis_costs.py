@@ -59,43 +59,3 @@ def test_cost_table_rows():
     gen, mem, comp, ssd = rows[-1]
     assert gen == 6
     assert mem > comp > ssd
-
-
-# ----------------------------------------------------------------------
-# fleet cost reduction (ties Figure 1 to Section 4.1)
-
-from repro.analysis.costs import fleet_cost_reduction_pct
-
-
-def test_cost_reduction_zswap():
-    # 25% DRAM saved at Gen 6: 0.25*33 = 8.25 pts of memory cost,
-    # minus the pool's 0.25*11 = 2.75 pts -> 5.5 pts net.
-    net = fleet_cost_reduction_pct(0.25, generation=6, backend="zswap")
-    assert net == pytest.approx(5.5)
-
-
-def test_cost_reduction_ssd_beats_zswap():
-    # Section 2.1's argument: iso-capacity SSD is ~10x cheaper than
-    # compressed memory, so SSD offload nets more per byte saved.
-    zswap = fleet_cost_reduction_pct(0.25, backend="zswap")
-    ssd = fleet_cost_reduction_pct(0.25, backend="ssd")
-    assert ssd > zswap
-
-
-def test_cost_reduction_scales_linearly():
-    a = fleet_cost_reduction_pct(0.10, backend="ssd")
-    b = fleet_cost_reduction_pct(0.20, backend="ssd")
-    assert b == pytest.approx(2 * a)
-
-
-def test_cost_reduction_validation():
-    with pytest.raises(ValueError):
-        fleet_cost_reduction_pct(1.5)
-    with pytest.raises(ValueError):
-        fleet_cost_reduction_pct(0.2, backend="tape")
-    with pytest.raises(KeyError):
-        fleet_cost_reduction_pct(0.2, generation=9)
-
-
-def test_cost_reduction_zero_savings_zero_cost():
-    assert fleet_cost_reduction_pct(0.0) == 0.0

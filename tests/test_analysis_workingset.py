@@ -34,13 +34,6 @@ def test_required_is_min_healthy_footprint():
     assert estimate.samples == 3
 
 
-def test_overprovision_fraction():
-    profiler = WorkingSetProfiler()
-    profiler.record(0.0, 100, 0.0)
-    profiler.record(1.0, 25, 0.0)
-    assert profiler.estimate().overprovision_frac == pytest.approx(0.75)
-
-
 def test_all_unhealthy_falls_back_to_peak():
     profiler = WorkingSetProfiler(pressure_target=0.5)
     profiler.record(0.0, 100, pressure=3.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backends.base import IoKind
-from repro.backends.device import DeviceSpec, QueuedDevice, _norm_ppf
+from repro.backends.device import DeviceSpec, QueuedDevice
 
 
 def make_device(read_iops=1000.0, seed=1, sigma=0.5):
@@ -68,19 +68,3 @@ def test_rates_decay_when_idle():
     for _ in range(100):
         dev.on_tick(0.0, dt=1.0)
     assert dev.utilization < busy_util / 10
-
-
-def test_expected_latency_percentiles_ordered():
-    dev = make_device()
-    p50 = dev.expected_latency(IoKind.READ, 50.0)
-    p90 = dev.expected_latency(IoKind.READ, 90.0)
-    p99 = dev.expected_latency(IoKind.READ, 99.0)
-    assert p50 < p90 < p99
-
-
-def test_norm_ppf_sanity():
-    assert _norm_ppf(0.5) == pytest.approx(0.0, abs=1e-9)
-    assert _norm_ppf(0.975) == pytest.approx(1.959964, abs=1e-4)
-    assert _norm_ppf(0.025) == pytest.approx(-1.959964, abs=1e-4)
-    with pytest.raises(ValueError):
-        _norm_ppf(0.0)

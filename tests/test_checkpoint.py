@@ -84,7 +84,7 @@ def test_crash_equivalence_per_backend(backend):
 
 def test_crash_equivalence_under_chaos_with_supervisor():
     config = ChaosConfig(
-        seed=5, duration_s=300.0, supervised=True, controller_faults=1,
+        seed=5, duration_s=300.0, controller_faults=1,
     )
     control, _, _ = build_chaos_host(config)
     control.run(300.0)

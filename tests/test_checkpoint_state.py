@@ -166,7 +166,7 @@ def test_every_workload_round_trips(name):
 
 def test_chaos_host_round_trips():
     config = ChaosConfig(
-        seed=5, duration_s=300.0, supervised=True, controller_faults=1,
+        seed=5, duration_s=300.0, controller_faults=1,
     )
     host, _, _ = build_chaos_host(config)
     host.run(150.0)

@@ -148,17 +148,60 @@ def test_run_ab_unknown_app(capsys):
     assert code == 2
 
 
-def test_crash_equivalence_parallel_seed_sweep(capsys):
-    """The crash-equivalence proof must keep passing when the seed
-    sweep fans out over worker processes. The verb judges the whole
-    host verdict, so the storm runs its default 600 s: long enough for
-    the breaker to open and re-close."""
+def _host_storm_facts(tmp_path, *flags):
+    from repro.faults.chaos import load_chaos_verdicts
+
+    out_path = tmp_path / "verdict.json"
     code = main([
-        "crash-equivalence", "--seeds", "1", "2", "--workers", "2",
+        "chaos", "--seeds", "1", "--duration", "600",
+        "--out", str(out_path), *flags,
     ])
+    doc = load_chaos_verdicts(str(out_path))
+    assert "supervised" not in doc["config"]
+    return code, doc["verdicts"][0]["facts"]
+
+
+def test_chaos_controller_faults_supervise_the_host(tmp_path, capsys):
+    """``--controller-faults N`` runs the host storm with Senpai under
+    its Supervisor, so the kill and restore land while controllers
+    crash and hang; every variant's digest must still agree."""
+    code, facts = _host_storm_facts(tmp_path, "--controller-faults", "2")
     assert code == 0
-    out = capsys.readouterr().out
-    assert "all 2 crash-equivalence runs passed" in out
+    assert "all 1 chaos runs passed" in capsys.readouterr().out
+    for variant in ("queried", "rerun", "quiet", "restored"):
+        seen = facts[variant]
+        assert "supervisor_restarts" in seen
+        assert any(k.startswith("controller_") for k in seen["fault_counts"])
+    assert facts["queried"]["supervisor_crashes"] + facts["queried"][
+        "supervisor_hang_kills"] > 0
+
+
+def test_chaos_default_host_storm_is_unsupervised(tmp_path, capsys):
+    _, facts = _host_storm_facts(tmp_path)
+    for seen in facts.values():
+        assert not any(k.startswith("supervisor_") for k in seen)
+        assert not any(
+            k.startswith("controller_") for k in seen["fault_counts"]
+        )
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--worker-faults", "2"], "--worker-faults"),
+    (["--workers", "2"], "--workers"),
+    (["--fleet", "--controller-faults", "1"], "--controller-faults"),
+    (["--fleet", "--ram-gb", "2"], "--ram-gb"),
+    (["--fleetd", "--ncpu", "4"], "--ncpu"),
+    (["--fleetd", "--extra-events", "1"], "--extra-events"),
+    (["--fleetd", "--workers", "2"], "--workers"),
+])
+def test_chaos_refuses_a_flag_its_topology_does_not_read(
+    tmp_path, capsys, argv, flag
+):
+    out_path = tmp_path / "verdict.json"
+    code = main(["chaos", *argv, "--out", str(out_path)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_fleet_rollout_reports_savings(capsys):

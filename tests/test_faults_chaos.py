@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+import repro.checkpoint as checkpoint
 import repro.core.fleet as fleet_mod
 import repro.core.fleetres as fleetres
 import repro.faults.chaos as chaos
@@ -26,7 +27,6 @@ from repro.faults.chaos import (
     write_chaos_verdicts,
 )
 from repro.fleetd.chaos import FLEETD_TOPOLOGY, FleetdChaosConfig
-from repro.sim.host import Host
 from repro.sim.metrics import metrics_digest
 
 #: The seeds CI sweeps (see .github/workflows/ci.yml and the Makefile).
@@ -193,14 +193,16 @@ def test_host_query_neutrality_gate_can_fail(monkeypatch):
 
 
 def test_host_crash_equivalence_gate_can_fail(monkeypatch):
-    real = Host.restore
+    # The restored run loads its snapshot file through load_snapshot,
+    # which restores through this seam.
+    real = checkpoint.restore_host
 
     def restore_one_tick_ahead(envelope):
         host = real(envelope)
         host.step()
         return host
 
-    monkeypatch.setattr(Host, "restore", restore_one_tick_ahead)
+    monkeypatch.setattr(checkpoint, "restore_host", restore_one_tick_ahead)
     _fails_only(run_storm(HOST_TOPOLOGY, _GATE_HOST), "crash_equivalence")
 
 
