@@ -8,7 +8,7 @@ hosts, then exercises both legs of the guarded-rollout state machine
   gate and commits, and
 * a deliberately bad policy (unreachable pressure target, huge reclaim
   step) whose canary trips the gate — the engine auto-rolls the canary
-  back from its pre-apply checkpoint and nobody is quarantined, and
+  back from its pre-apply checkpoint and every controller stays up, and
 * the read-only query surface against the live daemon: ``metrics``
   (host → region → fleet rollup envelope, validated on read, NaN-free)
   and ``top`` (hosts ranked by a signal), with regions on the
@@ -148,12 +148,12 @@ def main() -> int:
         status = client.status()
         committed = status["committed_policy"]
         assert committed["kind"] == "autotune", committed
-        quarantined = [
-            h["host_id"] for h in status["hosts"] if h["quarantined"]
+        down = [
+            h["host_id"] for h in status["hosts"] if not h["alive"]
         ]
-        assert not quarantined, quarantined
+        assert not down, down
         print("fleet converged on the committed policy "
-              f"({committed['kind']}), zero hosts quarantined")
+              f"({committed['kind']}), every controller alive")
 
         client.stop()
         print("fleetd stopped cleanly")

@@ -2,7 +2,7 @@
 
 A snapshot is a canonical-JSON document in a three-field envelope::
 
-    {"schema_version": 6, "digest": "<sha256>", "payload": {...}}
+    {"schema_version": 7, "digest": "<sha256>", "payload": {...}}
 
 ``digest`` is the SHA-256 of the *canonical* payload encoding
 (``json.dumps(payload, sort_keys=True, separators=(",", ":"))``), so a
@@ -26,8 +26,7 @@ from typing import Any, Dict, Optional, Tuple
 #: Current snapshot schema version. Bump on any change to the payload
 #: layout; old versions are refused, never silently migrated (the
 #: versioning policy is documented in docs/RESILIENCE.md).
-#: v2: Supervisor payloads carry ``quarantined``/``consecutive_deaths``
-#: and an Optional ``max_restarts`` in their config.
+#: v2: Supervisor payloads carry a restart budget and its state.
 #: v3: the payload is written by the declared-state walker
 #: (:mod:`repro.checkpoint.state`) in place of the hand-written codecs:
 #: objects are positional rows, every dict is ordered pairs (so dict
@@ -47,7 +46,12 @@ from typing import Any, Dict, Optional, Tuple
 #: place of dicts keyed by ``(resource, kind)``: the per-transition
 #: accrual no longer hashes enum tuples. A v5 payload holds those
 #: dicts, which this build no longer reads.
-SCHEMA_VERSION = 6
+#: v7: Supervisor rows lose the restart budget's state (the give-up
+#: flag, manual re-admission count and death streak) and
+#: ``SupervisorConfig`` rows lose the budget itself: a supervised
+#: controller is always restarted. A v6 row has more fields than this
+#: build's Supervisor declares.
+SCHEMA_VERSION = 7
 
 #: Payload marker distinguishing host snapshots from other documents.
 PAYLOAD_KIND = "tmo-host-snapshot"

@@ -423,9 +423,6 @@ _FLEETD_SAYS = {
     "kill-switch": lambda args, killed:
         f"kill switch engaged: {killed} rollout(s) reverted/killed; "
         "fleet frozen",
-    "reset-quarantine": lambda args, reset: f"{args.host_id}: " + (
-        "controller un-quarantined and restarted" if reset
-        else "was not quarantined"),
     "run": lambda args, tick: f"advanced to tick {tick}",
     "stop": lambda args, stopping: "fleetd stopping",
 }

@@ -395,12 +395,7 @@ class Fleet:
                 if fault_plan is not None
                 else FleetResilienceConfig(checkpoint_every_s=math.inf)
             )
-        spool_root = resilience.spool_dir
-        cleanup_spool = spool_root is None
-        if spool_root is None:
-            spool_root = tempfile.mkdtemp(prefix="tmo-fleet-spool-")
-        else:
-            os.makedirs(spool_root, exist_ok=True)
+        spool_root = tempfile.mkdtemp(prefix="tmo-fleet-spool-")
         try:
             units = [
                 HostUnit(
@@ -418,7 +413,6 @@ class Fleet:
                         fault_plan.worker_events(slot)
                         if fault_plan is not None else ()
                     ),
-                    slow_stall_s=resilience.slow_stall_s,
                 )
                 for slot, (plan, index) in enumerate(tasks)
             ]
@@ -426,8 +420,7 @@ class Fleet:
                 units, workers if workers is not None else 1, resilience
             )
         finally:
-            if cleanup_spool:
-                shutil.rmtree(spool_root, ignore_errors=True)
+            shutil.rmtree(spool_root, ignore_errors=True)
 
         result = FleetResult(planned_hosts=len(tasks))
         for outcome in outcomes:

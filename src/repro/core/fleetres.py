@@ -72,6 +72,15 @@ _POLL_S = 0.02
 #: overrun (seconds).
 _TERM_GRACE_S = 1.0
 
+#: Delay before a host's first retry (seconds); doubles per further
+#: failure, capped at ``RETRY_BACKOFF_MAX_S``.
+RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_MAX_S = 1.0
+
+#: Wall-clock stall per unit severity when a ``worker_slow`` fault
+#: fires (seconds).
+SLOW_STALL_S = 1.0
+
 
 class SimulatedWorkerCrash(RuntimeError):
     """A ``worker_crash`` fault firing on the in-process (serial) path."""
@@ -94,36 +103,23 @@ class FleetResilienceConfig:
     Attributes:
         max_attempts: total tries per host (first run + retries) before
             quarantine.
-        retry_backoff_s: base delay before the first retry; doubles per
-            subsequent failure.
-        retry_backoff_max_s: cap on the backoff delay.
         deadline_min_s: floor on the per-host wall-clock budget.
         deadline_per_sim_s: wall-clock budget per simulated second; the
             deadline is ``max(deadline_min_s, duration_s * this)``.
         checkpoint_every_s: simulated-time interval between snapshot
             spools (rounded to whole ticks; at least one tick).
-        slow_stall_s: wall-clock stall per unit severity when a
-            ``worker_slow`` fault fires.
-        spool_dir: directory for per-host snapshot spools; ``None``
-            means the caller provisions a temporary directory.
     """
 
     max_attempts: int = 3
-    retry_backoff_s: float = 0.05
-    retry_backoff_max_s: float = 1.0
     deadline_min_s: float = 60.0
     deadline_per_sim_s: float = 0.5
     checkpoint_every_s: float = 60.0
-    slow_stall_s: float = 1.0
-    spool_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.retry_backoff_s < 0 or self.retry_backoff_max_s < 0:
-            raise ValueError("retry backoffs must be >= 0")
         if self.deadline_min_s <= 0 or self.deadline_per_sim_s < 0:
             raise ValueError("deadline parameters must be positive")
         if self.checkpoint_every_s <= 0:
@@ -138,14 +134,14 @@ class FleetResilienceConfig:
             self.deadline_min_s, duration_s * self.deadline_per_sim_s
         )
 
-    def backoff_s(self, failure_count: int) -> float:
-        """Delay before the retry following failure ``failure_count``."""
-        if failure_count < 1:
-            return 0.0
-        return min(
-            self.retry_backoff_max_s,
-            self.retry_backoff_s * (2.0 ** (failure_count - 1)),
-        )
+
+def _backoff_s(failure_count: int) -> float:
+    """Delay before the retry following failure ``failure_count``."""
+    if failure_count < 1:
+        return 0.0
+    return min(
+        RETRY_BACKOFF_MAX_S, RETRY_BACKOFF_S * (2.0 ** (failure_count - 1))
+    )
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,6 @@ class HostUnit:
     checkpoint_every_s: float
     faults: Tuple[FaultEvent, ...] = ()
     attempt: int = 1
-    slow_stall_s: float = 1.0
 
     @property
     def host_seed(self) -> int:
@@ -255,7 +250,7 @@ def _fire(event: FaultEvent, unit: HostUnit, in_process: bool) -> None:
         while True:  # pragma: no cover - killed externally
             time.sleep(3600.0)
     if event.kind == "worker_slow":
-        time.sleep(event.severity * unit.slow_stall_s)
+        time.sleep(event.severity * SLOW_STALL_S)
         return
     raise ValueError(f"not a worker fault kind: {event.kind!r}")
 
@@ -393,7 +388,7 @@ def _run_unit_serial(unit: HostUnit, config: FleetResilienceConfig):
             return outcome
         failures.append(outcome)
         if attempt < config.max_attempts:
-            time.sleep(config.backoff_s(len(failures)))
+            time.sleep(_backoff_s(len(failures)))
     return _quarantine(unit, failures)
 
 
@@ -439,9 +434,7 @@ def _handle_failure(
     if state.attempt >= config.max_attempts:
         return _quarantine(state.unit, state.failures)
     state.attempt += 1
-    state.ready_at = time.monotonic() + config.backoff_s(
-        len(state.failures)
-    )
+    state.ready_at = time.monotonic() + _backoff_s(len(state.failures))
     waiting.append(state)
     return None
 

@@ -23,16 +23,14 @@ production daemons run under:
   consistent pre-crash state — the vcmmd-style persist-across-restart
   pattern.
 
-* **quarantine**: with ``max_restarts`` set, a controller that keeps
-  dying without ever polling successfully again is abandoned after the
-  budget — left dead permanently rather than thrash-restarted forever
-  (the same retry-budget discipline :mod:`repro.core.fleetres` applies
-  to whole fleet hosts).
+A supervised controller is always restarted: because Senpai acts only
+through the stateless ``memory.reclaim`` file, a restart is always
+safe, and the capped backoff bounds how often a crash-looping
+controller is retried.
 
 Everything is observable through ``supervisor/*`` metrics: ``alive``
 (gauge), ``crashes``, ``hang_kills`` and ``restarts`` (cumulative
-counts recorded at each event edge), plus ``quarantined`` at the
-abandonment edge.
+counts recorded at each event edge).
 """
 
 from __future__ import annotations
@@ -55,17 +53,12 @@ class SupervisorConfig:
         restart_backoff_s: delay before the first restart attempt;
             doubles per consecutive death.
         restart_backoff_max_s: cap on the doubling backoff.
-        max_restarts: consecutive restarts allowed before the
-            controller is quarantined — left dead permanently, with
-            ``supervisor/quarantined`` recording the edge. ``None``
-            (the default) restarts forever, the historical behaviour.
     """
 
     hang_timeout_s: float = 30.0
     persist_interval_s: float = 30.0
     restart_backoff_s: float = 10.0
     restart_backoff_max_s: float = 120.0
-    max_restarts: Optional[int] = None
 
 
 @dataclass
@@ -96,9 +89,8 @@ class Supervisor:
     """Wraps a controller with crash/hang detection and restart."""
 
     __state__ = (
-        "controller", "config", "faults", "alive", "quarantined",
-        "crash_count", "hang_kill_count", "restart_count",
-        "unquarantine_count", "_consecutive_deaths", "_last_heartbeat_s",
+        "controller", "config", "faults", "alive", "crash_count",
+        "hang_kill_count", "restart_count", "_last_heartbeat_s",
         "_next_persist_s", "_restart_at_s", "_backoff_s", "_persisted",
     )
     controller: object
@@ -115,18 +107,9 @@ class Supervisor:
         self.config = config
         self.faults = ControllerFaultState()
         self.alive = True
-        #: Permanently dead: the retry budget (``config.max_restarts``)
-        #: is exhausted and the supervisor has stopped restarting.
-        self.quarantined = False
         self.crash_count = 0
         self.hang_kill_count = 0
         self.restart_count = 0
-        #: Manual un-quarantine operations (see
-        #: :meth:`reset_quarantine`).
-        self.unquarantine_count = 0
-        #: Deaths since the last successful inner poll (drives both the
-        #: backoff doubling and the quarantine decision).
-        self._consecutive_deaths = 0
         self._last_heartbeat_s: Optional[float] = None
         self._next_persist_s: Optional[float] = None
         self._restart_at_s: Optional[float] = None
@@ -145,20 +128,10 @@ class Supervisor:
 
     def _die(self, host, now: float, metric: str, count: int) -> None:
         self.alive = False
-        self._consecutive_deaths += 1
-        if (
-            self.config.max_restarts is not None
-            and self._consecutive_deaths > self.config.max_restarts
-        ):
-            # Retry budget exhausted: stop restarting for good.
-            self.quarantined = True
-            self._restart_at_s = None
-            host.metrics.record("supervisor/quarantined", now, 1.0)
-        else:
-            self._restart_at_s = now + self._backoff_s
-            self._backoff_s = min(
-                self.config.restart_backoff_max_s, self._backoff_s * 2.0
-            )
+        self._restart_at_s = now + self._backoff_s
+        self._backoff_s = min(
+            self.config.restart_backoff_max_s, self._backoff_s * 2.0
+        )
         host.metrics.record(metric, now, float(count))
 
     def _restart(self, host, now: float) -> None:
@@ -186,40 +159,14 @@ class Supervisor:
 
         The watchdog bookkeeping that belongs to the *old* instance —
         persisted state, heartbeat, backoff ladder — is reset so the
-        replacement starts clean; liveness and quarantine are left
-        untouched (swapping the policy of a quarantined host does not
-        revive it — that is :meth:`reset_quarantine`'s job).
+        replacement starts clean; liveness is left untouched (a dead
+        controller's replacement comes up at the pending restart).
         """
         self.controller = controller
         self._persisted = None
         self._next_persist_s = None
         self._last_heartbeat_s = None
         self._backoff_s = self.config.restart_backoff_s
-
-    def reset_quarantine(self, host, now: float) -> bool:
-        """Manually re-admit a quarantined controller.
-
-        The operator's repair path: quarantine means the *automatic*
-        restart budget is exhausted, not that the controller is
-        unsalvageable. Re-admission restarts it from its last persisted
-        state (the same codec round-trip an automatic restart uses),
-        resets the death streak and backoff ladder, and records the
-        ``supervisor/unquarantined`` edge. Returns False (a no-op) when
-        the controller is not quarantined.
-        """
-        if not self.quarantined:
-            return False
-        self.quarantined = False
-        self._consecutive_deaths = 0
-        self._backoff_s = self.config.restart_backoff_s
-        self._restart_at_s = None
-        self._restart(host, now)
-        self.unquarantine_count += 1
-        host.metrics.record(
-            "supervisor/unquarantined", now,
-            float(self.unquarantine_count),
-        )
-        return True
 
     # ------------------------------------------------------------------
 
@@ -258,14 +205,10 @@ class Supervisor:
             return
         self._last_heartbeat_s = now
         self._backoff_s = self.config.restart_backoff_s
-        self._consecutive_deaths = 0
         self._record(host, now)
 
     def __repr__(self) -> str:
-        if self.quarantined:
-            state = "quarantined"
-        else:
-            state = "alive" if self.alive else "dead"
+        state = "alive" if self.alive else "dead"
         return (
             f"Supervisor({type(self.controller).__name__}, {state}, "
             f"crashes={self.crash_count}, hangs={self.hang_kill_count}, "

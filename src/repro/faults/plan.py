@@ -33,6 +33,12 @@ Fault taxonomy (``kind`` values; see docs/RESILIENCE.md):
 ``worker_slow``           a fleet worker stalls for a wall-clock interval
                           scaled by ``severity`` during the window
 ========================  =====================================================
+
+``malformed_pressure`` and ``controlfs_error`` reach only the host's
+:class:`~repro.kernel.controlfs.ControlFs`, which only
+:class:`~repro.core.daemon.SenpaiDaemon` reads. No chaos topology runs
+that daemon, so in a chaos storm those events are counted in
+``faults_injected`` but change nothing the run measures.
 """
 
 from __future__ import annotations

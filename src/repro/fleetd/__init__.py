@@ -19,12 +19,12 @@ This package is that production shape for the reproduction:
   a fleet-wide kill switch;
 * :mod:`repro.fleetd.rollup` — the one window read of a host
   (:func:`~repro.fleetd.rollup.sample_host`: PSI, refaults, offload
-  sizes, OOM kills, breaker state, supervisor quarantine, reduced to
-  fixed-size mergeable summaries) and the read-only query surface
-  built on it: host → region → fleet rollups behind the
-  ``metrics``/``top`` verbs. Every read is non-registering, so
-  querying a live fleet never perturbs its digests (query-twice ==
-  query-never, asserted by ``chaos --fleetd``);
+  sizes, OOM kills, breaker state, reduced to fixed-size mergeable
+  summaries) and the read-only query surface built on it: host →
+  region → fleet rollups behind the ``metrics``/``top`` verbs. Every
+  read is non-registering, so querying a live fleet never perturbs its
+  digests (query-twice == query-never, asserted by ``chaos
+  --fleetd``);
 * :mod:`repro.fleetd.health` — the rollout health gate: a wave host's
   soak-window rollup judged against its pre-rollout baseline rollup,
   with limits anchored to Senpai's pressure target;

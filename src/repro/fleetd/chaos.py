@@ -288,10 +288,6 @@ def _run_storm(
             for entry in engine.registry.values()
         }
         outcome["recoveries"] = dict(engine.recoveries)
-        outcome["quarantined_hosts"] = sum(
-            1 for entry in engine.registry.values()
-            if entry.supervisor.quarantined
-        )
         outcome["fleet_digest"] = engine.fleet_digest()
     except Exception as exc:
         outcome["error"] = repr(exc)
@@ -339,7 +335,7 @@ def _outcome_digest(outcome: Dict[str, Any]) -> str:
 #: Outcome keys a verdict reports as facts (the digest covers them all).
 _FACT_KEYS = (
     "rollout_statuses", "final_generations", "final_policies",
-    "recoveries", "quarantined_hosts", "kill_switch_killed",
+    "recoveries", "kill_switch_killed",
     "frozen_after_kill", "post_kill_refused", "plan_digest",
 )
 

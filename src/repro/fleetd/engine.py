@@ -332,13 +332,6 @@ class FleetdEngine:
                 return result
         return None
 
-    def reset_quarantine(self, host_id: str) -> bool:
-        """Re-admit a quarantined host's controller (manual repair)."""
-        entry = self.registry.get(host_id)
-        return entry.supervisor.reset_quarantine(
-            entry.host, entry.host.clock.now
-        )
-
     # ------------------------------------------------------------------
     # the tick loop
 

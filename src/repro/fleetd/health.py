@@ -4,9 +4,9 @@ The gate's job during a guarded rollout (docs/RESILIENCE.md, "Control
 plane"): after a wave of hosts switches to the candidate policy, watch
 each wave host's streaming metrics over a soak window and compare them
 to the same host's *pre-rollout baseline*. A policy that spikes
-pressure, storms refaults, OOM-kills containers, trips the swap
-circuit breaker, or quarantines its controller fails the gate, and the
-rollout engine rolls the wave back automatically.
+pressure, storms refaults, OOM-kills containers or trips the swap
+circuit breaker fails the gate, and the rollout engine rolls the wave
+back automatically.
 
 Both windows are :class:`~repro.fleetd.rollup.HostRollup` reads
 (:func:`repro.fleetd.rollup.sample_host`) of the host's own metric
@@ -50,8 +50,8 @@ REFAULT_FLOOR = 0.5
 MAX_NEW_OOMS = 0
 
 #: (signal, mult, floor) for every ratio-judged rollup signal, in the
-#: order the gate reports them. An open swap breaker and a quarantined
-#: controller always fail the gate.
+#: order the gate reports them. An open swap breaker always fails the
+#: gate.
 _RATIO_LIMITS: Tuple[Tuple[str, float, float], ...] = (
     ("psi_mem_some", PSI_MULT, PSI_FLOOR),
     ("psi_io_some", IO_MULT, IO_FLOOR),
@@ -115,8 +115,6 @@ def evaluate_gate(
         )
     if observed.breaker_open:
         reasons.append("swap circuit breaker opened")
-    if observed.quarantined:
-        reasons.append("supervised controller quarantined")
     return GateVerdict(
         host_id=host_id,
         passed=not reasons,

@@ -4,7 +4,7 @@ Each registered host is a full simulated server (one app container plus
 the datacenter-tax sidecars: the :mod:`repro.core.fleet` host recipe)
 whose offloading controller runs under a
 :class:`~repro.core.supervisor.Supervisor` so the control plane can
-swap, restart and un-quarantine it live. The registry is pure
+swap and restart it live. The registry is pure
 bookkeeping — the :class:`~repro.fleetd.engine.FleetdEngine` owns the
 tick loop and mutates entries through it.
 
@@ -105,7 +105,6 @@ class HostEntry:
             "generation": self.generation,
             "ticks": self.host.tick_count,
             "alive": self.supervisor.alive,
-            "quarantined": self.supervisor.quarantined,
             "restarts": self.supervisor.restart_count,
             "wedged": self.wedged,
             "spool_phase": self.spool_phase,

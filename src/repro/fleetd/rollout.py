@@ -11,7 +11,7 @@ it:
 3. **soak + gate** — after ``soak_s`` of simulated time the wave's
    hosts are judged against their own pre-rollout baselines
    (:func:`repro.fleetd.health.evaluate_gate`); a host that crashed
-   out of the window, quarantined, or regressed trips the gate;
+   out of the window or regressed trips the gate;
 4. **waves** — a passing gate admits the next, larger wave; the last
    passing gate completes the rollout;
 5. **rollback** — a tripped gate (or the fleet kill switch) decodes
@@ -39,7 +39,9 @@ from repro.fleetd.rollup import HostRollup, sample_host
 #: verdict's ``baseline``/``observed`` is the host's rollup
 #: (:meth:`~repro.fleetd.rollup.HostRollup.to_json`, the ``metrics``
 #: verb's host entry) instead of v1's separate health-sample fields.
-ROLLOUT_SCHEMA_VERSION = 2
+#: v3: those rollups are rollup schema v2's, without the flag for a
+#: supervisor that gave up on its controller.
+ROLLOUT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 #: Schema version of the rollup/top JSON envelopes.
-ROLLUP_SCHEMA_VERSION = 1
+#: v2: host rollups lose the flag for a supervisor that gave up on its
+#: controller, and the region and fleet folds lose the count of such
+#: hosts: a supervised controller is always restarted.
+ROLLUP_SCHEMA_VERSION = 2
 
 #: The cgroup whose signals the rollups and the rollout gate watch (the
 #: fleet host recipe names the application container ``app``).
@@ -189,7 +192,6 @@ class HostRollup:
     signals: Dict[str, SignalSummary]
     oom_kills: int = 0
     breaker_open: bool = False
-    quarantined: bool = False
     alive: bool = True
     generation: int = 0
 
@@ -202,7 +204,6 @@ class HostRollup:
             "signals": _signals_json(self.signals),
             "oom_kills": self.oom_kills,
             "breaker_open": self.breaker_open,
-            "quarantined": self.quarantined,
             "alive": self.alive,
             "generation": self.generation,
         }
@@ -217,7 +218,6 @@ class RegionRollup:
     signals: Dict[str, SignalSummary] = field(default_factory=dict)
     oom_kills: int = 0
     breaker_open_hosts: int = 0
-    quarantined_hosts: int = 0
 
     @classmethod
     def of_host(cls, rollup: HostRollup) -> "RegionRollup":
@@ -227,7 +227,6 @@ class RegionRollup:
             signals=dict(rollup.signals),
             oom_kills=rollup.oom_kills,
             breaker_open_hosts=int(rollup.breaker_open),
-            quarantined_hosts=int(rollup.quarantined),
         )
 
     def merge(self, other: "RegionRollup") -> "RegionRollup":
@@ -244,9 +243,6 @@ class RegionRollup:
             breaker_open_hosts=(
                 self.breaker_open_hosts + other.breaker_open_hosts
             ),
-            quarantined_hosts=(
-                self.quarantined_hosts + other.quarantined_hosts
-            ),
         )
 
     def to_json(self) -> Dict[str, Any]:
@@ -256,7 +252,6 @@ class RegionRollup:
             "signals": _signals_json(self.signals),
             "oom_kills": self.oom_kills,
             "breaker_open_hosts": self.breaker_open_hosts,
-            "quarantined_hosts": self.quarantined_hosts,
         }
 
 
@@ -272,7 +267,6 @@ class FleetRollup:
     signals: Dict[str, SignalSummary] = field(default_factory=dict)
     oom_kills: int = 0
     breaker_open_hosts: int = 0
-    quarantined_hosts: int = 0
 
     def to_json(self) -> Dict[str, Any]:
         """Versioned JSON envelope (kind ``fleetd-rollup``)."""
@@ -292,7 +286,6 @@ class FleetRollup:
                 "signals": _signals_json(self.signals),
                 "oom_kills": self.oom_kills,
                 "breaker_open_hosts": self.breaker_open_hosts,
-                "quarantined_hosts": self.quarantined_hosts,
             },
         }
 
@@ -313,9 +306,7 @@ def sample_host(
     never sampling it. The app's signals and OOM flags are one block
     read (:meth:`~repro.sim.metrics.MetricsRecorder.read_block`); a
     host that has not recorded them on one time column (no tick yet)
-    reads them one series at a time. ``quarantined`` also folds in the
-    live supervisor state, so a host whose controller died before the
-    window still reads as quarantined.
+    reads them one series at a time.
     """
     metrics = entry.host.metrics
     block = metrics.read_block(_APP_READS, t0, t1)
@@ -328,9 +319,6 @@ def sample_host(
         summaries = SignalSummary.of_rows(*block)
     *signal_summaries, oom = summaries
     degraded = metrics.read_window("senpai/degraded", t0, t1)
-    quarantine_edges = metrics.read_window(
-        "supervisor/quarantined", t0, t1
-    )
     return HostRollup(
         host_id=entry.host_id,
         region=entry.region,
@@ -339,9 +327,6 @@ def sample_host(
         signals=dict(zip(ROLLUP_SIGNALS, signal_summaries)),
         oom_kills=int(oom.total),
         breaker_open=bool(len(degraded) and degraded.max() > 0.0),
-        quarantined=(
-            bool(len(quarantine_edges)) or entry.supervisor.quarantined
-        ),
         alive=entry.supervisor.alive,
         generation=entry.generation,
     )
@@ -397,9 +382,6 @@ def fleet_rollup(engine, window_s: float) -> FleetRollup:
         oom_kills=sum(r.oom_kills for r in regions.values()),
         breaker_open_hosts=sum(
             r.breaker_open_hosts for r in regions.values()
-        ),
-        quarantined_hosts=sum(
-            r.quarantined_hosts for r in regions.values()
         ),
     )
 

@@ -192,10 +192,6 @@ VERBS: Dict[str, Verb] = {verb.name: verb for verb in (
     Verb("kill-switch", "killed",
          lambda server, p: server.engine.kill_switch(),
          "revert every in-flight rollout and freeze the fleet"),
-    Verb("reset-quarantine", "reset",
-         lambda server, p: server.engine.reset_quarantine(p["host_id"]),
-         "manually un-quarantine a host's supervised controller",
-         params=(_HOST_ID,)),
     # Read-only: the rollups only touch non-registering metric reads,
     # so serving metrics or top never changes the fleet digest a
     # concurrent chaos/crash-equivalence check computes.

@@ -472,8 +472,9 @@ class MemoryManager:
 
         Returns ``(events, stall_mem_s, stall_io_s, stall_both_s,
         work_done, oom)`` with events counted in encounter order (hits
-        last) and stalls bucketed the way
-        :meth:`repro.workloads.base.Workload._accumulate` buckets them.
+        last) and each fault's stall bucketed by the pressure it
+        contributes to (the :class:`~repro.workloads.base.TickResult`
+        buckets).
         """
         table = self.table
         ids = pages[indices]

@@ -47,12 +47,6 @@ METRIC_NAMES: Dict[str, str] = {
     "supervisor/hang_kills": "cumulative watchdog kills of hung controllers",
     "supervisor/restarts": "cumulative supervised-controller restarts",
     "supervisor/alive": "whether the supervised controller is running",
-    "supervisor/quarantined":
-        "1.0 at the edge where the restart budget is exhausted and "
-        "the controller is abandoned",
-    "supervisor/unquarantined":
-        "cumulative manual un-quarantine operations, recorded at each "
-        "re-admission edge",
     "fleetd/generation":
         "policy generation the control plane applied to this host "
         "(recorded at rollout apply/rollback/recovery edges)",

@@ -71,9 +71,6 @@ class TickResult:
     def count(self, event: str) -> int:
         return self.events.get(event, 0)
 
-    def _record(self, event: str) -> None:
-        self.events[event] = self.events.get(event, 0) + 1
-
 
 class Workload:
     """Drives one application's memory accesses.
@@ -229,18 +226,6 @@ class Workload:
                 scale /= 2.0
 
     # ------------------------------------------------------------------
-
-    def _accumulate(self, result, tick: TickResult) -> None:
-        """Fold one fault result into the tick's stall buckets."""
-        tick._record(result.event)
-        if result.stall_seconds <= 0:
-            return
-        if result.memstall and result.iostall:
-            tick.stall_both_s += result.stall_seconds
-        elif result.memstall:
-            tick.stall_mem_s += result.stall_seconds
-        elif result.iostall:
-            tick.stall_io_s += result.stall_seconds
 
     def _grow(self, now: float, dt: float, tick: TickResult) -> None:
         """Steady anonymous growth, if the profile has any."""

@@ -67,7 +67,7 @@ def gate_rollup(counts=5, psi_mem_some=0.0, **fields):
     ``counts`` is the sample count of every gated signal, or a dict of
     per-signal counts; memory pressure averages ``psi_mem_some`` and
     the other signals 0.0. ``fields`` override the flag fields
-    (``oom_kills``, ``breaker_open``, ``quarantined``).
+    (``oom_kills``, ``breaker_open``).
     """
     from repro.fleetd.rollup import ROLLUP_SIGNALS, HostRollup, SignalSummary
 

@@ -225,17 +225,17 @@ def test_lockstep_series_write_one_time_column():
 
 
 #: ``save_snapshot``'s payload digest for one small fleetd host (seed 1,
-#: 300 ticks) at snapshot schema 6. A change that moves it changes the
+#: 300 ticks) at snapshot schema 7. A change that moves it changes the
 #: spool bytes, so it comes with a ``SCHEMA_VERSION`` bump and a new pin.
 PINNED_SPOOL_DIGEST = (
-    "a3e197e6d5add83aae4ca41063c3c65e03d2930728d507fa807b72668db8bcff"
+    "22da5e36649a9f27d5366db3a4e753822027f2766fad19563443a737cfcf992a"
 )
 
 
 def test_spool_bytes_are_pinned(tmp_path):
     from repro.fleetd.engine import FleetdConfig, FleetdEngine
 
-    assert SCHEMA_VERSION == 6, "new schema: take a new PINNED_SPOOL_DIGEST"
+    assert SCHEMA_VERSION == 7, "new schema: take a new PINNED_SPOOL_DIGEST"
     with FleetdEngine(FleetdConfig(
         seed=1,
         base_config=HostConfig(ram_gb=0.25, ncpu=4, page_size_bytes=1 << 20),
@@ -502,13 +502,3 @@ def test_gswap_controller_codec_round_trips():
     assert restored._next_poll == 99.0
     # Round-tripping the restored instance is byte-stable.
     assert encode_state(restored) == doc
-
-
-def test_supervisor_codec_carries_unquarantine_count():
-    from repro.core.supervisor import Supervisor, SupervisorConfig
-
-    sup = Supervisor(Senpai(SenpaiConfig()), SupervisorConfig())
-    sup.unquarantine_count = 3
-    restored = decode_state(encode_state(sup))
-    assert isinstance(restored, Supervisor)
-    assert restored.unquarantine_count == 3

@@ -387,8 +387,6 @@ def test_fleetd_cli_round_trip(tmp_path, capsys):
                      str(rollup_path), "--socket", sock]) == 0
         assert main(["fleetd", "top", "-n", "2", "--socket", sock]) == 0
         assert main(["fleetd", "ping", "--socket", sock]) == 0
-        assert main(["fleetd", "reset-quarantine", "h0",
-                     "--socket", sock]) == 0
         assert main(["fleetd", "deregister", "h2",
                      "--socket", sock]) == 0
         assert main(["fleetd", "rollback", "--socket", sock]) == 0
@@ -404,7 +402,6 @@ def test_fleetd_cli_round_trip(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "registered h0" in out
     assert "rollout 1: succeeded" in out
-    assert "was not quarantined" in out
     assert "no active rollout" in out
     assert "kill switch engaged" in out
     assert "kill switch" in err
@@ -507,10 +504,6 @@ FLEETD_SURFACE = {
     },
     "rollback": {"--socket": _SOCKET},
     "kill-switch": {"--socket": _SOCKET},
-    "reset-quarantine": {
-        "--socket": _SOCKET,
-        "host_id": ("_StoreAction", None, None, True, None, None),
-    },
     "metrics": {
         "--socket": _SOCKET,
         "--window": ("_StoreAction", "float", None, False, 60.0, None),

@@ -215,7 +215,6 @@ _FLEET_TEST_KNOBS = dict(
     duration_s=60.0,
     workers=2,
     deadline_min_s=2.0,
-    deadline_per_sim_s=0.01,
     checkpoint_every_s=20.0,
 )
 

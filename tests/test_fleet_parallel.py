@@ -28,6 +28,13 @@ PLANS = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    """Retry after 10 ms, then 20 ms, instead of 50 ms and 100 ms."""
+    monkeypatch.setattr(fleetres_mod, "RETRY_BACKOFF_S", 0.01)
+    monkeypatch.setattr(fleetres_mod, "RETRY_BACKOFF_MAX_S", 0.05)
+
+
 def tiny_fleet(seed: int) -> Fleet:
     return Fleet(
         base_config=HostConfig(
@@ -103,11 +110,9 @@ def test_worker_crash_becomes_failed_hosts(monkeypatch):
     monkeypatch.setattr(
         fleetres_mod, "run_host_attempt", _die_instead_of_running
     )
-    fast = FleetResilienceConfig(
-        retry_backoff_s=0.01, retry_backoff_max_s=0.02,
-    )
     result = tiny_fleet(7).run(
-        PLANS, duration_s=30.0, workers=2, resilience=fast,
+        PLANS, duration_s=30.0, workers=2,
+        resilience=FleetResilienceConfig(),
     )
     ntasks = sum(plan.count for plan in PLANS)
     assert result.reports == []
@@ -120,7 +125,7 @@ def test_worker_crash_becomes_failed_hosts(monkeypatch):
     ):
         assert isinstance(failed, FailedHost)
         assert (failed.app, failed.host_index) == (app, index)
-        assert failed.attempts == fast.max_attempts
+        assert failed.attempts == FleetResilienceConfig().max_attempts
         assert "died" in failed.error
 
 
@@ -134,8 +139,6 @@ RECOVERY_SEEDS = [2, 7, 9]
 
 #: Short wall-clock budgets so hang kills cost ~2 s, not minutes.
 FAST_RECOVERY = FleetResilienceConfig(
-    retry_backoff_s=0.01,
-    retry_backoff_max_s=0.05,
     deadline_min_s=2.0,
     deadline_per_sim_s=0.01,
     checkpoint_every_s=10.0,

@@ -40,9 +40,8 @@ def test_rollout_storm_degrades_gracefully(verdicts, seed):
     assert "succeeded" in facts["rollout_statuses"]
     assert "rolled_back" in facts["rollout_statuses"]
     assert "killed" in facts["rollout_statuses"]
-    # No host on a mixed policy, none stuck in quarantine.
+    # No host on a mixed policy.
     assert verdict.checks["single_policy"].passed
-    assert facts["quarantined_hosts"] == 0
     # The kill switch won and stayed won.
     assert facts["kill_switch_killed"] >= 1
     assert facts["frozen_after_kill"]

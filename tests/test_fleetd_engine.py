@@ -344,23 +344,6 @@ def test_registration_joins_at_the_committed_policy():
         assert late.spec == spec
 
 
-def test_reset_quarantine_restarts_and_records_metric():
-    with make_engine() as engine:
-        register_small_fleet(engine, 1)
-        engine.run_ticks(2)
-        entry = engine.registry.get("h0")
-        # Not quarantined: a no-op that reports False.
-        assert engine.reset_quarantine("h0") is False
-        entry.supervisor.quarantined = True
-        entry.supervisor.alive = False
-        assert engine.reset_quarantine("h0") is True
-        assert entry.supervisor.alive
-        assert not entry.supervisor.quarantined
-        edges = entry.host.metrics.series("supervisor/unquarantined")
-        assert len(edges) == 1
-        assert entry.supervisor.unquarantine_count == 1
-
-
 def test_status_document_is_json_clean():
     import json
 

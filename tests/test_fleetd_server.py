@@ -81,13 +81,6 @@ def test_register_rollout_and_kill_switch_over_the_socket(daemon):
         client.rollout({"kind": "senpai", "params": {}})
 
 
-def test_reset_quarantine_round_trip(daemon):
-    server, client = daemon
-    client.register("h0", "Feed", size_scale=0.003)
-    client.run_ticks(2)
-    assert client.reset_quarantine("h0") is False
-
-
 def test_daemon_refusals_surface_as_client_errors(daemon):
     server, client = daemon
     with pytest.raises(FleetdClientError, match="not registered"):

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+import repro.core.fleetres as fleetres
 from repro.core.fleet import FailedHost, build_fleet_host, HostPlan
 from repro.core.fleetres import (
     FleetResilienceConfig,
@@ -54,8 +55,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FleetResilienceConfig(max_attempts=0)
     with pytest.raises(ValueError):
-        FleetResilienceConfig(retry_backoff_s=-1.0)
-    with pytest.raises(ValueError):
         FleetResilienceConfig(deadline_min_s=0.0)
     with pytest.raises(ValueError):
         FleetResilienceConfig(checkpoint_every_s=0.0)
@@ -69,15 +68,14 @@ def test_deadline_scales_with_duration():
     assert config.deadline_s(1000.0) == 500.0  # per-sim budget wins
 
 
-def test_backoff_doubles_and_caps():
-    config = FleetResilienceConfig(
-        retry_backoff_s=0.1, retry_backoff_max_s=0.35
-    )
-    assert config.backoff_s(0) == 0.0
-    assert config.backoff_s(1) == pytest.approx(0.1)
-    assert config.backoff_s(2) == pytest.approx(0.2)
-    assert config.backoff_s(3) == pytest.approx(0.35)  # capped
-    assert config.backoff_s(10) == pytest.approx(0.35)
+def test_backoff_doubles_and_caps(monkeypatch):
+    monkeypatch.setattr(fleetres, "RETRY_BACKOFF_S", 0.1)
+    monkeypatch.setattr(fleetres, "RETRY_BACKOFF_MAX_S", 0.35)
+    assert fleetres._backoff_s(0) == 0.0
+    assert fleetres._backoff_s(1) == pytest.approx(0.1)
+    assert fleetres._backoff_s(2) == pytest.approx(0.2)
+    assert fleetres._backoff_s(3) == pytest.approx(0.35)  # capped
+    assert fleetres._backoff_s(10) == pytest.approx(0.35)
 
 
 def test_ticks_for_matches_host_run():
@@ -163,10 +161,11 @@ def test_fire_rejects_non_worker_kinds(tmp_path):
         _fire(restart, unit, in_process=True)
 
 
-def test_worker_slow_stalls_but_completes(tmp_path):
+def test_worker_slow_stalls_but_completes(tmp_path, monkeypatch):
+    monkeypatch.setattr(fleetres, "SLOW_STALL_S", 0.01)
     slow = FaultEvent(kind="worker_slow", target="host:0",
                       start_s=5.0, duration_s=10.0, severity=0.5)
-    unit = make_unit(tmp_path, faults=(slow,), slow_stall_s=0.01)
+    unit = make_unit(tmp_path, faults=(slow,))
     outcome = run_host_attempt(unit, in_process=True)
     assert not isinstance(outcome, WorkerFailure)
     assert outcome.attempts == 1 and outcome.recovered is False

@@ -245,74 +245,39 @@ def test_inner_poll_exception_does_not_escape():
 
 
 # ----------------------------------------------------------------------
-# quarantine: the restart budget
+# no restart budget: a supervised controller always comes back
 
 
-def test_quarantine_after_max_restarts():
-    """With ``max_restarts=2``, the third consecutive death is final:
-    no restart is ever scheduled again, and the quarantine edge is
-    recorded as a metric."""
+def test_restarts_after_every_death_with_a_capped_doubling_backoff():
+    """Every death schedules a restart; the wait doubles per
+    consecutive death up to ``restart_backoff_max_s`` and drops back
+    to ``restart_backoff_s`` after one healthy poll."""
     host = make_host()
     sup = Supervisor(failing_senpai(), SupervisorConfig(
-        restart_backoff_s=10.0, restart_backoff_max_s=40.0,
-        max_restarts=2,
-    ))
-    sup.poll(host, 0.0)  # death 1 -> restart scheduled
-    assert sup.alive is False and sup.quarantined is False
-    sup.poll(host, 10.0)  # restart 1
-    sup.controller.poll = boom
-    sup.poll(host, 11.0)  # death 2 -> restart scheduled
-    sup.poll(host, 31.0)  # restart 2 (budget now spent)
-    sup.controller.poll = boom
-    sup.poll(host, 32.0)  # death 3 -> quarantine
-    assert sup.quarantined is True
-    assert sup._restart_at_s is None
-    assert "quarantined" in repr(sup)
-    sup.poll(host, 1000.0)  # never comes back
-    assert sup.alive is False
-    assert sup.restart_count == 2
-    edges = host.metrics.series("supervisor/quarantined")
-    assert list(zip(edges.times, edges.values)) == [(32.0, 1.0)]
-
-
-def test_quarantine_budget_counts_consecutive_deaths_only():
-    """A healthy poll between deaths resets the quarantine ladder, not
-    just the backoff."""
-    host = make_host()
-    sup = Supervisor(
-        Senpai(SenpaiConfig(interval_s=30.0)),
-        SupervisorConfig(restart_backoff_s=10.0, max_restarts=1),
-    )
-    sup.faults.crash_pending = True
-    sup.poll(host, 0.0)  # death 1
-    sup.poll(host, 10.0)  # restart
-    sup.poll(host, 11.0)  # healthy: ladder resets
-    sup.faults.crash_pending = True
-    sup.poll(host, 12.0)  # death — but consecutive count is 1 again
-    assert sup.quarantined is False
-    sup.poll(host, 22.0)  # restart still happens
-    assert sup.alive is True
-
-
-def test_default_config_never_quarantines():
-    host = make_host()
-    sup = Supervisor(failing_senpai(), SupervisorConfig(
-        restart_backoff_s=1.0, restart_backoff_max_s=1.0,
+        restart_backoff_s=1.0, restart_backoff_max_s=8.0,
     ))
     now = 0.0
-    for _ in range(10):
+    waits = []
+    for _ in range(8):
         sup.controller.poll = boom  # re-arm the decoded replacement
-        sup.poll(host, now)  # death N
-        now += 1.0
-        sup.poll(host, now)  # restart N
-        now += 1.0
-    assert sup.quarantined is False
-    assert sup.restart_count == 10
+        sup.poll(host, now)  # death
+        assert sup.alive is False
+        waits.append(sup._restart_at_s - now)
+        now = sup._restart_at_s
+        sup.poll(host, now)  # restart
+        assert sup.alive is True
+    assert waits == [1.0, 2.0, 4.0, 8.0, 8.0, 8.0, 8.0, 8.0]
+    assert sup.crash_count == sup.restart_count == 8
+    sup.poll(host, now + 1.0)  # healthy: the ladder resets
+    sup.controller.poll = boom
+    sup.poll(host, now + 2.0)
+    assert sup._restart_at_s == now + 2.0 + 1.0
+    sup.poll(host, now + 1000.0)
+    assert sup.alive is True and sup.restart_count == 9
 
 
 # ----------------------------------------------------------------------
-# live controller swap + manual un-quarantine (the control plane's
-# seams; see repro.fleetd)
+# live controller swap (the control plane's seam; see repro.fleetd)
 
 
 def test_replace_controller_resets_watchdog_bookkeeping():
@@ -333,41 +298,18 @@ def test_replace_controller_resets_watchdog_bookkeeping():
     assert sup.alive
 
 
-def test_replace_controller_does_not_revive_a_quarantined_host():
+def test_replace_controller_does_not_revive_a_dead_controller():
+    """A policy swap on a dead controller leaves it dead until its
+    pending restart, which brings up the replacement (the swap dropped
+    the old instance's persisted state)."""
     host = make_host()
     sup = Supervisor(failing_senpai(), SupervisorConfig(
-        restart_backoff_s=1.0, max_restarts=0,
+        restart_backoff_s=10.0,
     ))
-    sup.poll(host, 0.0)  # death 1 -> immediate quarantine
-    assert sup.quarantined
-    sup.replace_controller(Senpai(SenpaiConfig()))
-    assert sup.quarantined
+    sup.poll(host, 0.0)  # death: restart due at 10
+    replacement = Senpai(SenpaiConfig())
+    sup.replace_controller(replacement)
+    sup.poll(host, 5.0)
     assert not sup.alive
-
-
-def test_reset_quarantine_is_a_noop_when_healthy():
-    host = make_host()
-    sup = Supervisor(Senpai(SenpaiConfig()), SupervisorConfig())
-    assert sup.reset_quarantine(host, 0.0) is False
-    assert sup.unquarantine_count == 0
-    assert len(host.metrics.series("supervisor/unquarantined")) == 0
-
-
-def test_reset_quarantine_restarts_and_records_the_edge():
-    host = make_host()
-    sup = Supervisor(failing_senpai(), SupervisorConfig(
-        restart_backoff_s=10.0, max_restarts=0,
-    ))
-    sup.poll(host, 0.0)  # death 1 -> quarantine (budget 0)
-    assert sup.quarantined and not sup.alive
-    assert sup.reset_quarantine(host, 50.0) is True
-    assert sup.alive and not sup.quarantined
-    assert sup.unquarantine_count == 1
-    edges = host.metrics.series("supervisor/unquarantined")
-    assert list(zip(edges.times, edges.values)) == [(50.0, 1.0)]
-    # The restart budget is fresh: another death restarts again
-    # instead of re-quarantining immediately... (max_restarts=0 means
-    # the *next* consecutive death quarantines again, but the reset
-    # cleared the current streak, so a healthy run continues.)
-    sup.poll(host, 51.0)
-    assert sup.alive
+    sup.poll(host, 10.0)  # restart
+    assert sup.alive and sup.controller is replacement

@@ -136,8 +136,6 @@ def test_restart_rebuilds_population():
 
 
 def test_tick_result_helpers():
-    tick = TickResult(name="x")
-    tick._record("hit")
-    tick._record("hit")
+    tick = TickResult(name="x", events={"hit": 2})
     assert tick.count("hit") == 2
     assert tick.count("missing") == 0
