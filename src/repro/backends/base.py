@@ -67,8 +67,17 @@ class LatencyReservoir:
         self._buf = np.empty(capacity_entries, dtype=np.float64)
         self._count = 0
         self._next = 0
+        self._forget()
+
+    def _forget(self) -> None:
+        """Start :meth:`percentile`'s memo afresh (not snapshot state)."""
+        #: Samples added since; keys the memo.
+        self._writes = 0
+        #: ``(writes, q, percentile)`` of the last :meth:`percentile`.
+        self._memo = (-1, 0.0, 0.0)
 
     def add(self, latency_s: float) -> None:
+        self._writes += 1
         if self._count < self.capacity_entries:
             self._buf[self._count] = latency_s
             self._count += 1
@@ -81,12 +90,21 @@ class LatencyReservoir:
 
         Uses an O(n) selection (``np.partition``) instead of sorting the
         window; returns the same sample ``sorted(samples)[idx]`` would.
+        Asked again for the same ``q`` with no sample added since (a
+        host's per-tick read while no file I/O happens), it answers from
+        a memo.
         """
+        writes, memo_q, value = self._memo
+        if writes == self._writes and memo_q == q:
+            return value
         n = self._count
         if n == 0:
-            return 0.0
-        idx = min(n - 1, int(round(q / 100.0 * (n - 1))))
-        return float(np.partition(self._buf[:n], idx)[idx])
+            value = 0.0
+        else:
+            idx = min(n - 1, int(round(q / 100.0 * (n - 1))))
+            value = float(np.partition(self._buf[:n], idx)[idx])
+        self._memo = (self._writes, q, value)
+        return value
 
     def __snapshot__(self) -> list:
         """Snapshot state: the filled part of the buffer, not all of it."""
@@ -108,6 +126,7 @@ class LatencyReservoir:
             )
         self._buf = np.empty(self.capacity_entries, dtype=np.float64)
         self._buf[:n] = samples
+        self._forget()
         self._count = n
 
     def __len__(self) -> int:

@@ -97,16 +97,17 @@ def save_snapshot(host, path: str) -> str:
 
     The file is ``dump_envelope(host.snapshot())``, but the payload is
     serialized once (:func:`dump_payload`), not once to hash it and
-    again to write it. The document is encoded and dumped first,
-    written to ``path + ".tmp"`` and only then renamed over ``path``,
-    so a run that fails or is killed mid-write leaves the previous
-    snapshot (or its absence) intact. There is no fsync: this guards
-    against process death, not power loss.
+    again to write it, and its byte parts go to the file one by one,
+    never joined. The document is encoded and dumped first, written to
+    ``path + ".tmp"`` and only then renamed over ``path``, so a run
+    that fails or is killed mid-write leaves the previous snapshot (or
+    its absence) intact. There is no fsync: this guards against process
+    death, not power loss.
     """
-    digest, document = dump_payload(_encode_payload(host))
+    digest, parts = dump_payload(_encode_payload(host))
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(document)
+    with open(tmp, "wb") as fh:
+        fh.writelines(parts)
     os.replace(tmp, path)
     return digest
 

@@ -8,7 +8,10 @@ A snapshot is a canonical-JSON document in a three-field envelope::
 (``json.dumps(payload, sort_keys=True, separators=(",", ":"))``), so a
 snapshot is content-addressed: two hosts with identical state produce
 byte-identical envelopes, and a single flipped bit in the payload is
-caught before any restore work begins.
+caught before any restore work begins. Packed arrays are ``bytes``
+leaves of the payload, already base64; the serializer
+(:func:`canonical_parts`) writes them into the document verbatim, as
+the JSON strings they spell, without scanning them for escapes.
 
 Refusal semantics (docs/RESILIENCE.md, "Recovery"): a bad snapshot —
 truncated file, unknown schema version, digest mismatch, wrong shape —
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Current snapshot schema version. Bump on any change to the payload
 #: layout; old versions are refused, never silently migrated (the
@@ -83,14 +86,69 @@ class SnapshotError(ValueError):
         self.offset = offset
 
 
+#: What the serializer writes in place of each packed leaf before it
+#: splices the leaf back in.
+_PACKED = "\x00packed\x00"
+#: :data:`_PACKED` as it reads inside a JSON string.
+_PACKED_TEXT = json.dumps(_PACKED)[1:-1]
+
+
+def canonical_parts(payload: Any) -> List[bytes]:
+    """The canonical encoding of ``payload``, as byte parts in order.
+
+    Their concatenation is ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` with every ``bytes`` leaf written as the
+    ASCII string it spells. ``bytes`` leaves are packed arrays
+    (:func:`repro.checkpoint.state.encode_array`): base64, whose
+    alphabet holds no character JSON escapes, so each is its own part,
+    written verbatim and never scanned. The JSON encoder writes a
+    marker for each and the text is split on the markers. A string of
+    the payload that holds the marker's text makes the count come out
+    wrong; then the leaves are decoded and encoded as JSON strings.
+    """
+    leaves: List[bytes] = []
+
+    def packed(value: Any) -> str:
+        if type(value) is not bytes:
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON "
+                "serializable"
+            )
+        leaves.append(value)
+        return _PACKED
+
+    text = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=packed
+    )
+    if not leaves:
+        return [text.encode()]
+    pieces = text.split(_PACKED_TEXT)
+    if len(pieces) != len(leaves) + 1:
+        return [json.dumps(
+            payload, sort_keys=True, separators=(",", ":"),
+            default=bytes.decode,
+        ).encode()]
+    parts = [pieces[0].encode()]
+    for leaf, piece in zip(leaves, pieces[1:]):
+        parts += (leaf, piece.encode())
+    return parts
+
+
 def canonical_json(payload: Any) -> str:
     """The one true serialization of a payload (sorted keys, no spaces)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return b"".join(canonical_parts(payload)).decode()
+
+
+def _sha256(parts: List[bytes]) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def payload_digest(payload: Any) -> str:
     """SHA-256 hex digest of the canonical payload encoding."""
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return _sha256(canonical_parts(payload))
 
 
 def wrap_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -152,21 +210,21 @@ def dump_envelope(envelope: Dict[str, Any]) -> str:
     return canonical_json(envelope) + "\n"
 
 
-def dump_payload(payload: Dict[str, Any]) -> Tuple[str, str]:
-    """``(digest, document)`` for a payload, serializing it only once.
+def dump_payload(payload: Dict[str, Any]) -> Tuple[str, List[bytes]]:
+    """``(digest, document parts)`` for a payload, serializing it once.
 
-    The document is ``dump_envelope(wrap_payload(payload))`` byte for
-    byte: sorted keys put ``digest`` before ``payload`` before
-    ``schema_version``, so the canonical payload text is hashed and
-    then spliced into the envelope as it is.
+    The parts joined are ``dump_envelope(wrap_payload(payload))``
+    encoded, byte for byte: sorted keys put ``digest`` before
+    ``payload`` before ``schema_version``, so the canonical payload
+    parts are hashed and then written between the envelope's head and
+    tail as they are. Nothing joins them: a writer takes them one by
+    one (``writelines``).
     """
-    text = canonical_json(payload)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    document = (
-        f'{{"digest":"{digest}","payload":{text},'
-        f'"schema_version":{SCHEMA_VERSION}}}\n'
-    )
-    return digest, document
+    parts = canonical_parts(payload)
+    digest = _sha256(parts)
+    head = f'{{"digest":"{digest}","payload":'.encode()
+    tail = f',"schema_version":{SCHEMA_VERSION}}}\n'.encode()
+    return digest, [head, *parts, tail]
 
 
 def parse_document(text: str) -> Any:

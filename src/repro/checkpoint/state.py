@@ -43,6 +43,7 @@ attributes of such classes need class-level defaults.
 from __future__ import annotations
 
 import base64
+import binascii
 import dataclasses
 import enum
 import functools
@@ -320,21 +321,26 @@ def _optional_codec(inner: Tuple[Encoder, Decoder]):
 #: first.
 _INT_WIDTHS = tuple(np.dtype(t) for t in ("<i1", "<i2", "<i4", "<i8"))
 
+#: Base64 of a contiguous buffer, as ASCII bytes with no newline.
+_base64 = functools.partial(binascii.b2a_base64, newline=False)
+
 
 def encode_array(value: np.ndarray) -> Any:
-    """A 1-d float64, integer or bool array as JSON.
+    """A 1-d float64, integer or bool array as JSON, its data ``bytes``.
 
     Floats are their little-endian IEEE bytes, so every bit survives
     (NaN payloads, ``-0.0``, subnormals). Integers are the little-endian
     bytes of the narrowest width that holds them. Bools are bits, packed
-    eight to a byte. All three are base64-encoded.
+    eight to a byte. All three are base64-encoded, straight from the
+    array's buffer, as ASCII ``bytes``: the serializer writes those
+    verbatim (:func:`repro.checkpoint.snapshot.canonical_parts`), and a
+    parsed document holds the same text as ``str``.
     """
     if value.dtype == np.float64:
-        data = np.ascontiguousarray(value, dtype="<f8").tobytes()
-        return {"float": "<f8", "data": base64.b64encode(data).decode()}
+        data = np.ascontiguousarray(value, dtype="<f8")
+        return {"float": "<f8", "data": _base64(data)}
     if value.dtype == np.bool_:
-        bits = np.packbits(value)
-        return {"bool": len(value), "bits": base64.b64encode(bits).decode()}
+        return {"bool": len(value), "bits": _base64(np.packbits(value))}
     if value.dtype.kind != "i":
         raise TypeError(
             f"only float64, integer and bool arrays encode, got {value.dtype}"
@@ -344,9 +350,8 @@ def encode_array(value: np.ndarray) -> Any:
         w for w in _INT_WIDTHS
         if np.iinfo(w).min <= lo and hi <= np.iinfo(w).max
     )
-    data = value.astype(width).tobytes()
     return {"int": value.dtype.str, "as": width.str,
-            "data": base64.b64encode(data).decode()}
+            "data": _base64(value.astype(width))}
 
 
 def decode_array(doc: Any) -> np.ndarray:

@@ -231,18 +231,28 @@ class MetricsRecorder:
 
     def __snapshot__(self) -> list:
         """``[time columns, [[name, column index, values], ...]]``, the
-        columns packed by :func:`repro.checkpoint.state.encode_array`."""
+        columns packed by :func:`repro.checkpoint.state.encode_array`.
+
+        Series that share a block and a start share a time column, so
+        the column is looked up once per (block, start); byte-equal
+        columns of different blocks (series recorded apart in lockstep)
+        are still written once."""
         from repro.checkpoint.state import encode_array
 
         axes: Dict[bytes, int] = {}
+        starts: Dict[Tuple[int, int], int] = {}
         columns: List[object] = []
         rows = []
         for name, series in self._series.items():
-            times, values = series._arrays()
-            index = axes.setdefault(times.tobytes(), len(columns))
-            if index == len(columns):
-                columns.append(encode_array(times))
-            rows.append([name, index, encode_array(values)])
+            block, start = series._block, series._start
+            index = starts.get((id(block), start))
+            if index is None:
+                times = block.times[start:block.n]
+                index = axes.setdefault(times.tobytes(), len(columns))
+                if index == len(columns):
+                    columns.append(encode_array(times))
+                starts[id(block), start] = index
+            rows.append([name, index, encode_array(series._values())])
         return [columns, rows]
 
     def __restore__(self, state: list) -> None:

@@ -165,7 +165,7 @@ def alias_table(intervals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
     mass[intervals >= _NEVER] = 0.0
     total = float(mass.sum())
     prob = np.ones(n)
-    alias = np.arange(n)
+    alias = np.arange(n, dtype=np.int32)  # page counts stay below 2**31
     if total == 0.0:
         return prob, alias, total
     mass *= n / total

@@ -1,10 +1,12 @@
-"""Unit tests for the queued-device latency model."""
+"""Unit tests for the queued-device latency model and the latency
+reservoir its operations feed."""
 
 import numpy as np
 import pytest
 
-from repro.backends.base import IoKind
+from repro.backends.base import IoKind, LatencyReservoir
 from repro.backends.device import DeviceSpec, QueuedDevice
+from repro.checkpoint.state import decode_state, encode_state
 
 
 def make_device(read_iops=1000.0, seed=1, sigma=0.5):
@@ -68,3 +70,53 @@ def test_rates_decay_when_idle():
     for _ in range(100):
         dev.on_tick(0.0, dt=1.0)
     assert dev.utilization < busy_util / 10
+
+
+# ----------------------------------------------------------------------
+# latency reservoir percentiles
+
+
+def window_percentile(samples, q):
+    """The order statistic :meth:`LatencyReservoir.percentile` picks."""
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1,
+                       int(round(q / 100.0 * (len(ordered) - 1))))]
+
+
+def test_reservoir_percentile_is_memoized_until_the_next_write(monkeypatch):
+    calls = []
+    partition = np.partition
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", counting)
+    reservoir = LatencyReservoir(capacity_entries=8)
+    assert reservoir.percentile(90.0) == 0.0
+    rng = np.random.default_rng(3)
+    window = []
+    for value in rng.random(30).tolist():  # wraps the buffer
+        reservoir.add(value)
+        window = (window + [value])[-8:]
+        for q in (90.0, 50.0, 90.0):
+            assert reservoir.percentile(q) == window_percentile(window, q)
+        before = len(calls)
+        assert reservoir.percentile(90.0) == window_percentile(window, 90.0)
+        assert len(calls) == before  # no write since: the memo answers
+    # Each write invalidates the memo: every q switch recomputes too.
+    assert len(calls) == 30 * 3
+
+
+def test_restored_reservoir_answers_the_same_percentile():
+    source = LatencyReservoir(capacity_entries=8)
+    target = LatencyReservoir(capacity_entries=8)
+    for value in (5.0, 1.0, 4.0, 2.0, 3.0):
+        source.add(value)
+        target.add(10.0 * value)  # the same write count, other samples
+    expected = source.percentile(90.0)
+    assert target.percentile(90.0) != expected
+    twin = decode_state(encode_state(source))
+    assert twin.percentile(90.0) == expected
+    target.__restore__(source.__snapshot__())  # in place, over a memo
+    assert target.percentile(90.0) == expected

@@ -28,11 +28,14 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.snapshot import (
     canonical_json,
+    canonical_parts,
     dump_envelope,
+    dump_payload,
     parse_document,
     payload_digest,
+    wrap_payload,
 )
-from repro.checkpoint.state import decode_state, encode_state
+from repro.checkpoint.state import decode_state, encode_array, encode_state
 from repro.core.senpai import Senpai, SenpaiConfig, _CgroupState
 from repro.faults.chaos import ChaosConfig, build_chaos_host
 from repro.sim.host import Host, HostConfig
@@ -222,6 +225,20 @@ def test_lockstep_series_write_one_time_column():
     twin.__restore__(parse_document(canonical_json(rec.__snapshot__())))
     assert list(twin.names()) == list(rec.names())
     assert metrics_digest(twin) == metrics_digest(rec)
+
+
+def test_packed_arrays_are_written_verbatim():
+    payload = {"kind": "packed", "column": encode_array(np.arange(999.0))}
+    leaf = payload["column"]["data"]
+    assert type(leaf) is bytes
+    assert any(part is leaf for part in canonical_parts(payload))
+    digest, parts = dump_payload(payload)
+    assert any(part is leaf for part in parts)
+    assert b"".join(parts) == dump_envelope(wrap_payload(payload)).encode()
+    assert digest == payload_digest(payload)
+    # A value JSON cannot hold is still refused, packed leaves or not.
+    with pytest.raises(TypeError):
+        canonical_json(dict(payload, bad=np.int64(1)))
 
 
 #: ``save_snapshot``'s payload digest for one small fleetd host (seed 1,

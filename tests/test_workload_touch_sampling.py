@@ -189,6 +189,7 @@ def test_alias_table_gives_each_page_its_rate_share(app, n):
         never_share=profile.cold_never_share,
     )
     prob, alias, total = alias_table(intervals)
+    assert alias.dtype == np.int32  # 12 bytes a page with ``prob``
     never = intervals >= _NEVER
     rates = np.where(never, 0.0, 1.0 / intervals)
     assert total == rates.sum()
@@ -220,6 +221,7 @@ def test_alias_table_builds_on_degenerate_rates(intervals):
 def test_all_never_population_draws_no_events():
     prob, alias, total = alias_table(np.full(10, _NEVER))
     assert total == 0.0 and len(prob) == len(alias) == 10
+    assert alias.dtype == np.int32
     w = synthetic_workload(seed=11)
     w._intervals = np.full(N_PAGES, _NEVER)
     with warnings.catch_warnings(), np.errstate(all="raise"):
